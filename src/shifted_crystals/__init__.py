@@ -21,6 +21,7 @@ from .axioms import (
 )
 from .errors import (
     BrokenSemistandard,
+    InternalInconsistency,
     InvalidIndex,
     MalformedGraph,
     MissingArrow,

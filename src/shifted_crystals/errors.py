@@ -40,3 +40,10 @@ class MissingArrow(ValueError):
 
 class MalformedGraph(ValueError):
     """An imported graph does not conform to the JSON schema."""
+
+
+class InternalInconsistency(ValueError):
+    """A load-bearing invariant of the implementation failed: tied operator
+    representatives disagree, E disagrees with the reversed F edges, or a
+    brute-force Schur polynomial or oracle result is malformed.  Always a
+    bug, never bad input; raised explicitly so ``python -O`` keeps it."""

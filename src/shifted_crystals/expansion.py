@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalInconsistency
 from .graph import CrystalGraph, build_graph, components, highest_weight
 from .tableaux import (
     SkewShape,
@@ -117,35 +118,39 @@ class Expansion:
         )
 
 
+def _weight_polynomial(weights, n: int, class_size: bool = False) -> Polynomial:
+    """Sum of x^wt over the given weight vectors, each counted once or, with
+    ``class_size``, 2^(number of distinct values) times."""
+    terms: dict[tuple[int, ...], int] = {}
+    for wt in weights:
+        coeff = 2 ** sum(1 for count in wt if count) if class_size else 1
+        terms[wt] = terms.get(wt, 0) + coeff
+    return Polynomial(terms, n)
+
+
 def genfun(tableaux, n: int) -> Polynomial:
     """Sum of x^wt over the given tableaux."""
-    poly = Polynomial.zero(n)
-    for t in tableaux:
-        poly = poly + Polynomial.monomial(t.weight())
-    return poly
+    return _weight_polynomial((t.weight() for t in tableaux), n)
 
 
 def genfun_weighted(tableaux, n: int) -> Polynomial:
     """Sum of 2^(number of distinct values) * x^wt: each canonical tableau
     counted with its representative-class size.  On straight shapes this
     recovers the classical Schur Q-polynomial."""
-    poly = Polynomial.zero(n)
-    for t in tableaux:
-        distinct = sum(1 for count in t.weight() if count)
-        poly = poly + Polynomial.monomial(t.weight(), 2**distinct)
-    return poly
+    return _weight_polynomial((t.weight() for t in tableaux), n, class_size=True)
 
 
 def schur_P(sigma: StrictPartition, n: int) -> Polynomial:
     """Classical Schur P-polynomial by brute force over decorated shifted
-    fillings with an unprimed main diagonal; asserted symmetric."""
+    fillings with an unprimed main diagonal; raises InternalInconsistency
+    unless it comes out symmetric."""
     sigma = check_strict(sigma)
     if not sigma:
         return Polynomial.monomial((0,) * n)
-    poly = Polynomial.zero(n)
-    for wt in decorated_filling_weights(SkewShape(sigma), n, diagonal_unprimed=True):
-        poly = poly + Polynomial.monomial(wt)
-    assert poly.is_symmetric(), f"P_{sigma} came out asymmetric"
+    fillings = decorated_filling_weights(SkewShape(sigma), n, diagonal_unprimed=True)
+    poly = _weight_polynomial(fillings, n)
+    if not poly.is_symmetric():
+        raise InternalInconsistency(f"P_{sigma} came out asymmetric")
     return poly
 
 
@@ -153,7 +158,8 @@ def schur_Q(sigma: StrictPartition, n: int) -> Polynomial:
     """Q = 2^len(sigma) * P."""
     sigma = check_strict(sigma)
     poly = schur_P(sigma, n).scale(2 ** len(sigma))
-    assert poly.is_symmetric()
+    if not poly.is_symmetric():
+        raise InternalInconsistency(f"Q_{sigma} came out asymmetric")
     return poly
 
 
@@ -188,9 +194,9 @@ class ExpansionReport:
         return f"{self.expansion} ; {status}"
 
 
-def _classify(poly: Polynomial, sigma: StrictPartition, n: int) -> str:
-    against_p = poly == schur_P(sigma, n)
-    against_q = poly == schur_Q(sigma, n)
+def _classify(poly: Polynomial, p: Polynomial, q: Polynomial) -> str:
+    against_p = poly == p
+    against_q = poly == q
     if against_p and against_q:
         return "P=Q"
     if against_p:
@@ -203,20 +209,25 @@ def _classify(poly: Polynomial, sigma: StrictPartition, n: int) -> str:
 def verify_expansion(shape: SkewShape, n: int) -> ExpansionReport:
     """Check genfun(ShST(shape, n)) = sum of m_sigma * genfun(ShST(sigma, n)).
 
-    Also records, per straight sigma encountered, whether (a) the plain
-    genfun and (b) the class-size-weighted genfun coincide with the
-    classical P, Q, both, or neither.  Empirically (a) matches P only in
-    degenerate cases while (b) is Q on every tested shape.
+    The graph is built once: the expansion comes from its components and
+    the left-hand side from its vertex weights.  Also records, per straight
+    sigma encountered, whether (a) the plain genfun and (b) the
+    class-size-weighted genfun coincide with the classical P, Q, both, or
+    neither.  Empirically (a) matches P only in degenerate cases while (b)
+    is Q on every tested shape.
     """
-    expansion = expand(shape, n)
-    lhs = genfun(enumerate_tableaux(shape, n), n)
+    graph = build_graph(shape, n)
+    expansion = expansion_of_graph(graph)
+    lhs = _weight_polynomial((v.weight for v in graph.vertices), n)
     rhs = Polynomial.zero(n)
     matches = []
     weighted = []
     for sigma, mult in expansion.terms:
         tableaux = enumerate_tableaux(SkewShape(sigma), n)
+        p = schur_P(sigma, n)
+        q = p.scale(2 ** len(sigma))
         straight = genfun(tableaux, n)
         rhs = rhs + straight.scale(mult)
-        matches.append((sigma, _classify(straight, sigma, n)))
-        weighted.append((sigma, _classify(genfun_weighted(tableaux, n), sigma, n)))
+        matches.append((sigma, _classify(straight, p, q)))
+        weighted.append((sigma, _classify(genfun_weighted(tableaux, n), p, q)))
     return ExpansionReport(shape, n, expansion, lhs == rhs, tuple(matches), tuple(weighted))

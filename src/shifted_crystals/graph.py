@@ -2,10 +2,10 @@
 
 Vertices are reading words (ids dense in enumeration order); each vertex
 carries its weight vector.  Only F-edges are stored: E operators follow
-the reversed edges, and build_graph asserts that applying E directly
-agrees with the stored reversals.  {i,i'}-components are classified into
-the two legal string shapes, from which all six length statistics are
-read off.
+the reversed edges, and build_graph checks that applying E directly
+agrees with the stored reversals, raising InternalInconsistency when it
+does not.  {i,i'}-components are classified into the two legal string
+shapes, from which all six length statistics are read off.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BrokenSemistandard,
+    InternalInconsistency,
     InvalidIndex,
     MalformedGraph,
     NotAString,
@@ -178,12 +179,6 @@ class CrystalGraph:
             self._strings[(member, i)] = shape
         return shape
 
-    def subgraph(self, ids) -> "CrystalGraph":
-        ids = set(ids)
-        vs = tuple(v for v in self.vertices if v.id in ids)
-        es = tuple(e for e in self.edges if e.src in ids and e.dst in ids)
-        return CrystalGraph(self.n, vs, es, self.shape)
-
 
 def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
     comp = sorted(g.i_component(vid, i))
@@ -267,63 +262,69 @@ def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
 def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     """Crystal over enumerate_tableaux(shape, n) with all F_i / F_i' edges.
 
-    Asserts that E_i / E_i' applied directly agree with the reversed edges.
+    Raises InternalInconsistency unless E_i / E_i' applied directly agree
+    with the reversed edges.
     """
     tableaux = enumerate_tableaux(shape, n)
     vertices = tuple(
         GraphVertex(k, Word(t.reading_codes(), n), t.weight()) for k, t in enumerate(tableaux)
     )
     ids = {v.word.codes: v.id for v in vertices}
+    labels = [(i, primed) for i in range(1, n) for primed in (False, True)]
+    lowering = {(i, p): OpKind("F'" if p else "F", i) for i, p in labels}
+    raising = {(i, p): OpKind("E'" if p else "E", i) for i, p in labels}
     edges = []
     for v in vertices:
-        for i in range(1, n):
-            for primed in (False, True):
-                family = "F'" if primed else "F"
-                out = apply(OpKind(family, i), v.word)
-                if out is None:
-                    continue
-                if out.codes not in ids:
-                    raise BrokenSemistandard(
-                        f"{family}_{i}({v.word}) = {out} left ShST({shape}, {n})"
-                    )
-                edges.append(GraphEdge(v.id, ids[out.codes], i, primed))
+        for label in labels:
+            out = apply(lowering[label], v.word)
+            if out is None:
+                continue
+            if out.codes not in ids:
+                raise BrokenSemistandard(
+                    f"{lowering[label]}({v.word}) = {out} left ShST({shape}, {n})"
+                )
+            edges.append(GraphEdge(v.id, ids[out.codes], *label))
     g = CrystalGraph(n, vertices, tuple(edges), shape)
     for v in vertices:
-        for i in range(1, n):
-            for primed in (False, True):
-                family = "E'" if primed else "E"
-                up = apply(OpKind(family, i), v.word)
-                src = g.e(v.id, i, primed)
-                got = None if src is None else g.by_id[src].word.codes
-                want = None if up is None else up.codes
-                assert got == want, (
-                    f"{family}_{i}({v.word}) inconsistent with stored edges"
+        for label in labels:
+            up = apply(raising[label], v.word)
+            src = g.e(v.id, *label)
+            got = None if src is None else g.by_id[src].word.codes
+            want = None if up is None else up.codes
+            if got != want:
+                raise InternalInconsistency(
+                    f"{raising[label]}({v.word}) inconsistent with stored edges"
                 )
     return g
 
 
 def components(g: CrystalGraph) -> list[CrystalGraph]:
     """Partition by weak connectivity, in order of smallest vertex id."""
-    seen: set[int] = set()
-    out = []
+    comp_of: dict[int, int] = {}
+    count = 0
     for v in g.vertices:
-        if v.id in seen:
+        if v.id in comp_of:
             continue
-        comp = {v.id}
+        comp_of[v.id] = count
         stack = [v.id]
         while stack:
             u = stack.pop()
             for e in g.out_edges[u]:
-                if e.dst not in comp:
-                    comp.add(e.dst)
+                if e.dst not in comp_of:
+                    comp_of[e.dst] = count
                     stack.append(e.dst)
             for e in g.in_edges[u]:
-                if e.src not in comp:
-                    comp.add(e.src)
+                if e.src not in comp_of:
+                    comp_of[e.src] = count
                     stack.append(e.src)
-        seen |= comp
-        out.append(g.subgraph(comp))
-    return out
+        count += 1
+    vertices: list[list[GraphVertex]] = [[] for _ in range(count)]
+    edges: list[list[GraphEdge]] = [[] for _ in range(count)]
+    for v in g.vertices:
+        vertices[comp_of[v.id]].append(v)
+    for e in g.edges:
+        edges[comp_of[e.src]].append(e)
+    return [CrystalGraph(g.n, tuple(vs), tuple(es), g.shape) for vs, es in zip(vertices, edges)]
 
 
 def is_strict_padded(weight: tuple[int, ...]) -> bool:

@@ -4,25 +4,32 @@ All four families act on the {i, i', i+1, (i+1)'}-subword of a word, with
 those letters relabeled 1', 1, 2', 2.  The i-th lattice walk turns each
 subword letter into a unit step: on the axes primed and unprimed letters
 behave alike (1-family east, 2-family north); in the open quadrant 1 goes
-south, 1' east, 2 north, 2' west.  The unprimed operators locate the final
-critical substring over all representatives (highest start, longest on a
-tie) and transform it per the type tables; the primed operators re-prime
-the last i / last (i+1)' when it sits right of its counterpart.
+south, 1' east, 2 north, 2' west.
+
+One kernel computes every operator in subword space.  It scans the word
+once for the subword and its first i and first i+1; the representatives
+that matter are the <= 4 subwords with those two letters primed or not.
+The unprimed operators take the final critical substring over them
+(highest start, longest on a tie) and transform it per the type tables;
+the primed operators re-prime the last i / last (i+1)' when it sits right
+of its counterpart.  Each result re-canonicalises only the two moved value
+families, every qualifying representative must agree (InternalInconsistency
+otherwise), and the word is rewritten once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
-from .errors import InvalidIndex
+from .errors import InternalInconsistency, InvalidIndex
 from .tableaux import ShiftedTableau, from_reading_codes, reading_word
 from .words import (
     Codes,
     RawWord,
     Word,
     canonical_codes,
+    codes_to_str,
     standardize_codes,
     value_of,
     weight_of_codes,
@@ -98,20 +105,30 @@ class CriticalMatch:
         return self.kind not in ("5F", "5E")
 
 
-def _subword(codes: Codes, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Relabeled {i,i+1}-subword and the full-word positions of its letters."""
+def _subword(codes: Codes, i: int) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Relabeled {i,i+1}-subword, the full-word positions of its letters, and
+    the subword indices of the first i-family and first (i+1)-family letter
+    (those present, in that order)."""
     shift = 2 * (i - 1)
-    sub = []
-    pos = []
     lo, hi = 2 * i - 1, 2 * (i + 1)
+    sub: list[int] = []
+    pos: list[int] = []
+    first1 = first2 = None
     for p, c in enumerate(codes):
         if lo <= c <= hi:
-            sub.append(c - shift)
+            c -= shift
+            if c <= _1:
+                if first1 is None:
+                    first1 = len(sub)
+            elif first2 is None:
+                first2 = len(sub)
+            sub.append(c)
             pos.append(p)
-    return tuple(sub), tuple(pos)
+    firsts = tuple(k for k in (first1, first2) if k is not None)
+    return sub, pos, firsts
 
 
-def _walk_points(sub: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _walk_points(sub: list[int]) -> tuple[tuple[int, int], ...]:
     x = y = 0
     points = [(0, 0)]
     for c in sub:
@@ -140,60 +157,59 @@ def lattice_walk(w: RawWord, i: int) -> Walk:
     """Walk of the given representative (a canonical Word walks its canonical
     representative)."""
     _check_index(i, w.n)
-    sub, pos = _subword(w.codes, i)
+    sub, pos, _ = _subword(w.codes, i)
     points = _walk_points(sub)
     steps = tuple(
         _STEP_NAME[(b[0] - a[0], b[1] - a[1])] for a, b in zip(points, points[1:])
     )
-    return Walk(i, pos, points, steps)
+    return Walk(i, tuple(pos), points, steps)
 
 
-def _scan_matches(sub: tuple[int, ...], points, lower: bool):
-    """All critical substrings of one representative, as
-    (subword start, length, kind) triples."""
+def _matches_at(sub, points, j: int, lower: bool) -> list[tuple[int, str]]:
+    """Critical substrings of one representative that start at subword
+    index j, as (length, kind) pairs in type-table order."""
+    c = sub[j]
+    x, y = points[j]
     m = len(sub)
     out = []
-    for j in range(m):
-        c = sub[j]
-        x, y = points[j]
-        if lower:
-            if c == _1 and y == 0:
-                out.append((j, 1, "3F"))
-            if c == _1P and x == 0:
-                out.append((j, 1, "4F"))
-            if (c == _1 or c == _2P) and x == 1 and y >= 1:
-                out.append((j, 1, "5F"))
-            if c == _1 and (y == 0 or (y == 1 and x >= 1)):
-                k = j + 1
-                while k < m and sub[k] == _1P:
-                    k += 1
-                if k < m and sub[k] == _2P:
-                    out.append((j, k - j + 1, "1F"))
-            if c == _1 and (x == 0 or (x == 1 and y >= 1)):
-                k = j + 1
-                while k < m and sub[k] == _2:
-                    k += 1
-                if k < m and sub[k] == _1P:
-                    out.append((j, k - j + 1, "2F"))
-        else:
-            if c == _2P and x == 0:
-                out.append((j, 1, "3E"))
-            if c == _2 and y == 0:
-                out.append((j, 1, "4E"))
-            if (c == _1 or c == _2P) and y == 1 and x >= 1:
-                out.append((j, 1, "5E"))
-            if c == _2P and (x == 0 or (x == 1 and y >= 1)):
-                k = j + 1
-                while k < m and sub[k] == _2:
-                    k += 1
-                if k < m and sub[k] == _1:
-                    out.append((j, k - j + 1, "1E"))
-            if c == _2P and (y == 0 or (y == 1 and x >= 1)):
-                k = j + 1
-                while k < m and sub[k] == _1P:
-                    k += 1
-                if k < m and sub[k] == _2:
-                    out.append((j, k - j + 1, "2E"))
+    if lower:
+        if c == _1 and y == 0:
+            out.append((1, "3F"))
+        if c == _1P and x == 0:
+            out.append((1, "4F"))
+        if (c == _1 or c == _2P) and x == 1 and y >= 1:
+            out.append((1, "5F"))
+        if c == _1 and (y == 0 or (y == 1 and x >= 1)):
+            k = j + 1
+            while k < m and sub[k] == _1P:
+                k += 1
+            if k < m and sub[k] == _2P:
+                out.append((k - j + 1, "1F"))
+        if c == _1 and (x == 0 or (x == 1 and y >= 1)):
+            k = j + 1
+            while k < m and sub[k] == _2:
+                k += 1
+            if k < m and sub[k] == _1P:
+                out.append((k - j + 1, "2F"))
+    else:
+        if c == _2P and x == 0:
+            out.append((1, "3E"))
+        if c == _2 and y == 0:
+            out.append((1, "4E"))
+        if (c == _1 or c == _2P) and y == 1 and x >= 1:
+            out.append((1, "5E"))
+        if c == _2P and (x == 0 or (x == 1 and y >= 1)):
+            k = j + 1
+            while k < m and sub[k] == _2:
+                k += 1
+            if k < m and sub[k] == _1:
+                out.append((k - j + 1, "1E"))
+        if c == _2P and (y == 0 or (y == 1 and x >= 1)):
+            k = j + 1
+            while k < m and sub[k] == _1P:
+                k += 1
+            if k < m and sub[k] == _2:
+                out.append((k - j + 1, "2E"))
     return out
 
 
@@ -217,58 +233,134 @@ def _transform(kind: str, piece: tuple[int, ...]) -> tuple[int, ...]:
     raise ValueError(f"type {kind} has no transformation")
 
 
-def _family_toggles(codes: Codes, i: int):
-    """Representative variants that differ on first occurrences of i, i+1.
-
-    Toggling other values never touches the subword, so these four variants
-    cover everything the full 2^k representative search can see.
-    """
-    firsts = []
-    for v in (i, i + 1):
-        for p, c in enumerate(codes):
-            if value_of(c) == v:
-                firsts.append(p)
-                break
-    variants = []
-    for mask in product((0, 1), repeat=len(firsts)):
-        cs = list(codes)
-        for pos, bit in zip(firsts, mask):
-            if bit:
-                cs[pos] -= 1
-        variants.append(tuple(cs))
-    return variants
-
-
 def _check_index(i: int, n: int) -> None:
     if not 1 <= i <= max(n - 1, 0):
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 
 
-@lru_cache(maxsize=1 << 18)
-def _best_matches(codes: Codes, i: int, lower: bool):
-    """Final critical substrings: all matches tied at (max start, max length).
+def _variants(sub: list[int], firsts: tuple[int, ...]) -> list[list[int]]:
+    """The representative subwords: each first-occurrence letter, unprimed
+    in the canonical word, either kept or primed.  Re-priming any other
+    value never touches the subword, so these cover every representative."""
+    out = []
+    for mask in product((0, 1), repeat=len(firsts)):
+        variant = list(sub)
+        for k, bit in zip(firsts, mask):
+            variant[k] -= bit
+        out.append(variant)
+    return out
 
-    Returns (subword positions tuple, list of (variant codes, subword start,
-    length, kind)) or None when no representative has a critical substring.
+
+def _final_matches(variants: list[list[int]], lower: bool):
+    """Final critical substrings over all representatives: every match tied
+    at the highest (start, length), as (variant, walk points, start, length,
+    kind) in representative order.
+
+    All representatives share one walk: each first-occurrence letter is
+    stepped on an axis, where primed and unprimed letters move alike.
     """
-    sub, pos = _subword(codes, i)
-    if not sub:
-        return None
+    points = _walk_points(variants[0])
     best_key = None
-    best: list[tuple[Codes, int, int, str]] = []
-    for variant in _family_toggles(codes, i):
-        vsub = tuple(variant[p] - 2 * (i - 1) for p in pos)
-        points = _walk_points(vsub)
-        for j, length, kind in _scan_matches(vsub, points, lower):
+    best = []
+    for variant in variants:
+        for j in range(len(variant) - 1, -1, -1):
+            if best_key is not None and j < best_key[0]:
+                break
+            found = _matches_at(variant, points, j, lower)
+            if not found:
+                continue
+            length = max(size for size, _ in found)
             key = (j, length)
             if best_key is None or key > best_key:
                 best_key = key
-                best = [(variant, j, length, kind)]
-            elif key == best_key:
-                best.append((variant, j, length, kind))
-    if not best:
+                best = []
+            if key == best_key:
+                best.extend((variant, points, j, size, kind) for size, kind in found if size == length)
+            break
+    return best
+
+
+def _reprime(variant: list[int], lower: bool) -> list[int] | None:
+    """F': the last i becomes (i+1)' when right of the last (i+1)'.
+    E': the last (i+1)' becomes i when right of the last i."""
+    last_1 = last_2p = -1
+    for k, c in enumerate(variant):
+        if c == _1:
+            last_1 = k
+        elif c == _2P:
+            last_2p = k
+    out = list(variant)
+    if lower:
+        if last_1 < 0 or last_1 < last_2p:
+            return None
+        out[last_1] = _2P
+    else:
+        if last_2p < 0 or last_2p < last_1:
+            return None
+        out[last_2p] = _1
+    return out
+
+
+def _canonical_sub(sub: list[int]) -> tuple[int, ...]:
+    """Unprime the first i-family and first (i+1)-family letter: the only
+    first occurrences an operator can move."""
+    out = list(sub)
+    seen_1 = seen_2 = False
+    for k, c in enumerate(out):
+        if c <= _1:
+            if not seen_1:
+                seen_1 = True
+                out[k] = _1
+        elif not seen_2:
+            seen_2 = True
+            out[k] = _2
+        if seen_1 and seen_2:
+            break
+    return tuple(out)
+
+
+def _write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
+    shift = 2 * (i - 1)
+    out = list(codes)
+    for p, c in zip(pos, sub):
+        out[p] = c + shift
+    return tuple(out)
+
+
+def _kernel(codes: Codes, i: int, lower: bool, primed: bool) -> Codes | None:
+    """One operator on canonical codes, computed on the {i,i+1}-subword; the
+    canonical result codes, or None when undefined.  Every qualifying
+    representative must give the same canonical word."""
+    sub, pos, firsts = _subword(codes, i)
+    if not sub:
         return None
-    return pos, best
+    variants = _variants(sub, firsts)
+    results: set[tuple[int, ...] | None] = set()
+    if primed:
+        for variant in variants:
+            out = _reprime(variant, lower)
+            if out is not None:
+                results.add(_canonical_sub(out))
+        if not results:
+            return None
+    else:
+        best = _final_matches(variants, lower)
+        if not best:
+            return None
+        for variant, _, j, length, kind in best:
+            if kind in ("5F", "5E"):
+                results.add(None)
+                continue
+            out = list(variant)
+            out[j : j + length] = _transform(kind, tuple(variant[j : j + length]))
+            results.add(_canonical_sub(out))
+    if len(results) != 1:
+        raise InternalInconsistency(
+            f"representatives disagree on {codes_to_str(codes)} i={i}"
+            f" lower={lower} primed={primed}: {len(results)} results"
+        )
+    result = results.pop()
+    return None if result is None else _write_back(codes, pos, result, i)
 
 
 def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMatch | None:
@@ -276,73 +368,17 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     highest start index, longest on a tie.  Type 5 matches are returned as
     values; ``None`` means no representative has any critical substring."""
     _check_index(i, w.n)
-    found = _best_matches(w.codes, i, lower)
-    if found is None:
+    sub, pos, firsts = _subword(w.codes, i)
+    best = _final_matches(_variants(sub, firsts), lower)
+    if not best:
         return None
-    pos, best = found
-    variant, j, length, kind = best[0]
-    points = _walk_points(tuple(variant[p] - 2 * (i - 1) for p in pos))
+    variant, points, j, length, kind = best[0]
     return CriticalMatch(
         kind=kind,
-        representative=RawWord(variant, w.n),
-        positions=pos[j : j + length],
+        representative=RawWord(_write_back(w.codes, pos, variant, i), w.n),
+        positions=tuple(pos[j : j + length]),
         location=points[j],
     )
-
-
-@lru_cache(maxsize=1 << 18)
-def _apply_unprimed(codes: Codes, i: int, lower: bool) -> Codes | None:
-    found = _best_matches(codes, i, lower)
-    if found is None:
-        return None
-    pos, best = found
-    results = set()
-    for variant, j, length, kind in best:
-        if kind in ("5F", "5E"):
-            results.add(None)
-            continue
-        piece = tuple(variant[p] - 2 * (i - 1) for p in pos[j : j + length])
-        replaced = _transform(kind, piece)
-        out = list(variant)
-        for p, c in zip(pos[j : j + length], replaced):
-            out[p] = c + 2 * (i - 1)
-        results.add(canonical_codes(tuple(out)))
-    assert len(results) == 1, (
-        f"tied final critical substrings disagree on {codes} i={i}: {results}"
-    )
-    return results.pop()
-
-
-@lru_cache(maxsize=1 << 18)
-def _apply_primed(codes: Codes, i: int, lower: bool) -> Codes | None:
-    unprimed_i = 2 * i
-    primed_i1 = 2 * (i + 1) - 1
-    results = set()
-    for variant in _family_toggles(codes, i):
-        last_i = last_i1p = None
-        for p, c in enumerate(variant):
-            if c == unprimed_i:
-                last_i = p
-            elif c == primed_i1:
-                last_i1p = p
-        if lower:
-            # last i strictly right of last (i+1)' (vacuous without (i+1)')
-            if last_i is None or (last_i1p is not None and last_i < last_i1p):
-                continue
-            out = list(variant)
-            out[last_i] = primed_i1
-        else:
-            if last_i1p is None or (last_i is not None and last_i1p < last_i):
-                continue
-            out = list(variant)
-            out[last_i1p] = unprimed_i
-        results.add(canonical_codes(tuple(out)))
-    if not results:
-        return None
-    assert len(results) == 1, (
-        f"qualifying representatives disagree on {codes} i={i}: {results}"
-    )
-    return results.pop()
 
 
 def apply(kind: OpKind, w: Word) -> Word | None:
@@ -352,10 +388,7 @@ def apply(kind: OpKind, w: Word) -> Word | None:
     and +alpha_i for the E side.
     """
     _check_index(kind.index, w.n)
-    if kind.primed:
-        out = _apply_primed(w.codes, kind.index, kind.lowering)
-    else:
-        out = _apply_unprimed(w.codes, kind.index, kind.lowering)
+    out = _kernel(w.codes, kind.index, kind.lowering, kind.primed)
     return None if out is None else Word(out, w.n)
 
 
@@ -406,7 +439,8 @@ def primed_by_standardization(w: Word, i: int, lower: bool = True) -> Word | Non
     for codes in _canonical_words_with_weight(tuple(wt)):
         if standardize_codes(codes) == target_std:
             hits.append(codes)
-    assert len(hits) <= 1, f"standardization oracle found several words for {w}"
+    if len(hits) > 1:
+        raise InternalInconsistency(f"standardization oracle found several words for {w}")
     return Word(hits[0], w.n) if hits else None
 
 

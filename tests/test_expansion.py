@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 from shifted_crystals import (
+    InternalInconsistency,
     Polynomial,
     enumerate_tableaux,
     expand,
@@ -10,7 +13,8 @@ from shifted_crystals import (
     schur_Q,
     verify_expansion,
 )
-from shifted_crystals.tableaux import decorated_filling_weights
+from shifted_crystals import expansion, graph
+from shifted_crystals.tableaux import SkewShape, decorated_filling_weights
 
 
 def mono(*exps, c=1):
@@ -63,6 +67,11 @@ class TestSchurPQ:
     def test_symmetric(self):
         for lam in ((2,), (3, 1), (2, 1)):
             assert schur_P(lam, 3).is_symmetric()
+
+    def test_asymmetric_p_raises(self, monkeypatch):
+        monkeypatch.setattr(expansion, "decorated_filling_weights", lambda *a, **k: [(1, 0)])
+        with pytest.raises(InternalInconsistency, match="asymmetric"):
+            schur_P((1,), 2)
 
     def test_q_matches_direct_enumeration(self):
         # enumerating with primed diagonals allowed gives exactly 2^len * P
@@ -123,3 +132,27 @@ class TestVerifyExpansion:
     def test_plain_genfun_is_not_P_in_general(self):
         report = verify_expansion(make_skew_shape((2,)), 2)
         assert report.straight_matches == (((2,), "neither"),)
+
+    def test_builds_once_and_computes_each_p_once(self, monkeypatch):
+        def counting(module, name, log):
+            real = getattr(module, name)
+
+            def wrapped(*args):
+                log.append(args[0])
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        builds, graph_enums, sigma_enums, ps, qs = [], [], [], [], []
+        counting(expansion, "build_graph", builds)
+        counting(graph, "enumerate_tableaux", graph_enums)
+        counting(expansion, "enumerate_tableaux", sigma_enums)
+        counting(expansion, "schur_P", ps)
+        counting(expansion, "schur_Q", qs)
+        shape = make_skew_shape((5, 3, 1), (2,))
+        report = verify_expansion(shape, 3)
+        sigmas = [sigma for sigma, _ in report.expansion.terms]
+        assert report.identity_ok and len(sigmas) > 1
+        assert builds == [shape] and graph_enums == [shape]
+        assert sigma_enums == [SkewShape(sigma) for sigma in sigmas]
+        assert ps == sigmas and qs == []

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import shifted_crystals
 from shifted_crystals import (
     CrystalGraph,
+    InternalInconsistency,
     NotAString,
     NotStrictWeight,
     NotUnique,
+    build_graph,
     classify_string,
     component_isomorphic,
     components,
@@ -14,9 +24,14 @@ from shifted_crystals import (
     export_json,
     highest_weight,
     import_json,
+    make_skew_shape,
     string_stats,
+    strict_partitions,
 )
+from shifted_crystals import graph as graph_module
 from shifted_crystals.graph import GraphEdge, GraphVertex
+
+EXPORT_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "export_json.sha256"
 
 
 def abstract_graph(n, weights, edges):
@@ -56,6 +71,84 @@ class TestComponents:
     def test_skew_shape_splits(self, graph_cache):
         g = graph_cache((3, 1), (2,), 2)  # two disconnected cells
         assert len(components(g)) > 1
+
+    def test_order_and_contents(self, graph_cache):
+        # ordered by smallest vertex id; each holds exactly the vertices
+        # reachable from it and every edge between them, in graph order
+        g = graph_cache((4, 2), (2,), 3)
+        comps = components(g)
+        assert [c.vertices[0].id for c in comps] == sorted(c.vertices[0].id for c in comps)
+        assert sorted(v.id for c in comps for v in c.vertices) == [v.id for v in g.vertices]
+        assert sum(len(c.edges) for c in comps) == len(g.edges)
+        for c in comps:
+            ids = {v.id for v in c.vertices}
+            assert c.vertices == tuple(v for v in g.vertices if v.id in ids)
+            assert c.edges == tuple(e for e in g.edges if e.src in ids)
+            assert all(e.dst in ids for e in c.edges)
+
+
+def _break_first_E(apply):
+    """An apply that answers None for the first defined E_i result."""
+    broken = []
+
+    def patched(kind, word):
+        out = apply(kind, word)
+        if kind.family == "E" and out is not None and not broken:
+            broken.append(word)
+            return None
+        return out
+
+    return patched
+
+
+class TestInternalConsistency:
+    def test_e_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "apply", _break_first_E(graph_module.apply))
+        with pytest.raises(InternalInconsistency, match="inconsistent with stored edges"):
+            build_graph(make_skew_shape((3, 1)), 3)
+
+    def test_e_disagreement_raises_under_optimize(self):
+        # the check must survive python -O, which strips assert statements
+        script = textwrap.dedent(
+            f"""
+            import sys
+            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+            from test_graph import _break_first_E
+            from shifted_crystals import InternalInconsistency, graph, make_skew_shape
+            graph.apply = _break_first_E(graph.apply)
+            assert False, "asserts must be stripped"
+            try:
+                graph.build_graph(make_skew_shape((3, 1)), 3)
+            except InternalInconsistency:
+                sys.exit(0)
+            sys.exit(3)
+            """
+        )
+        src = str(Path(shifted_crystals.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+class TestExportDigests:
+    def test_criterion_1_graphs_match_golden_digests(self):
+        # export_json of every straight crystal with |lam| <= 6, n <= 4 is
+        # byte-identical to the recorded digest
+        recorded = {}
+        for line in EXPORT_DIGESTS.read_text(encoding="utf-8").splitlines():
+            digest, key = line.split("  ", 1)
+            recorded[key] = digest
+        checked = 0
+        for size in range(1, 7):
+            for lam in strict_partitions(size):
+                for n in (1, 2, 3, 4):
+                    text = export_json(build_graph(make_skew_shape(lam), n))
+                    key = f"({','.join(map(str, lam))})/() n={n}"
+                    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded[key], key
+                    checked += 1
+        assert checked == 4 * sum(len(strict_partitions(s)) for s in range(1, 7))
 
 
 class TestStringStats:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shifted_crystals import (
+    InternalInconsistency,
     InvalidIndex,
     OpKind,
     Word,
@@ -93,6 +94,14 @@ class TestFinalCriticalSubstring:
         # "1" matches 3F in its canonical representative and 4F in the
         # primed one at the same start; both transforms canonicalize to "2"
         assert str(apply(F1, Word.parse("1", 2))) == "2"
+
+    def test_tied_disagreement_raises(self, monkeypatch):
+        # without re-canonicalisation the tied results "2" and "2'" differ
+        from shifted_crystals import ops
+
+        monkeypatch.setattr(ops, "_canonical_sub", tuple)
+        with pytest.raises(InternalInconsistency, match="representatives disagree"):
+            apply(F1, Word.parse("1", 2))
 
 
 class TestApply:
