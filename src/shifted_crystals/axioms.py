@@ -6,13 +6,19 @@ both directions, and a violation records which side failed together with
 a radius-3 neighborhood for replay.  Vertices whose relevant strings match
 neither legal shape are skipped by the stats-dependent checks (B1 reports
 them), so the checker stays total on arbitrary imported graphs.
+
+The dual axioms A1D-A8D are not written out: each is its axiom A1-A8 read
+on the crystal with every arrow reversed.  In that view f_j and e_j trade
+places and become e_{n-j} and f_{n-j}, eps and phi swap together with
+their primed and hat parts, and the index pair (i, i+1) becomes
+(n-1-i, n-i).  A violation found there is reported at the original index.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import MissingArrow
 from .graph import CrystalGraph, StringStats
@@ -105,15 +111,8 @@ class _View:
     def fp(self, v, i):
         return None if v is None else self.g.f(v, i, True)
 
-    def e(self, v, i):
-        return None if v is None else self.g.e(v, i, False)
-
-    def ep(self, v, i):
-        return None if v is None else self.g.e(v, i, True)
-
     def stats(self, v: int, i: int) -> StringStats | None:
-        shape = self.g.string_of(v, i)
-        return None if shape is None else shape.stats_of(v)
+        return self.g.stats(v, i)
 
     def collapsed(self, v: int, i: int) -> bool | None:
         shape = self.g.string_of(v, i)
@@ -127,42 +126,46 @@ class _View:
             return None
         return DeltaPair(parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps)
 
-    def delta_dual_at(self, w: int, i: int, x: int, y: int) -> DeltaPair | None:
-        """(phi_{i+1}(w)-phi_{i+1}(y), phi_i(w)-phi_i(x)) for an
-        e_{i+1}-side source x and an e_i-side source y."""
-        parts = (self.stats(w, i + 1), self.stats(y, i + 1), self.stats(w, i), self.stats(x, i))
-        if any(p is None for p in parts):
-            return None
-        return DeltaPair(parts[0].phi - parts[1].phi, parts[2].phi - parts[3].phi)
+
+class _Reversed(_View):
+    """The same graph with every arrow reversed and index j read as n-j:
+    f_j follows e_{n-j}, and eps and phi swap together with their primed
+    and hat parts.  A dual axiom at i is its axiom at n-1-i on this view."""
+
+    def f(self, v, i):
+        return None if v is None else self.g.e(v, self.n - i, False)
+
+    def fp(self, v, i):
+        return None if v is None else self.g.e(v, self.n - i, True)
+
+    def stats(self, v: int, i: int) -> StringStats | None:
+        s = self.g.stats(v, self.n - i)
+        return None if s is None else s.dual
 
 
-def delta(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> DeltaPair:
-    """Delta across the downward arrows toward the i-side target x and the
-    (i+1)-side target y; primed flags select f' arrows (as in the
-    half-solid-square configuration)."""
-    view = _View(g)
-    x = g.f(w, i, x_primed)
-    y = g.f(w, i + 1, y_primed)
+def _delta(view: _View, w: int, i: int, x_primed: bool, y_primed: bool, arrows: str) -> DeltaPair:
+    x = (view.fp if x_primed else view.f)(w, i)
+    y = (view.fp if y_primed else view.f)(w, i + 1)
     if x is None or y is None:
-        raise MissingArrow(f"vertex {w} lacks an f_{i} or f_{i + 1} arrow")
+        raise MissingArrow(f"vertex {w} lacks an {arrows} arrow")
     d = view.delta_at(w, i, x, y)
     if d is None:
         raise MissingArrow(f"strings at vertex {w} are not classifiable")
     return d
 
 
+def delta(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> DeltaPair:
+    """Delta across the downward arrows toward the i-side target x and the
+    (i+1)-side target y; primed flags select f' arrows (as in the
+    half-solid-square configuration)."""
+    return _delta(_View(g), w, i, x_primed, y_primed, f"f_{i} or f_{i + 1}")
+
+
 def delta_dual(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> DeltaPair:
     """Dual delta across the upward arrows from the e_{i+1}-side source x
-    and the e_i-side source y."""
-    view = _View(g)
-    x = g.e(w, i + 1, x_primed)
-    y = g.e(w, i, y_primed)
-    if x is None or y is None:
-        raise MissingArrow(f"vertex {w} lacks an e_{i} or e_{i + 1} arrow")
-    d = view.delta_dual_at(w, i, x, y)
-    if d is None:
-        raise MissingArrow(f"strings at vertex {w} are not classifiable")
-    return d
+    and the e_i-side source y, that is (phi_{i+1}(w)-phi_{i+1}(y),
+    phi_i(w)-phi_i(x)): delta on the reversed graph at n-1-i."""
+    return _delta(_Reversed(g), w, g.n - 1 - i, x_primed, y_primed, f"e_{i} or e_{i + 1}")
 
 
 def _alpha(i: int, n: int) -> tuple[int, ...]:
@@ -176,8 +179,9 @@ def _check_B1(view: _View) -> list[Violation]:
     g = view.g
     out = []
     for v, i, primed, side in g.label_degree_violations():
+        label = f"{i}'" if primed else str(i)
         out.append(
-            Violation("B1", (v,), i, f"several {side} edges labeled {i}{_p(primed)}", _context(g, (v,)))
+            Violation("B1", (v,), i, f"several {side} edges labeled {label}", _context(g, (v,)))
         )
     for i in range(1, view.n):
         seen: set[int] = set()
@@ -222,49 +226,32 @@ def _check_B1(view: _View) -> list[Violation]:
     return out
 
 
-def _p(primed: bool) -> str:
-    return "'" if primed else ""
-
-
 def _check_B2(view: _View) -> list[Violation]:
     g = view.g
     out = []
     for vert in g.vertices:
         w = vert.id
-        downs = g.out_edges[w]
-        for a in downs:
-            for b in downs:
-                if b.index - a.index <= 1:
-                    continue
-                z1 = g.f(a.dst, b.index, b.primed)
-                z2 = g.f(b.dst, a.index, a.primed)
-                if z1 is None or z1 != z2:
-                    out.append(
-                        Violation(
-                            "B2",
-                            (w, a.dst, b.dst),
-                            a.index,
-                            f"downward {a.label} and {b.label} edges do not close a square",
-                            _context(g, (w,)),
+        directions = (
+            ("downward", g.out_edges[w], lambda e: e.dst, g.f),
+            ("upward", g.in_edges[w], lambda e: e.src, g.e),
+        )
+        for side, edges, far, step in directions:
+            for a in edges:
+                for b in edges:
+                    if b.index - a.index <= 1:
+                        continue
+                    z1 = step(far(a), b.index, b.primed)
+                    z2 = step(far(b), a.index, a.primed)
+                    if z1 is None or z1 != z2:
+                        out.append(
+                            Violation(
+                                "B2",
+                                (w, far(a), far(b)),
+                                a.index,
+                                f"{side} {a.label} and {b.label} edges do not close a square",
+                                _context(g, (w,)),
+                            )
                         )
-                    )
-        ups = g.in_edges[w]
-        for a in ups:
-            for b in ups:
-                if b.index - a.index <= 1:
-                    continue
-                z1 = g.e(a.src, b.index, b.primed)
-                z2 = g.e(b.src, a.index, a.primed)
-                if z1 is None or z1 != z2:
-                    out.append(
-                        Violation(
-                            "B2",
-                            (w, a.src, b.src),
-                            a.index,
-                            f"upward {a.label} and {b.label} edges do not close a square",
-                            _context(g, (w,)),
-                        )
-                    )
     return out
 
 
@@ -471,121 +458,6 @@ def _check_A8(view: _View, w: int, i: int, out: list) -> None:
     _iff("A8", view, w, i, structural, numeric, out)
 
 
-def _check_A1D(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.ep(w, i + 1), view.ep(w, i)
-    if x is None or y is None:
-        return
-    lhs = view.ep(y, i + 1)
-    rhs = view.ep(x, i)
-    if lhs is None or lhs != rhs:
-        out.append(Violation("A1D", (w, x, y), i, "dual primed square does not close", _context(view.g, (w,))))
-
-
-def _check_A2D(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.ep(w, i + 1), view.ep(w, i)
-    if x is None or y is None:
-        return
-    top = view.e(y, i + 1)
-    structural = top is not None and top == view.e(x, i) and view.ep(y, i + 1) != top
-    d = view.delta_dual_at(w, i, x, y)
-    s = view.stats(w, i)
-    numeric = None
-    if d is not None and s is not None:
-        numeric = d.as_tuple() == (0, 0) and s.eps == 1 and s.eps_hat == 0
-    _iff("A2D", view, w, i, structural, numeric, out)
-
-
-def _check_A3D(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.ep(w, i + 1), view.e(w, i)
-    if x is None or y is None:
-        return
-    if view.ep(w, i) == y and view.e(w, i + 1) == x:
-        return
-    lhs = view.ep(y, i + 1)
-    rhs = view.e(x, i)
-    if lhs is None or lhs != rhs:
-        out.append(
-            Violation("A3D", (w, x, y), i, "dual {e_{i+1}', e_i} square does not close", _context(view.g, (w,)))
-        )
-
-
-def _check_A4D(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.e(w, i + 1), view.ep(w, i)
-    if x is None or y is None:
-        return
-    lhs = view.e(y, i + 1)
-    structural = lhs is not None and lhs == view.ep(x, i)
-    s = view.stats(w, i + 1)
-    numeric = None if s is None else s.phi_hat > 0
-    _iff("A4D", view, w, i, structural, numeric, out)
-
-
-def _dual_solid_pair(view: _View, w: int, i: int):
-    x, y = view.e(w, i + 1), view.e(w, i)
-    if x is None or y is None or view.ep(w, i + 1) is not None:
-        return None
-    return x, y
-
-
-def _check_A5D(view: _View, w: int, i: int, out: list) -> None:
-    pair = _dual_solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
-    lhs = view.ep(y, i + 1)
-    structural = lhs is not None and lhs == view.ep(x, i)
-    d = view.delta_dual_at(w, i, x, y)
-    numeric = None if d is None else d.as_tuple() == (1, 1)
-    _iff("A5D", view, w, i, structural, numeric, out)
-
-
-def _check_A6D(view: _View, w: int, i: int, out: list) -> None:
-    pair = _dual_solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
-    lhs = view.e(y, i + 1)
-    structural = lhs is not None and lhs == view.e(x, i)
-    d = view.delta_dual_at(w, i, x, y)
-    numeric = None if d is None else d.as_tuple() in ((1, 0), (0, 1))
-    _iff("A6D", view, w, i, structural, numeric, out)
-
-
-def _check_A7D(view: _View, w: int, i: int, out: list) -> None:
-    pair = _dual_solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
-    lhs = view.e(view.ep(view.e(y, i + 1), i + 1), i)
-    rhs = view.ep(view.e(view.e(x, i), i), i + 1)
-    no_square = view.e(y, i + 1) != view.e(x, i)
-    structural = lhs is not None and lhs == rhs and no_square
-    d = view.delta_dual_at(w, i, x, y)
-    sy = view.stats(y, i + 1)
-    sw = view.stats(w, i + 1)
-    numeric = None
-    if d is not None and sy is not None and sw is not None:
-        numeric = d.as_tuple() == (0, 0) and sw.phi_hat - sy.phi_hat == -1
-    _iff("A7D", view, w, i, structural, numeric, out)
-
-
-def _check_A8D(view: _View, w: int, i: int, out: list) -> None:
-    pair = _dual_solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
-    lhs = view.e(view.e(view.e(y, i + 1), i + 1), i)
-    rhs = view.e(view.e(view.e(x, i), i), i + 1)
-    no_square = view.e(y, i + 1) != view.e(x, i)
-    structural = lhs is not None and lhs == rhs and no_square
-    d = view.delta_dual_at(w, i, x, y)
-    sy = view.stats(y, i + 1)
-    numeric = None
-    if d is not None and sy is not None:
-        numeric = d.as_tuple() == (0, 0) and sy.eps_hat >= 2
-    _iff("A8D", view, w, i, structural, numeric, out)
-
-
 def _check_XL(view: _View, w: int, i: int, out: list) -> None:
     s_i = view.stats(w, i)
     s_i1 = view.stats(w, i + 1)
@@ -629,8 +501,9 @@ def _check_SA(view: _View, w: int, i: int, out: list) -> None:
         )
 
 
-def _check_L_CAS(view: _View, out: list) -> None:
+def _check_L_CAS(view: _View) -> list[Violation]:
     g = view.g
+    out = []
     for e in g.edges:
         i = e.index
         if i <= view.n - 2:
@@ -673,10 +546,12 @@ def _check_L_CAS(view: _View, out: list) -> None:
                         _context(g, (e.src, e.dst)),
                     )
                 )
+    return out
 
 
-def _check_L_CF1(view: _View, out: list) -> None:
+def _check_L_CF1(view: _View) -> list[Violation]:
     g = view.g
+    out = []
     for e in g.edges:
         if not e.primed or e.index > view.n - 2:
             continue
@@ -694,10 +569,12 @@ def _check_L_CF1(view: _View, out: list) -> None:
                     _context(g, (e.src, e.dst)),
                 )
             )
+    return out
 
 
-def _check_L_TD(view: _View, out: list) -> None:
+def _check_L_TD(view: _View) -> list[Violation]:
     g = view.g
+    out = []
     for vert in g.vertices:
         z = vert.id
         for i in range(1, view.n - 1):
@@ -723,9 +600,48 @@ def _check_L_TD(view: _View, out: list) -> None:
                         _context(g, (z, t)),
                     )
                 )
+    return out
 
 
-_PAIRWISE = {
+def _every_site(fn):
+    """Run a per-(vertex, i) check at every vertex and every i <= n-2."""
+
+    def run(view: _View) -> list[Violation]:
+        out: list[Violation] = []
+        for vert in view.g.vertices:
+            for i in range(1, view.n - 1):
+                fn(view, vert.id, i, out)
+        return out
+
+    return run
+
+
+_DUAL_MESSAGES = {
+    "A1": "dual primed square does not close",
+    "A3": "dual {e_{i+1}', e_i} square does not close",
+}
+
+
+def _dual(axiom: str, fn):
+    """Run merge axiom ``axiom`` on the reversed view at n-1-i in the original
+    site order; report at i, restating the messages that name arrows."""
+
+    def run(view: _View) -> list[Violation]:
+        reversed_view = _Reversed(view.g)
+        top = view.n - 1
+        out: list[Violation] = []
+        for vert in view.g.vertices:
+            for i in range(1, top):
+                fn(reversed_view, vert.id, top - i, out)
+        message = _DUAL_MESSAGES.get(axiom)
+        return [
+            replace(v, axiom=f"{axiom}D", index=top - v.index, message=message or v.message) for v in out
+        ]
+
+    return run
+
+
+_MERGE = {
     "A1": _check_A1,
     "A2": _check_A2,
     "A3": _check_A3,
@@ -734,16 +650,20 @@ _PAIRWISE = {
     "A6": _check_A6,
     "A7": _check_A7,
     "A8": _check_A8,
-    "A1D": _check_A1D,
-    "A2D": _check_A2D,
-    "A3D": _check_A3D,
-    "A4D": _check_A4D,
-    "A5D": _check_A5D,
-    "A6D": _check_A6D,
-    "A7D": _check_A7D,
-    "A8D": _check_A8D,
-    "XL": _check_XL,
-    "SA": _check_SA,
+}
+
+_CHECKS = {
+    "B1": _check_B1,
+    "B2": _check_B2,
+    "B3": _check_B3,
+    "K": _check_K,
+    **{axiom: _every_site(fn) for axiom, fn in _MERGE.items()},
+    **{f"{axiom}D": _dual(axiom, fn) for axiom, fn in _MERGE.items()},
+    "XL": _every_site(_check_XL),
+    "SA": _every_site(_check_SA),
+    "L_CAS": _check_L_CAS,
+    "L_CF1": _check_L_CF1,
+    "L_TD": _check_L_TD,
 }
 
 
@@ -751,30 +671,7 @@ def check(g: CrystalGraph, axiom: str) -> list[Violation]:
     """All counterexamples to one axiom; empty list = certified."""
     if axiom not in ALL_AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {ALL_AXIOMS}")
-    view = _View(g)
-    out: list[Violation] = []
-    if axiom == "B1":
-        return _check_B1(view)
-    if axiom == "B2":
-        return _check_B2(view)
-    if axiom == "B3":
-        return _check_B3(view)
-    if axiom == "K":
-        return _check_K(view)
-    if axiom == "L_CAS":
-        _check_L_CAS(view, out)
-        return out
-    if axiom == "L_CF1":
-        _check_L_CF1(view, out)
-        return out
-    if axiom == "L_TD":
-        _check_L_TD(view, out)
-        return out
-    fn = _PAIRWISE[axiom]
-    for vert in g.vertices:
-        for i in range(1, view.n - 1):
-            fn(view, vert.id, i, out)
-    return out
+    return _CHECKS[axiom](_View(g))
 
 
 @dataclass
@@ -838,11 +735,7 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
 
 def first_violation(g: CrystalGraph, axioms: tuple[str, ...] = ("K", "B1", "B3") + ALL_AXIOMS) -> Violation | None:
     """Cheapest-first scan used by the mutation harness."""
-    seen = set()
-    for axiom in axioms:
-        if axiom in seen:
-            continue
-        seen.add(axiom)
+    for axiom in dict.fromkeys(axioms):
         found = check(g, axiom)
         if found:
             return found[0]

@@ -5,7 +5,8 @@ carries its weight vector.  Only F-edges are stored: E operators follow
 the reversed edges, and build_graph checks that applying E directly
 agrees with the stored reversals, raising InternalInconsistency when it
 does not.  {i,i'}-components are classified into the two legal string
-shapes, from which all six length statistics are read off.
+shapes, from which all six length statistics of every member are read
+off once, when the string is first classified.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     BrokenSemistandard,
@@ -70,6 +72,12 @@ class StringStats:
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.eps, self.phi, self.eps_prime, self.phi_prime, self.eps_hat, self.phi_hat)
 
+    @cached_property
+    def dual(self) -> StringStats:
+        """The same string read with every arrow reversed: eps and phi swap,
+        and so do their primed and hat parts."""
+        return StringStats(self.phi, self.eps, self.phi_prime, self.eps_prime, self.phi_hat, self.eps_hat)
+
 
 @dataclass(frozen=True)
 class StringShape:
@@ -81,24 +89,25 @@ class StringShape:
 
     @property
     def members(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for chain in self.chains:
-            out.extend(chain)
-        return tuple(out)
+        return tuple(v for v, _ in self.member_stats())
 
-    def stats_of(self, vid: int) -> StringStats:
+    def member_stats(self) -> list[tuple[int, StringStats]]:
+        """Every member with its statistics, read off the chain positions."""
         if self.kind == "collapsed":
             chain = self.chains[0]
-            j = chain.index(vid)
             m = len(chain) - 1
-            return StringStats(j, m - j, j, m - j, j, m - j)
+            return [(v, StringStats(j, m - j, j, m - j, j, m - j)) for j, v in enumerate(chain)]
         upper, lower = self.chains
         m = len(upper) - 1
-        if vid in upper:
-            j = upper.index(vid)
-            return StringStats(j, m - j + 1, 0, 1, j, m - j)
-        j = lower.index(vid)
-        return StringStats(j + 1, m - j, 1, 0, j, m - j)
+        return [(v, StringStats(j, m - j + 1, 0, 1, j, m - j)) for j, v in enumerate(upper)] + [
+            (v, StringStats(j + 1, m - j, 1, 0, j, m - j)) for j, v in enumerate(lower)
+        ]
+
+    def stats_of(self, vid: int) -> StringStats:
+        for member, stats in self.member_stats():
+            if member == vid:
+                return stats
+        raise ValueError(f"vertex {vid} is not on this string")
 
 
 class CrystalGraph:
@@ -132,6 +141,7 @@ class CrystalGraph:
             self.out_edges[e.src].append(e)
             self.in_edges[e.dst].append(e)
         self._strings: dict[tuple[int, int], StringShape | None] = {}
+        self._stats: dict[tuple[int, int], StringStats | None] = {}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -174,10 +184,19 @@ class CrystalGraph:
         if key in self._strings:
             return self._strings[key]
         shape = _classify(self, vid, i)
-        comp = self.i_component(vid, i) if shape is None else shape.members
-        for member in comp:
+        found = [(v, None) for v in self.i_component(vid, i)] if shape is None else shape.member_stats()
+        for member, stats in found:
             self._strings[(member, i)] = shape
+            self._stats[(member, i)] = stats
         return shape
+
+    def stats(self, vid: int, i: int) -> StringStats | None:
+        """Statistics of vid on its {i,i'}-string, or None when that string
+        matches neither legal shape."""
+        key = (vid, i)
+        if key not in self._stats:
+            self.string_of(vid, i)
+        return self._stats[key]
 
 
 def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
@@ -363,11 +382,8 @@ def component_isomorphic(c1: CrystalGraph, c2: CrystalGraph) -> dict[int, int] |
         if c1.weight(v1) != c2.weight(v2):
             return False
         for i in range(1, n):
-            s1 = c1.string_of(v1, i)
-            s2 = c2.string_of(v2, i)
-            if s1 is None or s2 is None:
-                return False
-            if s1.stats_of(v1).as_tuple() != s2.stats_of(v2).as_tuple():
+            s1 = c1.stats(v1, i)
+            if s1 is None or s1 != c2.stats(v2, i):
                 return False
         return True
 
@@ -419,6 +435,14 @@ def export_json(g: CrystalGraph) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
+def _exact(value, kind: type, what: str):
+    """value unchanged when its type is exactly kind, so that neither True
+    passes as an int nor 0.7 or "false" is coerced."""
+    if type(value) is not kind:
+        raise MalformedGraph(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def import_json(text: str) -> CrystalGraph:
     try:
         data = json.loads(text)
@@ -426,20 +450,29 @@ def import_json(text: str) -> CrystalGraph:
         raise MalformedGraph(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise MalformedGraph("graph JSON needs 'vertices' and 'edges'")
-    raw_vertices = data["vertices"]
-    weights = [tuple(v.get("weight", ())) for v in raw_vertices]
+    raw_vertices, raw_edges = data["vertices"], data["edges"]
+    for key, items in (("vertices", raw_vertices), ("edges", raw_edges)):
+        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+            raise MalformedGraph(f"'{key}' must be a list of objects")
     n = data.get("n")
-    if n is None:
-        n = len(weights[0]) if weights else 0
     vertices = []
     try:
+        weights = [tuple(_exact(x, int, "weight entry") for x in v.get("weight", ())) for v in raw_vertices]
+        if n is None:
+            n = len(weights[0]) if weights else 0
+        _exact(n, int, "n")
         for v, wt in zip(raw_vertices, weights):
             word = v.get("word")
-            word = None if word is None else Word(parse_codes(word), n)
-            vertices.append(GraphVertex(int(v["id"]), word, tuple(int(x) for x in wt)))
+            word = None if word is None else Word(parse_codes(_exact(word, str, "word")), n)
+            vertices.append(GraphVertex(_exact(v["id"], int, "vertex id"), word, wt))
         edges = tuple(
-            GraphEdge(int(e["src"]), int(e["dst"]), int(e["index"]), bool(e["primed"]))
-            for e in data["edges"]
+            GraphEdge(
+                _exact(e["src"], int, "edge src"),
+                _exact(e["dst"], int, "edge dst"),
+                _exact(e["index"], int, "edge index"),
+                _exact(e["primed"], bool, "edge primed"),
+            )
+            for e in raw_edges
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedGraph(f"bad graph JSON: {exc}") from exc

@@ -125,22 +125,46 @@ class TestDualSymmetry:
         # at the involution image, and Delta transports to Delta'.
         from shifted_crystals import component_isomorphic
 
-        g = graph_cache((4, 2, 1), (), 3)
-        mapping = component_isomorphic(g, dual_graph(g))
-        checked = 0
-        for v in g.vertices:
-            i = 1
-            if g.f(v.id, i) is None or g.f(v.id, i + 1) is None:
-                continue
-            if g.f(v.id, i, True) is not None:
-                continue
-            image = mapping[v.id]
-            j = g.n - i - 1
-            assert g.e(image, j) is not None and g.e(image, j + 1) is not None
-            assert g.e(image, j + 1, True) is None
-            assert delta(g, v.id, i).as_tuple() == delta_dual(g, image, j).as_tuple()
-            checked += 1
-        assert checked > 0
+        # at n = 4 the index reflection i -> n-1-i is not the identity
+        for lam, n in (((4, 2, 1), 3), ((4, 1), 4)):
+            g = graph_cache(lam, (), n)
+            mapping = component_isomorphic(g, dual_graph(g))
+            checked = 0
+            for v in g.vertices:
+                for i in range(1, n - 1):
+                    if g.f(v.id, i) is None or g.f(v.id, i + 1) is None:
+                        continue
+                    if g.f(v.id, i, True) is not None:
+                        continue
+                    image = mapping[v.id]
+                    j = g.n - i - 1
+                    assert g.e(image, j) is not None and g.e(image, j + 1) is not None
+                    assert g.e(image, j + 1, True) is None
+                    assert delta(g, v.id, i).as_tuple() == delta_dual(g, image, j).as_tuple()
+                    checked += 1
+            assert checked > 0
+
+    @pytest.mark.parametrize("lam,n", [((4, 2, 1), 3), ((3, 1), 4)])
+    def test_dual_axioms_mirror_the_reversed_graph(self, graph_cache, lam, n):
+        # AkD on g flags exactly the sites that Ak flags on the physically
+        # reversed graph, with i <-> n-1-i, for every single-edge deletion
+        # and prime flip.
+        g = graph_cache(lam, (), n)
+        mutants = []
+        for k, e in enumerate(g.edges):
+            rest = g.edges[:k] + g.edges[k + 1 :]
+            mutants.append(rest)
+            mutants.append(rest + (GraphEdge(e.src, e.dst, e.index, not e.primed),))
+        fired = 0
+        for edges in mutants:
+            mutant = CrystalGraph(g.n, g.vertices, edges)
+            reversed_mutant = dual_graph(mutant)
+            for k in range(1, 9):
+                got = sorted((v.vertices, v.index) for v in check(mutant, f"A{k}D"))
+                want = sorted((v.vertices, n - 1 - v.index) for v in check(reversed_mutant, f"A{k}"))
+                assert got == want, (k, edges)
+                fired += len(got)
+        assert fired > 0
 
 
 class TestStructuralCoverage:

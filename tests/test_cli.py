@@ -143,6 +143,30 @@ class TestCheckVerb:
         status, _, err = invoke("check", "--graph-file", str(path))
         assert status == 2
 
+    @staticmethod
+    def _rejected(invoke, tmp_path, graph) -> str:
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        status, out, err = invoke("check", "--graph-file", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_vertex_that_is_not_an_object(self, invoke, tmp_path):
+        err = self._rejected(invoke, tmp_path, {"vertices": [1], "edges": []})
+        assert "'vertices' must be a list of objects" in err
+
+    def test_primed_flag_must_be_boolean(self, invoke, tmp_path):
+        vertices = [{"id": 0, "word": None, "weight": [1, 0]}, {"id": 1, "word": None, "weight": [0, 1]}]
+        edges = [{"src": 0, "dst": 1, "index": 1, "primed": "false"}]
+        err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": edges})
+        assert "edge primed must be bool, got 'false'" in err
+
+    def test_fractional_id_is_not_truncated(self, invoke, tmp_path):
+        vertices = [{"id": 0.7, "word": None, "weight": [1, 0]}]
+        err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
+        assert "vertex id must be int, got 0.7" in err
+
 
 class TestExpandVerb:
     def test_golden(self, invoke):
