@@ -85,14 +85,16 @@ def _context(g: CrystalGraph, ids: tuple[int, ...], radius: int = 3) -> str:
                 nxt.add(e.src)
         frontier = nxt - seen
         seen |= nxt
+    ordered = sorted(seen)
     lines = []
-    for v in sorted(seen):
+    for v in ordered:
         vert = g.by_id[v]
         word = "" if vert.word is None else f" {vert.word}"
         lines.append(f"  {v}{word} wt={vert.weight}")
-    for e in g.edges:
-        if e.src in seen and e.dst in seen:
-            lines.append(f"  {e.src} -{e.label}-> {e.dst}")
+    for v in ordered:
+        for e in g.out_edges[v]:
+            if e.dst in seen:
+                lines.append(f"  {e.src} -{e.label}-> {e.dst}")
     if len(lines) > 60:
         lines = lines[:60] + ["  ..."]
     return "\n".join(lines)
@@ -184,13 +186,13 @@ def _check_B1(view: _View) -> list[Violation]:
             Violation("B1", (v,), i, f"several {side} edges labeled {label}", _context(g, (v,)))
         )
     for i in range(1, view.n):
+        table = g.strings(i)
         seen: set[int] = set()
         for vert in g.vertices:
             if vert.id in seen:
                 continue
-            comp = g.i_component(vert.id, i)
+            comp, shape, _ = table[vert.id]
             seen |= comp
-            shape = g.string_of(vert.id, i)
             if shape is None:
                 ids = tuple(sorted(comp))
                 out.append(
@@ -201,28 +203,17 @@ def _check_B1(view: _View) -> list[Violation]:
             chain = shape.chains[0]
             for v in comp:
                 wt = g.weight(v)
-                top_c = collapsed and v == chain[0]
-                bot_c = collapsed and v == chain[-1]
-                if (wt[i] == 0) != top_c:
-                    out.append(
-                        Violation(
-                            "B1",
-                            (v,),
-                            i,
-                            f"wt_{i + 1}=0 iff top of collapsed string fails (wt={wt})",
-                            _context(g, (v,)),
+                for k, end, side in ((i, chain[0], "top"), (i - 1, chain[-1], "bottom")):
+                    if (wt[k] == 0) != (collapsed and v == end):
+                        out.append(
+                            Violation(
+                                "B1",
+                                (v,),
+                                i,
+                                f"wt_{k + 1}=0 iff {side} of collapsed string fails (wt={wt})",
+                                _context(g, (v,)),
+                            )
                         )
-                    )
-                if (wt[i - 1] == 0) != bot_c:
-                    out.append(
-                        Violation(
-                            "B1",
-                            (v,),
-                            i,
-                            f"wt_{i}=0 iff bottom of collapsed string fails (wt={wt})",
-                            _context(g, (v,)),
-                        )
-                    )
     return out
 
 

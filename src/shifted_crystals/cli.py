@@ -135,7 +135,7 @@ def _cmd_check(args) -> int:
         try:
             with open(args.graph_file, encoding="utf-8") as handle:
                 g = import_json(handle.read())
-        except (OSError, MalformedGraph) as exc:
+        except (OSError, UnicodeDecodeError, MalformedGraph) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:

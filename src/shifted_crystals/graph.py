@@ -5,8 +5,9 @@ carries its weight vector.  Only F-edges are stored: E operators follow
 the reversed edges, and build_graph checks that applying E directly
 agrees with the stored reversals, raising InternalInconsistency when it
 does not.  {i,i'}-components are classified into the two legal string
-shapes, from which all six length statistics of every member are read
-off once, when the string is first classified.
+shapes once per index: the first use of index i walks each component once,
+classifies it, and reads all six length statistics of every member off
+its shape, into one table that is published whole.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .tableaux import SkewShape, enumerate_tableaux
 from .words import Word, parse_codes
 
 MULTI = object()  # sentinel: several edges with one label at a vertex
+StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see strings()
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,6 @@ class StringShape:
     kind: str  # "collapsed" or "separated"
     chains: tuple[tuple[int, ...], ...]
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.member_stats())
-
     def member_stats(self) -> list[tuple[int, StringStats]]:
         """Every member with its statistics, read off the chain positions."""
         if self.kind == "collapsed":
@@ -111,7 +109,7 @@ class StringShape:
 
 
 class CrystalGraph:
-    """Immutable after construction; adjacency maps are precomputed."""
+    """Immutable but for the memoised per-index string tables; adjacency is precomputed."""
 
     def __init__(
         self,
@@ -140,8 +138,7 @@ class CrystalGraph:
             self._in[key] = MULTI if key in self._in else e.src
             self.out_edges[e.src].append(e)
             self.in_edges[e.dst].append(e)
-        self._strings: dict[tuple[int, int], StringShape | None] = {}
-        self._stats: dict[tuple[int, int], StringStats | None] = {}
+        self._tables: dict[int, dict[int, StringEntry]] = {}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -162,45 +159,55 @@ class CrystalGraph:
         out += [(v, i, p, "in") for (v, i, p), d in self._in.items() if d is MULTI]
         return sorted(out)
 
-    def i_component(self, vid: int, i: int) -> frozenset[int]:
+    def reach(self, vid: int, i: int | None = None) -> frozenset[int]:
+        """Vertices weakly connected to vid, along every edge or, given i,
+        along the edges of index i only."""
         seen = {vid}
         stack = [vid]
         while stack:
             v = stack.pop()
             for e in self.out_edges[v]:
-                if e.index == i and e.dst not in seen:
+                if (i is None or e.index == i) and e.dst not in seen:
                     seen.add(e.dst)
                     stack.append(e.dst)
             for e in self.in_edges[v]:
-                if e.index == i and e.src not in seen:
+                if (i is None or e.index == i) and e.src not in seen:
                     seen.add(e.src)
                     stack.append(e.src)
         return frozenset(seen)
 
+    def strings(self, i: int) -> dict[int, StringEntry]:
+        """Every vertex mapped to its {i,i'}-component, the component's
+        shape and the vertex's statistics, the last two None when the
+        component matches neither legal shape.  Built on the first use of
+        i, one walk per component in vertex order, and published whole."""
+        table = self._tables.get(i)
+        if table is None:
+            table = {}
+            for vert in self.vertices:
+                if vert.id in table:
+                    continue
+                comp = self.reach(vert.id, i)
+                shape = _classify(self, comp, i)
+                found = dict.fromkeys(comp) if shape is None else dict(shape.member_stats())
+                for v in comp:
+                    table[v] = (comp, shape, found[v])
+            self._tables[i] = table
+        return table
+
     def string_of(self, vid: int, i: int) -> StringShape | None:
         """Classified {i,i'}-string through vid, or None when it matches
         neither legal shape."""
-        key = (vid, i)
-        if key in self._strings:
-            return self._strings[key]
-        shape = _classify(self, vid, i)
-        found = [(v, None) for v in self.i_component(vid, i)] if shape is None else shape.member_stats()
-        for member, stats in found:
-            self._strings[(member, i)] = shape
-            self._stats[(member, i)] = stats
-        return shape
+        return self.strings(i)[vid][1]
 
     def stats(self, vid: int, i: int) -> StringStats | None:
         """Statistics of vid on its {i,i'}-string, or None when that string
         matches neither legal shape."""
-        key = (vid, i)
-        if key not in self._stats:
-            self.string_of(vid, i)
-        return self._stats[key]
+        return self.strings(i)[vid][2]
 
 
-def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
-    comp = sorted(g.i_component(vid, i))
+def _classify(g: CrystalGraph, component: frozenset[int], i: int) -> StringShape | None:
+    comp = sorted(component)
     solid_out, primed_out, solid_in, primed_in = {}, {}, {}, {}
     for v in comp:
         for mapping, primed in ((solid_out, False), (primed_out, True)):
@@ -215,10 +222,6 @@ def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
                 return None
             if t is not None:
                 mapping[v] = t
-    solid = {(u, t) for u, t in solid_out.items()}
-    primed = {(u, t) for u, t in primed_out.items()}
-    if not solid and not primed:
-        return StringShape("collapsed", ((comp[0],),)) if len(comp) == 1 else None
 
     def chain_from(start: int, allowed: set[int]) -> tuple[int, ...] | None:
         chain = [start]
@@ -232,7 +235,7 @@ def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
             chain.append(nxt)
             seen.add(nxt)
 
-    if solid == primed:
+    if solid_out == primed_out:
         tops = [v for v in comp if v not in solid_in]
         if len(tops) != 1:
             return None
@@ -241,8 +244,8 @@ def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
             return None
         return StringShape("collapsed", (chain,))
 
-    uppers = {u for u, _ in primed}
-    lowers = {t for _, t in primed}
+    uppers = set(primed_out)
+    lowers = set(primed_out.values())
     if uppers & lowers or uppers | lowers != set(comp):
         return None
     upper_top = [v for v in uppers if v not in solid_in]
@@ -258,8 +261,6 @@ def _classify(g: CrystalGraph, vid: int, i: int) -> StringShape | None:
     for uj, lj in zip(upper, lower):
         if primed_out.get(uj) != lj or primed_in.get(lj) != uj:
             return None
-    if any(v in primed_out for v in lowers) or any(v in primed_in for v in uppers):
-        return None
     return StringShape("separated", (upper, lower))
 
 
@@ -275,7 +276,8 @@ def classify_string(g: CrystalGraph, vid: int, i: int) -> StringShape:
 
 
 def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
-    return classify_string(g, vid, i).stats_of(vid)
+    classify_string(g, vid, i)
+    return g.stats(vid, i)
 
 
 def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
@@ -322,21 +324,9 @@ def components(g: CrystalGraph) -> list[CrystalGraph]:
     comp_of: dict[int, int] = {}
     count = 0
     for v in g.vertices:
-        if v.id in comp_of:
-            continue
-        comp_of[v.id] = count
-        stack = [v.id]
-        while stack:
-            u = stack.pop()
-            for e in g.out_edges[u]:
-                if e.dst not in comp_of:
-                    comp_of[e.dst] = count
-                    stack.append(e.dst)
-            for e in g.in_edges[u]:
-                if e.src not in comp_of:
-                    comp_of[e.src] = count
-                    stack.append(e.src)
-        count += 1
+        if v.id not in comp_of:
+            comp_of.update(dict.fromkeys(g.reach(v.id), count))
+            count += 1
     vertices: list[list[GraphVertex]] = [[] for _ in range(count)]
     edges: list[list[GraphEdge]] = [[] for _ in range(count)]
     for v in g.vertices:
@@ -446,7 +436,7 @@ def _exact(value, kind: type, what: str):
 def import_json(text: str) -> CrystalGraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedGraph(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise MalformedGraph("graph JSON needs 'vertices' and 'edges'")
@@ -495,7 +485,6 @@ def export_dot(g: CrystalGraph) -> str:
         lines.append(f'  v{v.id} [label="{label}"];')
     for e in g.edges:
         style = "dashed" if e.primed else "solid"
-        label = f"{e.index}'" if e.primed else str(e.index)
-        lines.append(f'  v{e.src} -> v{e.dst} [label="{label}", style={style}];')
+        lines.append(f'  v{e.src} -> v{e.dst} [label="{e.label}", style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -40,9 +40,6 @@ FAMILIES = ("F", "E", "F'", "E'")
 # Relabeled letter codes inside a subword.
 _1P, _1, _2P, _2 = 1, 2, 3, 4
 
-_F_KINDS = ("1F", "2F", "3F", "4F", "5F")
-_E_KINDS = ("1E", "2E", "3E", "4E", "5E")
-
 
 @dataclass(frozen=True)
 class OpKind:
@@ -95,10 +92,6 @@ class CriticalMatch:
     @property
     def start_index(self) -> int:
         return self.positions[0]
-
-    @property
-    def length(self) -> int:
-        return len(self.positions)
 
     @property
     def defined(self) -> bool:

@@ -96,9 +96,6 @@ class SkewShape:
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
 
-    def is_straight(self) -> bool:
-        return not self.inner
-
     def __str__(self) -> str:
         inner = ",".join(map(str, self.inner))
         outer = ",".join(map(str, self.outer)) or "()"
@@ -120,12 +117,6 @@ class ShiftedTableau:
 
     def __post_init__(self) -> None:
         _validate(self.shape, self.rows, self.n)
-
-    def entry(self, row: int, col: int) -> Letter:
-        lo, hi = self.shape.row_span(row)
-        if not lo <= col < hi:
-            raise KeyError((row, col))
-        return Letter.from_code(self.rows[row - 1][col - lo])
 
     @property
     def entries(self) -> dict[tuple[int, int], Letter]:

@@ -93,7 +93,7 @@ def parse_codes(text: str) -> Codes:
 
 
 def codes_to_str(codes: Codes) -> str:
-    tokens = [str(Letter.from_code(c)) for c in codes]
+    tokens = [f"{value_of(c)}{PRIME if is_primed(c) else ''}" for c in codes]
     if any(value_of(c) > 9 for c in codes):
         return " ".join(tokens)
     return "".join(tokens)
@@ -142,10 +142,6 @@ class Word(RawWord):
         super().__post_init__()
         if self.codes != canonical_codes(self.codes):
             raise ValueError(f"word {codes_to_str(self.codes)} is not in canonical form")
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "Word":
-        return cls(parse_codes(text), n)
 
 
 def canonical_codes(codes: Codes) -> Codes:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from shifted_crystals import MalformedGraph, import_json
 from shifted_crystals.cli import run
 
 
@@ -166,6 +168,82 @@ class TestCheckVerb:
         vertices = [{"id": 0.7, "word": None, "weight": [1, 0]}]
         err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
         assert "vertex id must be int, got 0.7" in err
+
+    def test_deep_nesting_exit_two(self, invoke, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        status, out, err = invoke("check", "--graph-file", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_file_exit_two(self, invoke, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff\xfe{"vertices": [], "edges": []}')
+        status, out, err = invoke("check", "--graph-file", str(path))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 7),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def graph_json(draw) -> str:
+    """Graph JSON in the export schema, self-loops and multi-edges included;
+    half the time one field is replaced by an arbitrary JSON value."""
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 6), max_size=6, unique=True))
+    words = st.sampled_from([None, "1", "21", "211", "221"])
+    weight = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    vertices = [{"id": v, "word": draw(words), "weight": draw(weight)} for v in ids]
+    edges = []
+    if ids and n >= 2:
+        edge = st.fixed_dictionaries(
+            {
+                "src": st.sampled_from(ids),
+                "dst": st.sampled_from(ids),
+                "index": st.integers(1, n - 1),
+                "primed": st.booleans(),
+            }
+        )
+        edges = draw(st.lists(edge, max_size=10))
+    data = {"n": n, "vertices": vertices, "edges": edges}
+    if draw(st.booleans()):
+        del data["n"]
+    if draw(st.booleans()):
+        holder = draw(st.sampled_from([data, *vertices, *edges]))
+        holder[draw(st.sampled_from(sorted(holder)))] = draw(_JUNK)
+    return json.dumps(data)
+
+
+class TestGraphFileFuzz:
+    @settings(
+        max_examples=200,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=graph_json())
+    def test_import_and_check_stay_total(self, invoke, tmp_path, text):
+        try:
+            imported = import_json(text)
+        except MalformedGraph:
+            imported = None
+        path = tmp_path / "fuzz.json"
+        path.write_text(text)
+        status, out, err = invoke("check", "--graph-file", str(path))
+        if imported is None:
+            assert (status, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert status in (0, 1) and err == ""
 
 
 class TestExpandVerb:

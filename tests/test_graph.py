@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from shifted_crystals import (
     NotStrictWeight,
     NotUnique,
     build_graph,
+    check_all,
     classify_string,
     component_isomorphic,
     components,
@@ -188,6 +190,91 @@ class TestStringStats:
                 else:
                     assert s.eps == s.eps_prime == s.eps_hat
                     assert s.phi == s.phi_prime == s.phi_hat
+
+
+def index_component_count(g, i):
+    """Number of {i,i'}-components, by union-find over the edges of index i."""
+    parent = {v.id: v.id for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in g.edges:
+        if e.index == i:
+            parent[find(e.src)] = find(e.dst)
+    return len({find(v.id) for v in g.vertices})
+
+
+class TestStringTable:
+    def test_each_string_walked_and_classified_once(self, graph_cache, monkeypatch):
+        g = graph_cache((4, 3, 2, 1), (), 5)
+        k = len(g.edges) // 2
+        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :], g.shape)
+        calls = {"reach": 0, "classify": 0}
+        reach, classify = CrystalGraph.reach, graph_module._classify
+
+        def counted_reach(self, vid, i=None):
+            calls["reach"] += 1
+            return reach(self, vid, i)
+
+        def counted_classify(graph, comp, i):
+            calls["classify"] += 1
+            return classify(graph, comp, i)
+
+        monkeypatch.setattr(CrystalGraph, "reach", counted_reach)
+        monkeypatch.setattr(graph_module, "_classify", counted_classify)
+        assert not check_all(mutant).passed
+        expected = sum(index_component_count(mutant, i) for i in range(1, mutant.n))
+        assert calls == {"reach": expected, "classify": expected}
+
+    def test_interrupted_build_is_rebuilt_whole(self, graph_cache, monkeypatch):
+        g = graph_cache((4, 2, 1), (), 3)
+        want = [(g.string_of(v.id, 1), g.stats(v.id, 1)) for v in g.vertices]
+        fresh = CrystalGraph(g.n, g.vertices, g.edges, g.shape)
+        classify = graph_module._classify
+        calls = []
+
+        def interrupted(graph, comp, i):
+            calls.append(i)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return classify(graph, comp, i)
+
+        monkeypatch.setattr(graph_module, "_classify", interrupted)
+        with pytest.raises(RuntimeError):
+            fresh.stats(g.vertices[0].id, 1)
+        assert index_component_count(g, 1) > 3
+        assert [(fresh.string_of(v.id, 1), fresh.stats(v.id, 1)) for v in g.vertices] == want
+        assert len(calls) == 3 + index_component_count(g, 1)
+
+    def test_concurrent_readers_never_see_a_partial_table(self, graph_cache):
+        g = graph_cache((4, 2, 1), (), 3)
+        want = {(v.id, i): g.stats(v.id, i) for v in g.vertices for i in (1, 2)}
+        keys = list(want)
+        wrong = []
+
+        def read(graph, order):
+            try:
+                wrong.extend(key for key in order if graph.stats(*key) != want[key])
+            except Exception as exc:  # a failed read is recorded, then asserted on below
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                fresh = CrystalGraph(g.n, g.vertices, g.edges, g.shape)
+                threads = [threading.Thread(target=read, args=(fresh, keys[k::8] + keys)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 class TestClassifyString:
