@@ -210,7 +210,8 @@ def verify_expansion(shape: SkewShape, n: int) -> ExpansionReport:
     """Check genfun(ShST(shape, n)) = sum of m_sigma * genfun(ShST(sigma, n)).
 
     The graph is built once: the expansion comes from its components and
-    the left-hand side from its vertex weights.  Also records, per straight
+    the left-hand side from its vertex weights, which also serve as the
+    weights of a sigma equal to the input shape.  Also records, per straight
     sigma encountered, whether (a) the plain genfun and (b) the
     class-size-weighted genfun coincide with the classical P, Q, both, or
     neither.  Empirically (a) matches P only in degenerate cases while (b)
@@ -223,11 +224,16 @@ def verify_expansion(shape: SkewShape, n: int) -> ExpansionReport:
     matches = []
     weighted = []
     for sigma, mult in expansion.terms:
-        tableaux = enumerate_tableaux(SkewShape(sigma), n)
+        if SkewShape(sigma) == shape:
+            straight = lhs
+            weighted_genfun = _weight_polynomial((v.weight for v in graph.vertices), n, class_size=True)
+        else:
+            tableaux = enumerate_tableaux(SkewShape(sigma), n)
+            straight = genfun(tableaux, n)
+            weighted_genfun = genfun_weighted(tableaux, n)
         p = schur_P(sigma, n)
         q = p.scale(2 ** len(sigma))
-        straight = genfun(tableaux, n)
         rhs = rhs + straight.scale(mult)
         matches.append((sigma, _classify(straight, p, q)))
-        weighted.append((sigma, _classify(genfun_weighted(tableaux, n), p, q)))
+        weighted.append((sigma, _classify(weighted_genfun, p, q)))
     return ExpansionReport(shape, n, expansion, lhs == rhs, tuple(matches), tuple(weighted))

@@ -180,9 +180,12 @@ class CrystalGraph:
         """Every vertex mapped to its {i,i'}-component, the component's
         shape and the vertex's statistics, the last two None when the
         component matches neither legal shape.  Built on the first use of
-        i, one walk per component in vertex order, and published whole."""
+        i, one walk per component in vertex order, and published whole;
+        raises InvalidIndex unless 1 <= i <= n-1."""
         table = self._tables.get(i)
         if table is None:
+            if not 1 <= i <= self.n - 1:
+                raise InvalidIndex(f"index {i} outside 1..{self.n - 1}")
             table = {}
             for vert in self.vertices:
                 if vert.id in table:
@@ -267,8 +270,6 @@ def _classify(g: CrystalGraph, component: frozenset[int], i: int) -> StringShape
 def classify_string(g: CrystalGraph, vid: int, i: int) -> StringShape:
     """Pattern-match the {i,i'}-component of vid against the two legal
     shapes; raises NotAString when neither fits."""
-    if not 1 <= i <= g.n - 1:
-        raise InvalidIndex(f"index {i} outside 1..{g.n - 1}")
     shape = g.string_of(vid, i)
     if shape is None:
         raise NotAString(f"{{{i},{i}'}}-component of vertex {vid} is not a legal string")
@@ -284,7 +285,9 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     """Crystal over enumerate_tableaux(shape, n) with all F_i / F_i' edges.
 
     Raises InternalInconsistency unless E_i / E_i' applied directly agree
-    with the reversed edges.
+    with the reversed edges.  When n > 2, every apply of the build shares
+    one local memo keyed on the relabeled {i,i+1}-subword and the operator
+    family, so each distinct key runs the operator kernel once per build.
     """
     tableaux = enumerate_tableaux(shape, n)
     vertices = tuple(
@@ -294,10 +297,12 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     labels = [(i, primed) for i in range(1, n) for primed in (False, True)]
     lowering = {(i, p): OpKind("F'" if p else "F", i) for i, p in labels}
     raising = {(i, p): OpKind("E'" if p else "E", i) for i, p in labels}
+    # With one index the subword is the whole word, so no key repeats.
+    memo = {} if n > 2 else None
     edges = []
     for v in vertices:
         for label in labels:
-            out = apply(lowering[label], v.word)
+            out = apply(lowering[label], v.word, memo=memo)
             if out is None:
                 continue
             if out.codes not in ids:
@@ -308,7 +313,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     g = CrystalGraph(n, vertices, tuple(edges), shape)
     for v in vertices:
         for label in labels:
-            up = apply(raising[label], v.word)
+            up = apply(raising[label], v.word, memo=memo)
             src = g.e(v.id, *label)
             got = None if src is None else g.by_id[src].word.codes
             want = None if up is None else up.codes

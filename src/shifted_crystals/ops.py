@@ -15,6 +15,12 @@ the primed operators re-prime the last i / last (i+1)' when it sits right
 of its counterpart.  Each result re-canonicalises only the two moved value
 families, every qualifying representative must agree (InternalInconsistency
 otherwise), and the word is rewritten once.
+
+The subword-space result depends on the relabeled subword and the family
+alone, not on i or on the letters outside the subword, so a caller that
+applies many operators (build_graph for n > 2) passes ``apply`` a memo
+keyed on (relabeled subword, lowering, primed) and each key runs the kernel
+once.  There is no process-wide cache: without a memo every call computes.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ class CriticalMatch:
         return self.kind not in ("5F", "5E")
 
 
-def _subword(codes: Codes, i: int) -> tuple[list[int], list[int], tuple[int, ...]]:
+def _subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
     """Relabeled {i,i+1}-subword, the full-word positions of its letters, and
     the subword indices of the first i-family and first (i+1)-family letter
     (those present, in that order)."""
@@ -118,7 +124,7 @@ def _subword(codes: Codes, i: int) -> tuple[list[int], list[int], tuple[int, ...
             sub.append(c)
             pos.append(p)
     firsts = tuple(k for k in (first1, first2) if k is not None)
-    return sub, pos, firsts
+    return tuple(sub), pos, firsts
 
 
 def _walk_points(sub: list[int]) -> tuple[tuple[int, int], ...]:
@@ -231,7 +237,7 @@ def _check_index(i: int, n: int) -> None:
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 
 
-def _variants(sub: list[int], firsts: tuple[int, ...]) -> list[list[int]]:
+def _variants(sub: tuple[int, ...], firsts: tuple[int, ...]) -> list[list[int]]:
     """The representative subwords: each first-occurrence letter, unprimed
     in the canonical word, either kept or primed.  Re-priming any other
     value never touches the subword, so these cover every representative."""
@@ -320,11 +326,12 @@ def _write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
     return tuple(out)
 
 
-def _kernel(codes: Codes, i: int, lower: bool, primed: bool) -> Codes | None:
-    """One operator on canonical codes, computed on the {i,i+1}-subword; the
-    canonical result codes, or None when undefined.  Every qualifying
-    representative must give the same canonical word."""
-    sub, pos, firsts = _subword(codes, i)
+def _on_subword(
+    sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool, primed: bool
+) -> tuple[int, ...] | None:
+    """One operator in subword space: the canonical result subword, or None
+    when undefined.  Every qualifying representative must give the same
+    canonical subword."""
     if not sub:
         return None
     variants = _variants(sub, firsts)
@@ -349,11 +356,10 @@ def _kernel(codes: Codes, i: int, lower: bool, primed: bool) -> Codes | None:
             results.add(_canonical_sub(out))
     if len(results) != 1:
         raise InternalInconsistency(
-            f"representatives disagree on {codes_to_str(codes)} i={i}"
+            f"representatives disagree on relabeled subword {codes_to_str(sub)}"
             f" lower={lower} primed={primed}: {len(results)} results"
         )
-    result = results.pop()
-    return None if result is None else _write_back(codes, pos, result, i)
+    return results.pop()
 
 
 def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMatch | None:
@@ -374,15 +380,26 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     )
 
 
-def apply(kind: OpKind, w: Word) -> Word | None:
+def apply(kind: OpKind, w: Word, memo: dict | None = None) -> Word | None:
     """Apply one operator to a canonical word; ``None`` when undefined.
 
     Length is always preserved; the weight moves by -alpha_i for the F side
-    and +alpha_i for the E side.
+    and +alpha_i for the E side.  ``memo``, when given, maps (relabeled
+    subword, lowering, primed) to the subword-space result: a key found
+    there skips the kernel, a missing one is computed and stored.  The
+    result is written back into the word and validated on every call.
     """
-    _check_index(kind.index, w.n)
-    out = _kernel(w.codes, kind.index, kind.lowering, kind.primed)
-    return None if out is None else Word(out, w.n)
+    i = kind.index
+    _check_index(i, w.n)
+    sub, pos, firsts = _subword(w.codes, i)
+    if memo is None:
+        out = _on_subword(sub, firsts, kind.lowering, kind.primed)
+    else:
+        key = (sub, kind.lowering, kind.primed)
+        if key not in memo:
+            memo[key] = _on_subword(sub, firsts, kind.lowering, kind.primed)
+        out = memo[key]
+    return None if out is None else Word(_write_back(w.codes, pos, out, i), w.n)
 
 
 def apply_to_tableau(kind: OpKind, t: ShiftedTableau) -> ShiftedTableau | None:

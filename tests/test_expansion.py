@@ -156,3 +156,18 @@ class TestVerifyExpansion:
         assert builds == [shape] and graph_enums == [shape]
         assert sigma_enums == [SkewShape(sigma) for sigma in sigmas]
         assert ps == sigmas and qs == []
+
+    def test_straight_input_enumerated_once(self, monkeypatch):
+        enums = []
+        for module in (graph, expansion):
+            real = module.enumerate_tableaux
+
+            def wrapped(shape, n, real=real):
+                enums.append(shape)
+                return real(shape, n)
+
+            monkeypatch.setattr(module, "enumerate_tableaux", wrapped)
+        shape = make_skew_shape((4, 2, 1))
+        report = verify_expansion(shape, 4)
+        assert report.identity_ok and report.expansion.terms == (((4, 2, 1), 1),)
+        assert enums == [shape]

@@ -14,6 +14,7 @@ import shifted_crystals
 from shifted_crystals import (
     CrystalGraph,
     InternalInconsistency,
+    InvalidIndex,
     NotAString,
     NotStrictWeight,
     NotUnique,
@@ -31,6 +32,7 @@ from shifted_crystals import (
     strict_partitions,
 )
 from shifted_crystals import graph as graph_module
+from shifted_crystals import ops
 from shifted_crystals.graph import GraphEdge, GraphVertex
 
 EXPORT_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "export_json.sha256"
@@ -93,8 +95,8 @@ def _break_first_E(apply):
     """An apply that answers None for the first defined E_i result."""
     broken = []
 
-    def patched(kind, word):
-        out = apply(kind, word)
+    def patched(kind, word, **kwargs):
+        out = apply(kind, word, **kwargs)
         if kind.family == "E" and out is not None and not broken:
             broken.append(word)
             return None
@@ -132,6 +134,36 @@ class TestInternalConsistency:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tied_disagreement_raises_in_a_build(self, monkeypatch, n):
+        # the tie-agreement check runs on every kernel evaluation of a
+        # build, without a memo (n = 2) and through it (n = 3)
+        monkeypatch.setattr(ops, "_canonical_sub", tuple)
+        with pytest.raises(InternalInconsistency, match="representatives disagree"):
+            build_graph(make_skew_shape((1,)), n)
+
+
+class TestOperatorMemo:
+    def test_kernel_runs_once_per_distinct_key(self, monkeypatch):
+        applies, kernel_keys, seen_keys = [], [], set()
+        apply, on_subword = graph_module.apply, ops._on_subword
+
+        def counted_apply(kind, word, **kwargs):
+            applies.append(kind)
+            seen_keys.add((ops._subword(word.codes, kind.index)[0], kind.lowering, kind.primed))
+            return apply(kind, word, **kwargs)
+
+        def counted_on_subword(sub, firsts, lower, primed):
+            kernel_keys.append((sub, lower, primed))
+            return on_subword(sub, firsts, lower, primed)
+
+        monkeypatch.setattr(graph_module, "apply", counted_apply)
+        monkeypatch.setattr(ops, "_on_subword", counted_on_subword)
+        g = build_graph(make_skew_shape((4, 3, 2, 1)), 5)
+        assert len(applies) == 16 * len(g) == 10752
+        assert sorted(kernel_keys) == sorted(seen_keys)
+        assert len(kernel_keys) == 808
 
 
 class TestExportDigests:
@@ -275,6 +307,20 @@ class TestStringTable:
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
+
+
+class TestIndexRange:
+    def test_out_of_range_index_raises(self, graph_cache):
+        g = graph_cache((3, 1), (), 3)
+        fresh = CrystalGraph(g.n, g.vertices, g.edges, g.shape)
+        for i in (0, g.n):
+            with pytest.raises(InvalidIndex):
+                fresh.stats(0, i)
+            with pytest.raises(InvalidIndex):
+                fresh.string_of(0, i)
+            with pytest.raises(InvalidIndex):
+                fresh.strings(i)
+        assert fresh.stats(0, 1) == g.stats(0, 1)
 
 
 class TestClassifyString:

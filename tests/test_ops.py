@@ -172,6 +172,22 @@ class TestApply:
                     assert standardize(out) == standardize(word)
 
 
+class TestOperatorMemo:
+    def test_shared_memo_agrees_with_direct_apply(self):
+        # one memo across every index, alphabet bound and shape: the key
+        # holds only the relabeled subword and the family
+        memo = {}
+        calls = 0
+        for n in (1, 2, 3, 4):
+            for word in straight_words(6, n):
+                for i in range(1, n):
+                    for family in ("F", "E", "F'", "E'"):
+                        kind = OpKind(family, i)
+                        assert apply(kind, word, memo=memo) == apply(kind, word)
+                        calls += 1
+        assert len(memo) < calls
+
+
 class TestApplyToTableau:
     def test_primed_example(self):
         assert apply_to_tableau(F1p, T("1 1", "2", n=2)) == T("1 2'", "2", n=2)
