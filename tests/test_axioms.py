@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 from shifted_crystals import (
@@ -305,3 +308,77 @@ class TestAbstractGraphs:
         assert not check_all(cyclic).passed
         loop = abstract_graph(2, [(1, 1)], [(0, 0, 1, True)])
         assert not check_all(loop).passed
+
+
+def edge_mutants(g: CrystalGraph) -> list[CrystalGraph]:
+    """Every single-edge deletion, prime flip, retarget to (dst + 1) % V and
+    reversed duplicate of g."""
+    size = len(g)
+    out = []
+    for k, e in enumerate(g.edges):
+        rest = g.edges[:k] + g.edges[k + 1 :]
+        out.append(rest)
+        out.append(rest + (GraphEdge(e.src, e.dst, e.index, not e.primed),))
+        out.append(rest + (GraphEdge(e.src, (e.dst + 1) % size, e.index, e.primed),))
+        out.append(g.edges + (GraphEdge(e.dst, e.src, e.index, e.primed),))
+    return [CrystalGraph(g.n, g.vertices, edges) for edges in out]
+
+
+def random_graphs(count: int, seed: int) -> list[CrystalGraph]:
+    """Small abstract graphs with ids 3k+1; self-loops and several edges of
+    one label at a vertex occur."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        ids = [3 * k + 1 for k in range(rng.randint(1, 8))]
+        vertices = tuple(GraphVertex(v, None, tuple(rng.randint(0, 2) for _ in range(n))) for v in ids)
+        edges = tuple(
+            GraphEdge(rng.choice(ids), rng.choice(ids), rng.randint(1, n - 1), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 12))
+        )
+        out.append(CrystalGraph(n, vertices, edges))
+    return out
+
+
+class TestGoldenDigest:
+    # sha256 of the check_all reports (runtime line dropped) and of every
+    # violation's str and context; any change to what the checker reports
+    # on these graphs changes it
+    DIGEST = "51fbcab9fb8fd83a3bd378636618a7decdce8d73658b9772da33040b01d1744c"
+
+    def test_reports_are_unchanged(self, graph_cache):
+        graphs = edge_mutants(graph_cache((4, 2, 1), (), 3)) + edge_mutants(graph_cache((3, 1), (1,), 3))
+        graphs += random_graphs(300, seed=0)
+        digest = hashlib.sha256()
+        violations = 0
+        for g in graphs:
+            report = check_all(g)
+            text = "\n".join(line for line in report.render().splitlines() if not line.startswith("runtime:"))
+            digest.update(text.encode())
+            for axiom in report.axioms:
+                for v in report.violations[axiom]:
+                    digest.update(f"{v}\n{v.context}\n".encode())
+                    violations += 1
+        assert (len(graphs), violations) == (628, 8520)
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestSeveralEdgesOfOneLabel:
+    def test_sites_are_recorded_once_and_read_as_no_arrow(self):
+        # vertex 0 has two out-edges labeled 1, vertex 4 two in-edges labeled 1'
+        g = abstract_graph(
+            2,
+            [(1, 1)] * 5,
+            [(0, 1, 1, False), (0, 2, 1, False), (2, 4, 1, True), (3, 4, 1, True)],
+        )
+        assert g.f(0, 1) is None and g.e(4, 1, True) is None
+        assert g.e(1, 1) == 0 and g.f(3, 1, True) == 4
+        assert g.label_degree_violations() == [(0, 1, False, "out"), (4, 1, True, "in")]
+        assert [(v.vertices, v.message) for v in check(g, "B1")] == [
+            ((0,), "several out edges labeled 1"),
+            ((4,), "several in edges labeled 1'"),
+            ((0, 1, 2, 3, 4), "component matches neither string shape"),
+        ]
+        assert all(g.stats(v, 1) is None and g.string_of(v, 1) is None for v in range(5))
+
