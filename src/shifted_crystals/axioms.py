@@ -7,11 +7,17 @@ a radius-3 neighborhood for replay.  Vertices whose relevant strings match
 neither legal shape are skipped by the stats-dependent checks (B1 reports
 them), so the checker stays total on arbitrary imported graphs.
 
+Checkers read the graph through a view that binds, once per index j, the
+graph's maps for f_j, f_j' and the statistics at j, so every read is one
+dict.get and a missing arrow (None) passes through a chain of reads.
+
 The dual axioms A1D-A8D are not written out: each is its axiom A1-A8 read
-on the crystal with every arrow reversed.  In that view f_j and e_j trade
-places and become e_{n-j} and f_{n-j}, eps and phi swap together with
-their primed and hat parts, and the index pair (i, i+1) becomes
-(n-1-i, n-i).  A violation found there is reported at the original index.
+on the crystal with every arrow reversed.  That view is a different
+binding, not a different class: f_j and f_j' read the e maps at n-j, and
+the statistics at j are the duals of those at n-j (eps and phi swap
+together with their primed and hat parts), so the index pair (i, i+1)
+becomes (n-1-i, n-i).  A violation found there is reported at the
+original index.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .errors import MissingArrow
-from .graph import CrystalGraph, StringStats
+from .graph import CrystalGraph
 
 AXIOM_IDS = (
     "B1",
@@ -73,10 +79,10 @@ class Violation:
         return f"[{self.axiom}] i={self.index} at vertices {ids}: {self.message}"
 
 
-def _context(g: CrystalGraph, ids: tuple[int, ...], radius: int = 3) -> str:
+def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
     seen = set(ids)
     frontier = set(ids)
-    for _ in range(radius):
+    for _ in range(3):  # the radius of the neighbourhood
         nxt = set()
         for v in frontier:
             for e in g.out_edges.get(v, ()):
@@ -101,53 +107,36 @@ def _context(g: CrystalGraph, ids: tuple[int, ...], radius: int = 3) -> str:
 
 
 class _View:
-    """Stats-aware accessors over one graph; None propagates through chains."""
+    """For 1 <= j <= n-1: f[j] and fp[j] map a vertex to its f_j and f_j'
+    target, stats[j] maps a vertex on a legal {j,j'}-string to its
+    statistics, and strings[j] is the string table of index j.  Reversed,
+    f[j] and fp[j] are the e maps at n-j and stats[j] the duals at n-j, so
+    a dual axiom at i is its axiom at n-1-i on this view (strings[j], read
+    on the forward view only, is the table at n-j)."""
 
-    def __init__(self, g: CrystalGraph):
-        self.g = g
-        self.n = g.n
-
-    def f(self, v, i):
-        return None if v is None else self.g.f(v, i, False)
-
-    def fp(self, v, i):
-        return None if v is None else self.g.f(v, i, True)
-
-    def stats(self, v: int, i: int) -> StringStats | None:
-        return self.g.stats(v, i)
-
-    def collapsed(self, v: int, i: int) -> bool | None:
-        shape = self.g.string_of(v, i)
-        return None if shape is None else shape.kind == "collapsed"
+    def __init__(self, g: CrystalGraph, reverse: bool = False):
+        self.g, self.n = g, g.n
+        arrows = g.e_map if reverse else g.f_map
+        self.f, self.fp, self.stats, self.strings = {}, {}, {}, {}
+        for j in range(1, g.n):
+            k = g.n - j if reverse else j
+            self.strings[j], stats, dual = g.table(k)
+            self.f[j], self.fp[j] = arrows[k, False], arrows[k, True]
+            self.stats[j] = dual if reverse else stats
 
     def delta_at(self, w: int, i: int, x: int, y: int) -> DeltaPair | None:
         """(eps_i(w)-eps_i(y), eps_{i+1}(w)-eps_{i+1}(x)) for an i-side
         target x and an (i+1)-side target y."""
-        parts = (self.stats(w, i), self.stats(y, i), self.stats(w, i + 1), self.stats(x, i + 1))
-        if any(p is None for p in parts):
+        s, t = self.stats[i], self.stats[i + 1]
+        parts = (s.get(w), s.get(y), t.get(w), t.get(x))
+        if None in parts:
             return None
         return DeltaPair(parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps)
 
 
-class _Reversed(_View):
-    """The same graph with every arrow reversed and index j read as n-j:
-    f_j follows e_{n-j}, and eps and phi swap together with their primed
-    and hat parts.  A dual axiom at i is its axiom at n-1-i on this view."""
-
-    def f(self, v, i):
-        return None if v is None else self.g.e(v, self.n - i, False)
-
-    def fp(self, v, i):
-        return None if v is None else self.g.e(v, self.n - i, True)
-
-    def stats(self, v: int, i: int) -> StringStats | None:
-        s = self.g.stats(v, self.n - i)
-        return None if s is None else s.dual
-
-
 def _delta(view: _View, w: int, i: int, x_primed: bool, y_primed: bool, arrows: str) -> DeltaPair:
-    x = (view.fp if x_primed else view.f)(w, i)
-    y = (view.fp if y_primed else view.f)(w, i + 1)
+    x = (view.fp if x_primed else view.f).get(i, {}).get(w)
+    y = (view.fp if y_primed else view.f).get(i + 1, {}).get(w)
     if x is None or y is None:
         raise MissingArrow(f"vertex {w} lacks an {arrows} arrow")
     d = view.delta_at(w, i, x, y)
@@ -167,7 +156,7 @@ def delta_dual(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed
     """Dual delta across the upward arrows from the e_{i+1}-side source x
     and the e_i-side source y, that is (phi_{i+1}(w)-phi_{i+1}(y),
     phi_i(w)-phi_i(x)): delta on the reversed graph at n-1-i."""
-    return _delta(_Reversed(g), w, g.n - 1 - i, x_primed, y_primed, f"e_{i} or e_{i + 1}")
+    return _delta(_View(g, reverse=True), w, g.n - 1 - i, x_primed, y_primed, f"e_{i} or e_{i + 1}")
 
 
 def _alpha(i: int, n: int) -> tuple[int, ...]:
@@ -186,7 +175,7 @@ def _check_B1(view: _View) -> list[Violation]:
             Violation("B1", (v,), i, f"several {side} edges labeled {label}", _context(g, (v,)))
         )
     for i in range(1, view.n):
-        table = g.strings(i)
+        table = view.strings[i]
         seen: set[int] = set()
         for vert in g.vertices:
             if vert.id in seen:
@@ -223,16 +212,16 @@ def _check_B2(view: _View) -> list[Violation]:
     for vert in g.vertices:
         w = vert.id
         directions = (
-            ("downward", g.out_edges[w], lambda e: e.dst, g.f),
-            ("upward", g.in_edges[w], lambda e: e.src, g.e),
+            ("downward", g.out_edges[w], lambda e: e.dst, g.f_map),
+            ("upward", g.in_edges[w], lambda e: e.src, g.e_map),
         )
-        for side, edges, far, step in directions:
+        for side, edges, far, arrows in directions:
             for a in edges:
                 for b in edges:
                     if b.index - a.index <= 1:
                         continue
-                    z1 = step(far(a), b.index, b.primed)
-                    z2 = step(far(b), a.index, a.primed)
+                    z1 = arrows[b.index, b.primed].get(far(a))
+                    z2 = arrows[a.index, a.primed].get(far(b))
                     if z1 is None or z1 != z2:
                         out.append(
                             Violation(
@@ -253,8 +242,7 @@ def _check_B3(view: _View) -> list[Violation]:
         for i in (e.index - 1, e.index + 1):
             if not 1 <= i <= view.n - 1:
                 continue
-            sz = view.stats(e.src, i)
-            sw = view.stats(e.dst, i)
+            sz, sw = view.stats[i].get(e.src), view.stats[i].get(e.dst)
             if sz is None or sw is None:
                 continue
             change = (sw.eps - sz.eps, sw.phi - sz.phi)
@@ -286,7 +274,7 @@ def _check_K(view: _View) -> list[Violation]:
                     _context(g, (e.src, e.dst)),
                 )
             )
-        su, sv = view.stats(e.src, e.index), view.stats(e.dst, e.index)
+        su, sv = view.stats[e.index].get(e.src), view.stats[e.index].get(e.dst)
         if su is not None and sv is not None:
             if (sv.eps, sv.phi) != (su.eps + 1, su.phi - 1):
                 out.append(
@@ -302,7 +290,7 @@ def _check_K(view: _View) -> list[Violation]:
     for vert in g.vertices:
         wt = vert.weight
         for i in range(1, view.n):
-            s = view.stats(vert.id, i)
+            s = view.stats[i].get(vert.id)
             if s is None:
                 continue
             if s.phi - s.eps != wt[i - 1] - wt[i]:
@@ -334,23 +322,23 @@ def _iff(axiom: str, view: _View, w: int, i: int, structural: bool, numeric, out
 
 
 def _check_A1(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.fp(w, i), view.fp(w, i + 1)
+    x, y = view.fp[i].get(w), view.fp[i + 1].get(w)
     if x is None or y is None:
         return
-    lhs = view.fp(y, i)
-    rhs = view.fp(x, i + 1)
+    lhs = view.fp[i].get(y)
+    rhs = view.fp[i + 1].get(x)
     if lhs is None or lhs != rhs:
         out.append(Violation("A1", (w, x, y), i, "primed square does not close", _context(view.g, (w,))))
 
 
 def _check_A2(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.fp(w, i), view.fp(w, i + 1)
+    x, y = view.fp[i].get(w), view.fp[i + 1].get(w)
     if x is None or y is None:
         return
-    bottom = view.f(y, i)
-    structural = bottom is not None and bottom == view.f(x, i + 1) and view.fp(y, i) != bottom
+    bottom = view.f[i].get(y)
+    structural = bottom is not None and bottom == view.f[i + 1].get(x) and view.fp[i].get(y) != bottom
     d = view.delta_at(w, i, x, y)
-    s1 = view.stats(w, i + 1)
+    s1 = view.stats[i + 1].get(w)
     numeric = None
     if d is not None and s1 is not None:
         numeric = d.as_tuple() == (0, 0) and s1.phi == 1 and s1.phi_hat == 0
@@ -358,13 +346,13 @@ def _check_A2(view: _View, w: int, i: int, out: list) -> None:
 
 
 def _check_A3(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.fp(w, i), view.f(w, i + 1)
+    x, y = view.fp[i].get(w), view.f[i + 1].get(w)
     if x is None or y is None:
         return
-    if view.fp(w, i + 1) == y and view.f(w, i) == x:
+    if view.fp[i + 1].get(w) == y and view.f[i].get(w) == x:
         return
-    lhs = view.fp(y, i)
-    rhs = view.f(x, i + 1)
+    lhs = view.fp[i].get(y)
+    rhs = view.f[i + 1].get(x)
     if lhs is None or lhs != rhs:
         out.append(
             Violation("A3", (w, x, y), i, "{f_i', f_{i+1}} square does not close", _context(view.g, (w,)))
@@ -372,20 +360,20 @@ def _check_A3(view: _View, w: int, i: int, out: list) -> None:
 
 
 def _check_A4(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.f(w, i), view.fp(w, i + 1)
+    x, y = view.f[i].get(w), view.fp[i + 1].get(w)
     if x is None or y is None:
         return
-    lhs = view.f(y, i)
-    structural = lhs is not None and lhs == view.fp(x, i + 1)
-    s = view.stats(w, i)
+    lhs = view.f[i].get(y)
+    structural = lhs is not None and lhs == view.fp[i + 1].get(x)
+    s = view.stats[i].get(w)
     numeric = None if s is None else s.eps_hat > 0
     _iff("A4", view, w, i, structural, numeric, out)
 
 
 def _solid_pair(view: _View, w: int, i: int):
     """Hypothesis shared by A5-A8: f_i, f_{i+1} defined, f_i' undefined."""
-    x, y = view.f(w, i), view.f(w, i + 1)
-    if x is None or y is None or view.fp(w, i) is not None:
+    x, y = view.f[i].get(w), view.f[i + 1].get(w)
+    if x is None or y is None or w in view.fp[i]:
         return None
     return x, y
 
@@ -395,8 +383,8 @@ def _check_A5(view: _View, w: int, i: int, out: list) -> None:
     if pair is None:
         return
     x, y = pair
-    lhs = view.fp(y, i)
-    structural = lhs is not None and lhs == view.fp(x, i + 1)
+    lhs = view.fp[i].get(y)
+    structural = lhs is not None and lhs == view.fp[i + 1].get(x)
     d = view.delta_at(w, i, x, y)
     numeric = None if d is None else d.as_tuple() == (1, 1)
     _iff("A5", view, w, i, structural, numeric, out)
@@ -407,8 +395,8 @@ def _check_A6(view: _View, w: int, i: int, out: list) -> None:
     if pair is None:
         return
     x, y = pair
-    lhs = view.f(y, i)
-    structural = lhs is not None and lhs == view.f(x, i + 1)
+    lhs = view.f[i].get(y)
+    structural = lhs is not None and lhs == view.f[i + 1].get(x)
     d = view.delta_at(w, i, x, y)
     numeric = None if d is None else d.as_tuple() in ((1, 0), (0, 1))
     _iff("A6", view, w, i, structural, numeric, out)
@@ -419,13 +407,13 @@ def _check_A7(view: _View, w: int, i: int, out: list) -> None:
     if pair is None:
         return
     x, y = pair
-    lhs = view.f(view.fp(view.f(y, i), i), i + 1)
-    rhs = view.fp(view.f(view.f(x, i + 1), i + 1), i)
-    no_square = view.f(y, i) != view.f(x, i + 1)
+    f, fp = view.f, view.fp
+    lhs = f[i + 1].get(fp[i].get(f[i].get(y)))
+    rhs = fp[i].get(f[i + 1].get(f[i + 1].get(x)))
+    no_square = f[i].get(y) != f[i + 1].get(x)
     structural = lhs is not None and lhs == rhs and no_square
     d = view.delta_at(w, i, x, y)
-    sy = view.stats(y, i)
-    sw = view.stats(w, i)
+    sy, sw = view.stats[i].get(y), view.stats[i].get(w)
     numeric = None
     if d is not None and sy is not None and sw is not None:
         numeric = d.as_tuple() == (0, 0) and sw.eps_hat - sy.eps_hat == -1
@@ -437,12 +425,13 @@ def _check_A8(view: _View, w: int, i: int, out: list) -> None:
     if pair is None:
         return
     x, y = pair
-    lhs = view.f(view.f(view.f(y, i), i), i + 1)
-    rhs = view.f(view.f(view.f(x, i + 1), i + 1), i)
-    no_square = view.f(y, i) != view.f(x, i + 1)
+    f = view.f
+    lhs = f[i + 1].get(f[i].get(f[i].get(y)))
+    rhs = f[i].get(f[i + 1].get(f[i + 1].get(x)))
+    no_square = f[i].get(y) != f[i + 1].get(x)
     structural = lhs is not None and lhs == rhs and no_square
     d = view.delta_at(w, i, x, y)
-    sy = view.stats(y, i)
+    sy = view.stats[i].get(y)
     numeric = None
     if d is not None and sy is not None:
         numeric = d.as_tuple() == (0, 0) and sy.phi_hat >= 2
@@ -450,8 +439,7 @@ def _check_A8(view: _View, w: int, i: int, out: list) -> None:
 
 
 def _check_XL(view: _View, w: int, i: int, out: list) -> None:
-    s_i = view.stats(w, i)
-    s_i1 = view.stats(w, i + 1)
+    s_i, s_i1 = view.stats[i].get(w), view.stats[i + 1].get(w)
     if s_i is None or s_i1 is None:
         return
     if s_i.eps_hat == 0 and s_i.phi_prime == 0 and s_i1.phi_hat == 0 and s_i1.eps_prime == 0:
@@ -481,7 +469,7 @@ def _check_SA(view: _View, w: int, i: int, out: list) -> None:
     d = view.delta_at(w, i, x, y)
     if d is None or d.as_tuple() != (0, 0):
         return
-    sw, sy = view.stats(w, i), view.stats(y, i)
+    sw, sy = view.stats[i].get(w), view.stats[i].get(y)
     if sw is None or sy is None:
         return
     a7 = sw.eps_hat - sy.eps_hat == -1
@@ -496,47 +484,23 @@ def _check_L_CAS(view: _View) -> list[Violation]:
     g = view.g
     out = []
     for e in g.edges:
-        i = e.index
-        if i <= view.n - 2:
-            sw, sz = view.stats(e.src, i + 1), view.stats(e.dst, i + 1)
-            cw, cz = view.collapsed(e.src, i + 1), view.collapsed(e.dst, i + 1)
-            if None not in (sw, sz, cw, cz):
-                if sz.phi == sw.phi + 1 and cw != cz:
-                    out.append(
-                        Violation(
-                            "L_CAS",
-                            (e.src, e.dst),
-                            i + 1,
-                            "collapsedness not preserved along an edge incrementing phi",
-                            _context(g, (e.src, e.dst)),
-                        )
-                    )
-                if sz.phi == sw.phi and cz:
-                    out.append(
-                        Violation(
-                            "L_CAS",
-                            (e.src, e.dst),
-                            i + 1,
-                            "target string collapsed although phi was copied",
-                            _context(g, (e.src, e.dst)),
-                        )
-                    )
-        if i >= 2:
-            j = i - 1
-            sw, sz = view.stats(e.src, j), view.stats(e.dst, j)
-            cw, cz = view.collapsed(e.src, j), view.collapsed(e.dst, j)
-            if None in (sw, sz, cw, cz):
+        for j in (e.index + 1, e.index - 1):
+            if not 1 <= j <= view.n - 1:
                 continue
-            if cw != (cz and sz.phi == sw.phi):
-                out.append(
-                    Violation(
-                        "L_CAS",
-                        (e.src, e.dst),
-                        j,
-                        "collapsedness/phi not copied along an adjacent-string edge",
-                        _context(g, (e.src, e.dst)),
-                    )
+            (_, shape_w, sw), (_, shape_z, sz) = view.strings[j][e.src], view.strings[j][e.dst]
+            if sw is None or sz is None:
+                continue
+            cw, cz = shape_w.kind == "collapsed", shape_z.kind == "collapsed"
+            if j > e.index:
+                found = (
+                    (sz.phi == sw.phi + 1 and cw != cz, "collapsedness not preserved along an edge incrementing phi"),
+                    (sz.phi == sw.phi and cz, "target string collapsed although phi was copied"),
                 )
+            else:
+                found = ((cw != (cz and sz.phi == sw.phi), "collapsedness/phi not copied along an adjacent-string edge"),)
+            for bad, message in found:
+                if bad:
+                    out.append(Violation("L_CAS", (e.src, e.dst), j, message, _context(g, (e.src, e.dst))))
     return out
 
 
@@ -547,7 +511,7 @@ def _check_L_CF1(view: _View) -> list[Violation]:
         if not e.primed or e.index > view.n - 2:
             continue
         i = e.index
-        sw, sz = view.stats(e.src, i + 1), view.stats(e.dst, i + 1)
+        sw, sz = view.stats[i + 1].get(e.src), view.stats[i + 1].get(e.dst)
         if sw is None or sz is None:
             continue
         if sw.phi == sz.phi and sz.phi_hat != 0:
@@ -566,19 +530,20 @@ def _check_L_CF1(view: _View) -> list[Violation]:
 def _check_L_TD(view: _View) -> list[Violation]:
     g = view.g
     out = []
+    f = view.f
     for vert in g.vertices:
         z = vert.id
         for i in range(1, view.n - 1):
-            t, x = view.fp(z, i), view.f(z, i)
-            if t is None or x is None or t == x or view.f(z, i + 1) is None:
+            t, x, y = view.fp[i].get(z), f[i].get(z), f[i + 1].get(z)
+            if t is None or x is None or t == x or y is None:
                 continue
-            if view.f(t, i) is None or view.f(t, i + 1) is None:
+            if t not in f[i] or t not in f[i + 1]:
                 out.append(
                     Violation("L_TD", (z, t), i, "f_i or f_{i+1} undefined at the primed target", _context(g, (z, t)))
                 )
                 continue
-            dz = view.delta_at(z, i, x, view.f(z, i + 1))
-            dt = view.delta_at(t, i, view.f(t, i), view.f(t, i + 1))
+            dz = view.delta_at(z, i, x, y)
+            dt = view.delta_at(t, i, f[i][t], f[i + 1][t])
             if dz is None or dt is None:
                 continue
             if dz != dt:
@@ -618,7 +583,7 @@ def _dual(axiom: str, fn):
     site order; report at i, restating the messages that name arrows."""
 
     def run(view: _View) -> list[Violation]:
-        reversed_view = _Reversed(view.g)
+        reversed_view = _View(view.g, reverse=True)
         top = view.n - 1
         out: list[Violation] = []
         for vert in view.g.vertices:
@@ -708,7 +673,7 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
     hist: Counter = Counter()
     for vert in g.vertices:
         for i in range(1, g.n - 1):
-            x, y = view.f(vert.id, i), view.f(vert.id, i + 1)
+            x, y = view.f[i].get(vert.id), view.f[i + 1].get(vert.id)
             if x is None or y is None:
                 continue
             d = view.delta_at(vert.id, i, x, y)

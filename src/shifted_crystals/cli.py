@@ -15,22 +15,32 @@ from .axioms import ALL_AXIOMS, check_all
 from .errors import MalformedGraph
 from .expansion import verify_expansion
 from .graph import build_graph, components, export_dot, export_json, import_json
-from .ops import OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
+from .ops import FAMILIES, OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
 from .tableaux import SkewShape, enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
 from .words import Letter, Word, eta, standardize
 
-OPS = ("F", "E", "F'", "E'")
+
+def _parts(text: str) -> tuple[int, ...]:
+    """argparse type of --outer and --inner: comma-separated integers, or none."""
+    try:
+        return tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(tok) for tok in text.split(","))
+def _count(text: str) -> int:
+    """argparse type of --n: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _shape_from(args) -> SkewShape:
-    return make_skew_shape(_parse_parts(args.outer), _parse_parts(args.inner))
+    return make_skew_shape(args.outer, args.inner)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -186,8 +196,8 @@ def _cmd_expand(args) -> int:
 
 
 def _add_shape_flags(parser, required: bool = True) -> None:
-    parser.add_argument("--outer", required=required, default=None, help="outer parts, e.g. 3,1")
-    parser.add_argument("--inner", default="", help="inner parts, e.g. 2")
+    parser.add_argument("--outer", type=_parts, required=required, default=None, help="outer parts, e.g. 3,1")
+    parser.add_argument("--inner", type=_parts, default=(), help="inner parts, e.g. 2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,49 +209,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list ShST(shape, n)")
     _add_shape_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("apply", help="apply F/E/F'/E' to a word or tableau")
-    p.add_argument("--op", choices=OPS, required=True)
+    p.add_argument("--op", choices=FAMILIES, required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--word")
     p.add_argument("--tableau-file")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_apply)
 
     p = sub.add_parser("walk", help="print the i-th lattice walk of a word")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_walk)
 
     p = sub.add_parser("std", help="standardization ranks of a word")
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_std)
 
     p = sub.add_parser("eta", help="the weight-reversing involution of a word")
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_eta)
 
     p = sub.add_parser("graph", help="build and export a crystal graph")
     _add_shape_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("check", help="verify the local axioms on a crystal graph")
     _add_shape_flags(p, required=False)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_count, default=None)
     p.add_argument("--graph-file", help="check an imported JSON graph instead")
     p.add_argument("--axioms", default="all", help="comma-separated axiom ids, or 'all'")
     p.add_argument("--out")
@@ -249,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Schur-Q-positive expansion via highest weights")
     _add_shape_flags(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_expand)

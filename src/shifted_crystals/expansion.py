@@ -41,9 +41,6 @@ class Polynomial:
             terms[e] = terms.get(e, 0) + c
         return Polynomial(terms, max(self.nvars, other.nvars))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         terms: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.terms.items():
@@ -57,9 +54,6 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms

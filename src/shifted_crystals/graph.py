@@ -4,10 +4,12 @@ Vertices are reading words (ids dense in enumeration order); each vertex
 carries its weight vector.  Only F-edges are stored: E operators follow
 the reversed edges, and build_graph checks that applying E directly
 agrees with the stored reversals, raising InternalInconsistency when it
-does not.  {i,i'}-components are classified into the two legal string
-shapes once per index: the first use of index i walks each component once,
-classifies it, and reads all six length statistics of every member off
-its shape, into one table that is published whole.
+does not.  Per label (i, primed) the graph keeps one map from a vertex to
+its f target and one to its e source.  {i,i'}-components are classified
+into the two legal string shapes once per index: the first use of index i
+walks each component once, classifies it, and reads all six length
+statistics of every member off its shape, into one table that is
+published whole together with the vertex->statistics map and its dual.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (
     BrokenSemistandard,
@@ -30,8 +31,8 @@ from .ops import OpKind, apply
 from .tableaux import SkewShape, enumerate_tableaux
 from .words import Word, parse_codes
 
-MULTI = object()  # sentinel: several edges with one label at a vertex
 StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see strings()
+StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class StringStats:
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.eps, self.phi, self.eps_prime, self.phi_prime, self.eps_hat, self.phi_hat)
 
-    @cached_property
+    @property
     def dual(self) -> StringStats:
         """The same string read with every arrow reversed: eps and phi swap,
         and so do their primed and hat parts."""
@@ -109,7 +110,14 @@ class StringShape:
 
 
 class CrystalGraph:
-    """Immutable but for the memoised per-index string tables; adjacency is precomputed."""
+    """Immutable but for the memoised per-index string tables; adjacency is precomputed.
+
+    ``f_map[i, primed]`` and ``e_map[i, primed]`` send a vertex to its only
+    f target and e source along that label.  A vertex with several edges
+    of one label on one side is left out of that map; its site is recorded
+    once, in ``label_degree_violations()``, and ``out_edges``, ``in_edges``
+    and ``edges`` still hold every edge.
+    """
 
     def __init__(
         self,
@@ -125,20 +133,31 @@ class CrystalGraph:
         self.by_id = {v.id: v for v in self.vertices}
         if len(self.by_id) != len(self.vertices):
             raise MalformedGraph("duplicate vertex ids")
-        self._out: dict[tuple[int, int, bool], int] = {}
-        self._in: dict[tuple[int, int, bool], int] = {}
-        self.out_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
-        self.in_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
+        out_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
+        in_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
+        labels = {(i, p) for i in range(1, n) for p in (False, True)} | {(e.index, e.primed) for e in self.edges}
+        f_map: dict[tuple[int, bool], dict[int, int]] = {label: {} for label in labels}
+        e_map: dict[tuple[int, bool], dict[int, int]] = {label: {} for label in labels}
+        by_id, crowded = self.by_id, set()
         for e in self.edges:
-            if e.src not in self.by_id or e.dst not in self.by_id:
+            src, dst, label = e.src, e.dst, (e.index, e.primed)
+            if src not in by_id or dst not in by_id:
                 raise MalformedGraph(f"edge {e} references a missing vertex")
-            key = (e.src, e.index, e.primed)
-            self._out[key] = MULTI if key in self._out else e.dst
-            key = (e.dst, e.index, e.primed)
-            self._in[key] = MULTI if key in self._in else e.src
-            self.out_edges[e.src].append(e)
-            self.in_edges[e.dst].append(e)
-        self._tables: dict[int, dict[int, StringEntry]] = {}
+            down, up = f_map[label], e_map[label]
+            if src in down:
+                crowded.add((src, *label, "out"))
+            if dst in up:
+                crowded.add((dst, *label, "in"))
+            down[src] = dst
+            up[dst] = src
+            out_edges[src].append(e)
+            in_edges[dst].append(e)
+        for v, i, p, side in crowded:
+            del (f_map if side == "out" else e_map)[i, p][v]
+        self.out_edges, self.in_edges, self.f_map, self.e_map = out_edges, in_edges, f_map, e_map
+        self._crowded = sorted(crowded)
+        self._crowded_at = {(v, i) for v, i, _, _ in crowded}
+        self._tables: dict[int, StringTable] = {}
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -147,17 +166,13 @@ class CrystalGraph:
         return self.by_id[vid].weight
 
     def f(self, vid: int, i: int, primed: bool = False) -> int | None:
-        dst = self._out.get((vid, i, primed))
-        return None if dst is MULTI else dst
+        return self.f_map.get((i, primed), {}).get(vid)
 
     def e(self, vid: int, i: int, primed: bool = False) -> int | None:
-        src = self._in.get((vid, i, primed))
-        return None if src is MULTI else src
+        return self.e_map.get((i, primed), {}).get(vid)
 
     def label_degree_violations(self) -> list[tuple[int, int, bool, str]]:
-        out = [(v, i, p, "out") for (v, i, p), d in self._out.items() if d is MULTI]
-        out += [(v, i, p, "in") for (v, i, p), d in self._in.items() if d is MULTI]
-        return sorted(out)
+        return list(self._crowded)
 
     def reach(self, vid: int, i: int | None = None) -> frozenset[int]:
         """Vertices weakly connected to vid, along every edge or, given i,
@@ -176,27 +191,34 @@ class CrystalGraph:
                     stack.append(e.src)
         return frozenset(seen)
 
-    def strings(self, i: int) -> dict[int, StringEntry]:
-        """Every vertex mapped to its {i,i'}-component, the component's
-        shape and the vertex's statistics, the last two None when the
-        component matches neither legal shape.  Built on the first use of
-        i, one walk per component in vertex order, and published whole;
-        raises InvalidIndex unless 1 <= i <= n-1."""
+    def table(self, i: int) -> StringTable:
+        """The strings() table of index i, with the statistics of every
+        vertex on a legal {i,i'}-string and their duals (StringStats.dual).
+        Built on the first use of i, one walk per component in vertex
+        order, and published whole; raises InvalidIndex unless 1 <= i <= n-1."""
         table = self._tables.get(i)
         if table is None:
             if not 1 <= i <= self.n - 1:
                 raise InvalidIndex(f"index {i} outside 1..{self.n - 1}")
-            table = {}
+            entries, stats = {}, {}
             for vert in self.vertices:
-                if vert.id in table:
+                if vert.id in entries:
                     continue
                 comp = self.reach(vert.id, i)
                 shape = _classify(self, comp, i)
                 found = dict.fromkeys(comp) if shape is None else dict(shape.member_stats())
                 for v in comp:
-                    table[v] = (comp, shape, found[v])
-            self._tables[i] = table
+                    entries[v] = (comp, shape, found[v])
+                if shape is not None:
+                    stats.update(found)
+            table = self._tables[i] = (entries, stats, {v: s.dual for v, s in stats.items()})
         return table
+
+    def strings(self, i: int) -> dict[int, StringEntry]:
+        """Every vertex mapped to its {i,i'}-component, the component's
+        shape and the vertex's statistics, the last two None when the
+        component matches neither legal shape."""
+        return self.table(i)[0]
 
     def string_of(self, vid: int, i: int) -> StringShape | None:
         """Classified {i,i'}-string through vid, or None when it matches
@@ -209,24 +231,13 @@ class CrystalGraph:
         return self.strings(i)[vid][2]
 
 
-def _classify(g: CrystalGraph, component: frozenset[int], i: int) -> StringShape | None:
-    comp = sorted(component)
-    solid_out, primed_out, solid_in, primed_in = {}, {}, {}, {}
-    for v in comp:
-        for mapping, primed in ((solid_out, False), (primed_out, True)):
-            t = g._out.get((v, i, primed))
-            if t is MULTI:
-                return None
-            if t is not None:
-                mapping[v] = t
-        for mapping, primed in ((solid_in, False), (primed_in, True)):
-            t = g._in.get((v, i, primed))
-            if t is MULTI:
-                return None
-            if t is not None:
-                mapping[v] = t
+def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | None:
+    if any((v, i) in g._crowded_at for v in comp):
+        return None
+    solid_out, primed_out = g.f_map[i, False], g.f_map[i, True]
+    solid_in, primed_in = g.e_map[i, False], g.e_map[i, True]
 
-    def chain_from(start: int, allowed: set[int]) -> tuple[int, ...] | None:
+    def chain_from(start: int, allowed: frozenset[int] | set[int]) -> tuple[int, ...] | None:
         chain = [start]
         seen = {start}
         while True:
@@ -238,18 +249,18 @@ def _classify(g: CrystalGraph, component: frozenset[int], i: int) -> StringShape
             chain.append(nxt)
             seen.add(nxt)
 
-    if solid_out == primed_out:
+    if all(solid_out.get(v) == primed_out.get(v) for v in comp):
         tops = [v for v in comp if v not in solid_in]
         if len(tops) != 1:
             return None
-        chain = chain_from(tops[0], set(comp))
+        chain = chain_from(tops[0], comp)
         if chain is None or len(chain) != len(comp):
             return None
         return StringShape("collapsed", (chain,))
 
-    uppers = set(primed_out)
-    lowers = set(primed_out.values())
-    if uppers & lowers or uppers | lowers != set(comp):
+    uppers = {v for v in comp if v in primed_out}
+    lowers = {primed_out[v] for v in uppers}
+    if uppers & lowers or uppers | lowers != comp:
         return None
     upper_top = [v for v in uppers if v not in solid_in]
     lower_top = [v for v in lowers if v not in solid_in]
@@ -314,7 +325,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     for v in vertices:
         for label in labels:
             up = apply(raising[label], v.word, memo=memo)
-            src = g.e(v.id, *label)
+            src = g.e_map[label].get(v.id)
             got = None if src is None else g.by_id[src].word.codes
             want = None if up is None else up.codes
             if got != want:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from shifted_crystals import (
     reading_word,
     rows_from_strings,
 )
+from shifted_crystals import axioms as axioms_module
 from shifted_crystals.graph import GraphEdge, GraphVertex
 
 
@@ -382,3 +384,33 @@ class TestSeveralEdgesOfOneLabel:
         ]
         assert all(g.stats(v, 1) is None and g.string_of(v, 1) is None for v in range(5))
 
+
+
+class TestReadsBindMaps:
+    def test_no_graph_accessor_runs_per_read(self, graph_cache, monkeypatch):
+        g = graph_cache((4, 3, 2, 1), (), 5)
+        k = len(g.edges) // 2
+        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :], g.shape)
+        calls = []
+        running = [None]
+        check = axioms_module.check
+
+        def checking(graph, axiom):
+            running[0] = axiom
+            return check(graph, axiom)
+
+        def counting(name):
+            original = getattr(CrystalGraph, name)
+
+            def counted(self, *args, **kwargs):
+                calls.append((name, running[0], args if name == "strings" else ()))
+                return original(self, *args, **kwargs)
+
+            return counted
+
+        for name in ("stats", "string_of", "f", "e", "strings"):
+            monkeypatch.setattr(CrystalGraph, name, counting(name))
+        monkeypatch.setattr(axioms_module, "check", checking)
+        assert not check_all(mutant).passed
+        assert [c for c in calls if c[0] != "strings"] == []
+        assert max(Counter(calls).values(), default=0) <= 1

@@ -83,6 +83,20 @@ class TestSmallVerbs:
         status, _, err = invoke("enumerate", "--outer", "3,3", "--n", "2")
         assert status == 1 and "strict" in err
 
+    @pytest.mark.parametrize("verb", ["graph", "check", "expand"])
+    def test_negative_n_exit_two(self, invoke, verb):
+        status, out, err = invoke(verb, "--outer", "3,1", "--n", "-1")
+        assert (status, out) == (2, "") and "--n" in err
+
+    @pytest.mark.parametrize("flags", [("--outer", "3,a"), ("--outer", "3,1", "--inner", "x")])
+    def test_non_integer_parts_exit_two(self, invoke, flags):
+        status, out, err = invoke("graph", *flags, "--n", "2")
+        assert (status, out) == (2, "") and flags[-2] in err
+
+    def test_zero_n_accepted(self, invoke):
+        status, out, _ = invoke("enumerate", "--outer", "1", "--n", "0")
+        assert (status, out) == (0, "")
+
 
 class TestGraphVerb:
     def test_text_summary(self, invoke):
