@@ -107,12 +107,12 @@ def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
 
 
 class _View:
-    """For 1 <= j <= n-1: f[j] and fp[j] map a vertex to its f_j and f_j'
-    target, stats[j] maps a vertex on a legal {j,j'}-string to its
-    statistics, and strings[j] is the string table of index j.  Reversed,
-    f[j] and fp[j] are the e maps at n-j and stats[j] the duals at n-j, so
-    a dual axiom at i is its axiom at n-1-i on this view (strings[j], read
-    on the forward view only, is the table at n-j)."""
+    """The graph's maps bound once per index 1 <= j <= n-1: f[j] and fp[j]
+    send a vertex to its f_j and f_j' target, stats[j] a vertex on a legal
+    {j,j'}-string to its statistics, and strings[j] is the string table of
+    j.  The reversed view binds at j the e maps, the dual statistics and the
+    string table of index n-j, so a dual axiom at i is its axiom at n-1-i
+    on it."""
 
     def __init__(self, g: CrystalGraph, reverse: bool = False):
         self.g, self.n = g, g.n
