@@ -135,14 +135,15 @@ class CrystalGraph:
             raise MalformedGraph("duplicate vertex ids")
         out_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
         in_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
-        labels = {(i, p) for i in range(1, n) for p in (False, True)} | {(e.index, e.primed) for e in self.edges}
-        f_map: dict[tuple[int, bool], dict[int, int]] = {label: {} for label in labels}
-        e_map: dict[tuple[int, bool], dict[int, int]] = {label: {} for label in labels}
+        f_map: dict[tuple[int, bool], dict[int, int]] = {(i, p): {} for i in range(1, n) for p in (False, True)}
+        e_map: dict[tuple[int, bool], dict[int, int]] = {(i, p): {} for i in range(1, n) for p in (False, True)}
         by_id, crowded = self.by_id, set()
         for e in self.edges:
             src, dst, label = e.src, e.dst, (e.index, e.primed)
             if src not in by_id or dst not in by_id:
                 raise MalformedGraph(f"edge {e} references a missing vertex")
+            if label not in f_map:
+                raise MalformedGraph(f"edge index {e.index} outside 1..{n - 1}")
             down, up = f_map[label], e_map[label]
             if src in down:
                 crowded.add((src, *label, "out"))
@@ -485,9 +486,6 @@ def import_json(text: str) -> CrystalGraph:
     for wt in weights:
         if len(wt) != n:
             raise MalformedGraph("weight vectors must all have length n")
-    for e in edges:
-        if not 1 <= e.index <= max(n - 1, 0):
-            raise MalformedGraph(f"edge index {e.index} outside 1..{n - 1}")
     return CrystalGraph(n, tuple(vertices), edges)
 
 

@@ -435,3 +435,10 @@ class TestSerialization:
             import_json('{"vertices": []}')
         with pytest.raises(MalformedGraph):
             import_json('{"vertices": [{"id": 0, "weight": [1, 0]}], "edges": [{"src": 0, "dst": 0, "index": 5, "primed": false}]}')
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_edge_index_out_of_range_rejected(self, index):
+        from shifted_crystals import MalformedGraph
+
+        with pytest.raises(MalformedGraph, match=r"edge index -?\d+ outside 1\.\.1"):
+            abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, index, False)])
