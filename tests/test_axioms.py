@@ -385,7 +385,6 @@ class TestSeveralEdgesOfOneLabel:
         assert all(g.stats(v, 1) is None and g.string_of(v, 1) is None for v in range(5))
 
 
-
 class TestReadsBindMaps:
     def test_no_graph_accessor_runs_per_read(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)

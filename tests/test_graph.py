@@ -440,5 +440,5 @@ class TestSerialization:
     def test_edge_index_out_of_range_rejected(self, index):
         from shifted_crystals import MalformedGraph
 
-        with pytest.raises(MalformedGraph, match=r"edge index -?\d+ outside 1\.\.1"):
+        with pytest.raises(MalformedGraph, match=f"edge index {index} outside"):
             abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, index, False)])
