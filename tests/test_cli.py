@@ -277,3 +277,44 @@ class TestDeterminism:
         first = invoke("graph", "--outer", "3,1", "--n", "3", "--format", "json")
         second = invoke("graph", "--outer", "3,1", "--n", "3", "--format", "json")
         assert first == second
+
+    def test_call_order_does_not_matter(self, invoke, tmp_path):
+        """Every verb and --format value, run in two orders in one process:
+        no parsed value may leak from one call into the next."""
+        tableau = tmp_path / "t.txt"
+        tableau.write_text("1 1\n2\n")
+        graph = tmp_path / "g.json"
+        invoke("graph", "--outer", "3,1", "--n", "3", "--format", "json", "--out", str(graph))
+        shape = ("--outer", "3,1", "--inner", "1", "--n", "3")
+        table = [
+            ("enumerate", *shape),
+            ("enumerate", *shape, "--format", "json"),
+            ("apply", "--op", "F'", "--index", "1", "--word", "211", "--n", "2"),
+            ("apply", "--op", "E", "--index", "2", "--word", "321", "--n", "3"),
+            ("apply", "--op", "F'", "--index", "1", "--tableau-file", str(tableau), "--n", "2"),
+            ("walk", "--index", "1", "--word", "211'12'22'1'1'", "--n", "2"),
+            ("walk", "--index", "2", "--word", "3231", "--n", "3"),
+            ("std", "--word", "3111'21'12'", "--n", "3"),
+            ("eta", "--word", "33'122'132", "--n", "3"),
+            ("graph", *shape),
+            ("graph", *shape, "--format", "json"),
+            ("graph", *shape, "--format", "dot"),
+            ("check", *shape, "--axioms", "B1"),
+            ("check", *shape),
+            ("check", "--graph-file", str(graph), "--axioms", "A1,K"),
+            ("check", "--graph-file", str(graph)),
+            ("check", "--outer", "2,1", "--n", "2", "--axioms", "B9"),
+            ("expand", *shape),
+            ("expand", *shape, "--format", "json"),
+        ]
+
+        def outcomes(order):
+            seen = {}
+            for k in order:
+                status, out, _ = invoke(*table[k])
+                seen[k] = (status, [line for line in out.splitlines() if not line.startswith("runtime: ")])
+            return seen
+
+        forward = outcomes(range(len(table)))
+        assert outcomes(reversed(range(len(table)))) == forward
+        assert all(out for status, out in forward.values() if status != 2)

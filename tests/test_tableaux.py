@@ -66,6 +66,16 @@ class TestEnumerate:
         assert len(tableaux) == 1
         assert str(reading_word(tableaux[0])) == ""
 
+    def test_sorted_by_reading_word(self):
+        cases = [(make_skew_shape(lam), n) for size in range(7) for lam in strict_partitions(size) for n in range(1, 5)]
+        cases += [
+            (make_skew_shape((5, 3, 1), (2,)), 3),
+            (make_skew_shape((13, 11, 9, 7, 5, 3, 1), (12, 10, 8, 6, 4, 2)), 2),
+        ]
+        for shape, n in cases:
+            words = [t.reading_codes() for t in enumerate_tableaux(shape, n)]
+            assert all(a < b for a, b in zip(words, words[1:])), (shape, n)
+
     def test_reading_word_injective_per_shape(self):
         for lam in strict_partitions(5):
             tableaux = enumerate_tableaux(make_skew_shape(lam), 3)
