@@ -1,8 +1,10 @@
 """Command-line front end: enumerate, apply, walk, std, eta, graph, check, expand.
 
-Output is deterministic for fixed inputs.  Exit status: 0 success (for
-``check``: certified), 1 violations or a library error, 2 usage or
-malformed input.
+Output is deterministic for fixed inputs, except the ``runtime:`` line of
+``check``.  Exit status: 0 success (for ``check``: certified), 1 violations
+or a library error, 2 usage or malformed input, reported as one
+``error: ...`` line on stderr.  One parser, built at import, owns every
+argument rule but check's ``--n`` with ``--outer``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import MalformedGraph
 from .expansion import verify_expansion
 from .graph import build_graph, components, export_dot, export_json, import_json
 from .ops import FAMILIES, OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
-from .tableaux import SkewShape, enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
+from .tableaux import enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
 from .words import Letter, Word, eta, standardize
 
 
@@ -28,19 +30,43 @@ def _parts(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _count(text: str) -> int:
-    """argparse type of --n: an integer >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def _at_least(low: int):
+    """argparse type of an integer >= ``low``: 0 for --n, 1 for --index."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _shape_from(args) -> SkewShape:
-    return make_skew_shape(args.outer, args.inner)
+def _axiom_ids(text: str) -> tuple[str, ...]:
+    """argparse type of --axioms: 'all', or comma-separated known axiom ids."""
+    if text == "all":
+        return ALL_AXIOMS
+    selected = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    unknown = [a for a in selected if a not in ALL_AXIOMS]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown axioms {unknown}")
+    if not selected:
+        raise argparse.ArgumentTypeError(f"no axiom selected in {text!r}")
+    return selected
+
+
+class _UsageError(Exception):
+    """A command line the parser rejects, or check's --n rule."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Raise instead of printing the usage and exiting: run() reports
+        every usage error as one line with exit status 2."""
+        raise _UsageError(message)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -52,7 +78,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    tableaux = enumerate_tableaux(_shape_from(args), args.n)
+    tableaux = enumerate_tableaux(make_skew_shape(args.outer, args.inner), args.n)
     if args.format == "json":
         data = [
             {
@@ -79,21 +105,14 @@ def _undefined_message(word: Word, kind: OpKind) -> str:
 
 def _cmd_apply(args) -> int:
     kind = OpKind(args.op, args.index)
-    if args.tableau_file:
+    if args.tableau_file is not None:
         with open(args.tableau_file, encoding="utf-8") as handle:
             tableau = parse_tableau(handle.read(), args.n)
-        result = apply_to_tableau(kind, tableau)
-        if result is None:
-            _emit(_undefined_message(reading_word(tableau), kind) + "\n", args.out)
-        else:
-            _emit(str(result) + "\n", args.out)
-        return 0
-    word = Word.parse(args.word, args.n)
-    result = apply(kind, word)
-    if result is None:
-        _emit(_undefined_message(word, kind) + "\n", args.out)
+        word, result = reading_word(tableau), apply_to_tableau(kind, tableau)
     else:
-        _emit(str(result) + "\n", args.out)
+        word = Word.parse(args.word, args.n)
+        result = apply(kind, word)
+    _emit((_undefined_message(word, kind) if result is None else str(result)) + "\n", args.out)
     return 0
 
 
@@ -122,7 +141,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    g = build_graph(_shape_from(args), args.n)
+    g = build_graph(make_skew_shape(args.outer, args.inner), args.n)
     if args.format == "json":
         _emit(export_json(g), args.out)
     elif args.format == "dot":
@@ -141,29 +160,22 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.graph_file:
+    if args.graph_file is not None:
+        if args.n is not None or args.inner is not None:
+            raise _UsageError("argument --graph-file: not allowed with --n or --inner")
         try:
             with open(args.graph_file, encoding="utf-8") as handle:
                 g = import_json(handle.read())
         except (OSError, UnicodeDecodeError, MalformedGraph) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    elif args.n is None:
+        raise _UsageError("check needs --n with --outer")
     else:
-        if args.outer is None:
-            print("error: check needs --outer or --graph-file", file=sys.stderr)
-            return 2
-        g = build_graph(_shape_from(args), args.n)
-    if args.axioms == "all":
-        selected = ALL_AXIOMS
-    else:
-        selected = tuple(tok.strip() for tok in args.axioms.split(",") if tok.strip())
-        unknown = [a for a in selected if a not in ALL_AXIOMS]
-        if unknown:
-            print(f"error: unknown axioms {unknown}", file=sys.stderr)
-            return 2
-    report = check_all(g, selected)
+        g = build_graph(make_skew_shape(args.outer, args.inner or ()), args.n)
+    report = check_all(g, args.axioms)
     text = report.render() + "\n"
-    for axiom in selected:
+    for axiom in args.axioms:
         for violation in report.violations[axiom]:
             text += f"{violation}\n{violation.context}\n"
     _emit(text, args.out)
@@ -171,7 +183,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    report = verify_expansion(_shape_from(args), args.n)
+    report = verify_expansion(make_skew_shape(args.outer, args.inner), args.n)
     if args.format == "json":
         data = {
             "shape": str(report.shape),
@@ -195,93 +207,79 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _add_shape_flags(parser, required: bool = True) -> None:
-    parser.add_argument("--outer", type=_parts, required=required, default=None, help="outer parts, e.g. 3,1")
-    parser.add_argument("--inner", type=_parts, default=(), help="inner parts, e.g. 2")
+def _common(n_required: bool = True) -> argparse.ArgumentParser:
+    """Parent parser of the flags every verb takes; check's --n is optional."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--n", type=_at_least(0), required=n_required, help="alphabet bound")
+    parent.add_argument("--out", help="write the output to this file instead of stdout")
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shifted-crystals",
         description="Crystal operators on shifted tableaux, axiom checking, expansions",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    common = _common()
+    shape = argparse.ArgumentParser(add_help=False, parents=[common])
+    shape.add_argument("--outer", type=_parts, required=True, help="outer parts, e.g. 3,1")
+    shape.add_argument("--inner", type=_parts, default=(), help="inner parts, e.g. 2")
 
-    p = sub.add_parser("enumerate", help="list ShST(shape, n)")
-    _add_shape_flags(p)
-    p.add_argument("--n", type=_count, required=True)
+    p = sub.add_parser("enumerate", help="list ShST(shape, n)", parents=[shape])
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("apply", help="apply F/E/F'/E' to a word or tableau")
+    p = sub.add_parser("apply", help="apply F/E/F'/E' to a word or tableau", parents=[common])
     p.add_argument("--op", choices=FAMILIES, required=True)
-    p.add_argument("--index", type=int, required=True)
-    p.add_argument("--word")
-    p.add_argument("--tableau-file")
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--out")
+    p.add_argument("--index", type=_at_least(1), required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--word")
+    source.add_argument("--tableau-file")
     p.set_defaults(fn=_cmd_apply)
 
-    p = sub.add_parser("walk", help="print the i-th lattice walk of a word")
-    p.add_argument("--index", type=int, required=True)
+    p = sub.add_parser("walk", help="print the i-th lattice walk of a word", parents=[common])
+    p.add_argument("--index", type=_at_least(1), required=True)
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_walk)
 
-    p = sub.add_parser("std", help="standardization ranks of a word")
+    p = sub.add_parser("std", help="standardization ranks of a word", parents=[common])
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_std)
 
-    p = sub.add_parser("eta", help="the weight-reversing involution of a word")
+    p = sub.add_parser("eta", help="the weight-reversing involution of a word", parents=[common])
     p.add_argument("--word", required=True)
-    p.add_argument("--n", type=_count, required=True)
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_eta)
 
-    p = sub.add_parser("graph", help="build and export a crystal graph")
-    _add_shape_flags(p)
-    p.add_argument("--n", type=_count, required=True)
+    p = sub.add_parser("graph", help="build and export a crystal graph", parents=[shape])
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_graph)
 
-    p = sub.add_parser("check", help="verify the local axioms on a crystal graph")
-    _add_shape_flags(p, required=False)
-    p.add_argument("--n", type=_count, default=None)
-    p.add_argument("--graph-file", help="check an imported JSON graph instead")
-    p.add_argument("--axioms", default="all", help="comma-separated axiom ids, or 'all'")
-    p.add_argument("--out")
+    p = sub.add_parser(
+        "check", help="verify the local axioms on a crystal graph", parents=[_common(n_required=False)]
+    )
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--outer", type=_parts, help="outer parts, e.g. 3,1")
+    source.add_argument("--graph-file", help="check an imported JSON graph instead")
+    p.add_argument("--inner", type=_parts, help="inner parts, e.g. 2")
+    p.add_argument("--axioms", type=_axiom_ids, default=ALL_AXIOMS, help="comma-separated axiom ids, or 'all'")
     p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("expand", help="Schur-Q-positive expansion via highest weights")
-    _add_shape_flags(p)
-    p.add_argument("--n", type=_count, required=True)
+    p = sub.add_parser("expand", help="Schur-Q-positive expansion via highest weights", parents=[shape])
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--out")
     p.set_defaults(fn=_cmd_expand)
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    if args.verb == "apply" and not args.tableau_file and args.word is None:
-        print("error: apply needs --word or --tableau-file", file=sys.stderr)
-        return 2
-    if args.verb == "check" and not args.graph_file and args.n is None:
-        print("error: check needs --n with --outer", file=sys.stderr)
-        return 2
-    try:
+        args = PARSER.parse_args(argv)
         return args.fn(args)
-    except MalformedGraph as exc:
+    except (_UsageError, MalformedGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

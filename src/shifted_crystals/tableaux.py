@@ -256,13 +256,13 @@ def _enumerate_rows(
 
 
 def enumerate_tableaux(shape: SkewShape, n: int) -> list[ShiftedTableau]:
-    """All canonical-form semistandard fillings, sorted by reading word."""
-    tableaux = [
+    """All canonical-form semistandard fillings, sorted by reading word:
+    ``_enumerate_rows`` fills the cells in reading order and tries codes in
+    ascending order, so its depth-first output is already in that order."""
+    return [
         ShiftedTableau(shape, rows, n)
         for rows in _enumerate_rows(shape, n, canonical=True, diagonal_unprimed=False)
     ]
-    tableaux.sort(key=lambda t: t.reading_codes())
-    return tableaux
 
 
 def decorated_filling_weights(

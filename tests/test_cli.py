@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shifted_crystals import MalformedGraph, import_json
+from shifted_crystals import MalformedGraph, cli, import_json
 from shifted_crystals.cli import run
 
 
@@ -96,6 +96,55 @@ class TestSmallVerbs:
     def test_zero_n_accepted(self, invoke):
         status, out, _ = invoke("enumerate", "--outer", "1", "--n", "0")
         assert (status, out) == (0, "")
+
+
+_APPLY = ("apply", "--op", "F", "--index", "1", "--n", "2")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("graph", "--outer", "3,1", "--n", "-1"),
+            ("graph", "--outer", "3,a", "--n", "2"),
+            ("apply", "--op", "F", "--index", "0", "--word", "12", "--n", "2"),
+            ("walk", "--index", "0", "--word", "12", "--n", "2"),
+            _APPLY,
+            (*_APPLY, "--word", "12", "--tableau-file", "{tableau}"),
+            ("check", "--outer", "3,1", "--n", "3", "--graph-file", "{graph}"),
+            ("check", "--outer", "3,1"),
+            ("check", "--graph-file", "{graph}", "--n", "3"),
+            ("check", "--graph-file", "{graph}", "--inner", "1"),
+            ("check", "--outer", "3,1", "--n", "3", "--axioms", "B9"),
+            ("check", "--outer", "3,1", "--n", "3", "--axioms", ""),
+            ("check", "--outer", "3,1", "--n", "3", "--axioms", ","),
+            ("frobnicate", "--n", "2"),
+            ("std", "--word", "12", "--n", "2", "--bogus"),
+        ],
+    )
+    def test_one_line_exit_two(self, invoke, tmp_path, argv):
+        """Conflicting inputs name real files, so that silently using one of
+        them would succeed."""
+        files = {"tableau": tmp_path / "t.txt", "graph": tmp_path / "g.json"}
+        files["tableau"].write_text("1 1\n2\n")
+        invoke("graph", "--outer", "2,1", "--n", "2", "--format", "json", "--out", str(files["graph"]))
+        status, out, err = invoke(*(arg.format(**files) for arg in argv))
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(list(argv))
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, invoke, monkeypatch):
+        def rebuilt():
+            raise AssertionError("build_parser ran after import")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        assert invoke("std", "--word", "21", "--n", "2") == (0, "2 1\n", "")
 
 
 class TestGraphVerb:
