@@ -4,7 +4,8 @@ Output is deterministic for fixed inputs, except the ``runtime:`` line of
 ``check``.  Exit status: 0 success (for ``check``: certified), 1 violations
 or a library error, 2 usage or malformed input, reported as one
 ``error: ...`` line on stderr.  One parser, built at import, owns every
-argument rule but check's ``--n`` with ``--outer``.
+argument rule except check's: ``--n`` is required with ``--outer`` and,
+like ``--inner``, rejected with ``--graph-file``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _axiom_ids(text: str) -> tuple[str, ...]:
 
 
 class _UsageError(Exception):
-    """A command line the parser rejects, or check's --n rule."""
+    """A command line the parser rejects, or one that breaks check's rules."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,7 +167,7 @@ def _cmd_check(args) -> int:
         try:
             with open(args.graph_file, encoding="utf-8") as handle:
                 g = import_json(handle.read())
-        except (OSError, UnicodeDecodeError, MalformedGraph) as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     elif args.n is None:
