@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .axioms import ALL_AXIOMS, check_all
@@ -23,10 +24,18 @@ from .tableaux import enumerate_tableaux, make_skew_shape, parse_tableau, readin
 from .words import Letter, Word, eta, standardize
 
 
+def _integer(text: str) -> int:
+    """int() of an optional sign and ASCII digits only: int() alone also
+    takes digit-group underscores and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parts(text: str) -> tuple[int, ...]:
     """argparse type of --outer and --inner: comma-separated integers, or none."""
     try:
-        return tuple(int(tok) for tok in text.split(",")) if text.strip() else ()
+        return tuple(_integer(tok) for tok in text.split(",")) if text.strip() else ()
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -36,7 +45,7 @@ def _at_least(low: int):
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _integer(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < low:
@@ -168,8 +177,7 @@ def _cmd_check(args) -> int:
             with open(args.graph_file, encoding="utf-8") as handle:
                 g = import_json(handle.read())
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc, 2)
     elif args.n is None:
         raise _UsageError("check needs --n with --outer")
     else:
@@ -276,16 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def _error(exc: Exception, status: int) -> int:
+    """Report exc as one ``error:`` line, with every non-printable character
+    escaped (a newline as ``\\n``), and return the exit status."""
+    text = "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii") for c in str(exc))
+    print(f"error: {text}", file=sys.stderr)
+    return status
+
+
 def run(argv=None) -> int:
     try:
         args = PARSER.parse_args(argv)
         return args.fn(args)
     except (_UsageError, MalformedGraph) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
 
 
 def main() -> None:

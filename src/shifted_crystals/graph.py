@@ -27,9 +27,9 @@ from .errors import (
     NotStrictWeight,
     NotUnique,
 )
-from .ops import OpKind, apply
+from .ops import FAMILIES, OpKind, apply, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
-from .words import Word, parse_codes
+from .words import Word, codes_to_str, parse_codes
 
 StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see strings()
 StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
@@ -296,43 +296,48 @@ def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
 def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     """Crystal over enumerate_tableaux(shape, n) with all F_i / F_i' edges.
 
-    Raises InternalInconsistency unless E_i / E_i' applied directly agree
-    with the reversed edges.  When n > 2, every apply of the build shares
-    one local memo keyed on the relabeled {i,i+1}-subword and the operator
-    family, so each distinct key runs the operator kernel once per build.
+    Raises BrokenSemistandard when an F result is not a vertex, and
+    InternalInconsistency unless E_i / E_i' applied directly agree with the
+    reversed edges.  For n > 2 the build scans each site (vertex, i) once
+    for its relabeled {i,i+1}-subword.  A memo local to the build maps that
+    subword to the result subwords of all four families, filled on a miss
+    by one ``apply`` per family, which validates the results.  Each stored
+    result is written back into the vertex's codes and looked up among the
+    vertices: a match equals a word that ``Word`` already validated, and it
+    also lies in ShST(shape, n).  For n = 2 the subword is the whole word,
+    so no key can repeat: every site calls ``apply`` once per family.
     """
     tableaux = enumerate_tableaux(shape, n)
     vertices = tuple(
         GraphVertex(k, Word(t.reading_codes(), n), t.weight()) for k, t in enumerate(tableaux)
     )
     ids = {v.word.codes: v.id for v in vertices}
-    labels = [(i, primed) for i in range(1, n) for primed in (False, True)]
-    lowering = {(i, p): OpKind("F'" if p else "F", i) for i, p in labels}
-    raising = {(i, p): OpKind("E'" if p else "E", i) for i, p in labels}
-    # With one index the subword is the whole word, so no key repeats.
-    memo = {} if n > 2 else None
+    kinds = {i: [OpKind(family, i) for family in FAMILIES] for i in range(1, n)}
+    memo: dict[tuple[int, ...], list[tuple[int, ...] | None]] = {}
     edges = []
+    ups = []  # (vertex, E kind, id of the result): None when undefined, -1 outside the vertex set
     for v in vertices:
-        for label in labels:
-            out = apply(lowering[label], v.word, memo=memo)
-            if out is None:
-                continue
-            if out.codes not in ids:
-                raise BrokenSemistandard(
-                    f"{lowering[label]}({v.word}) = {out} left ShST({shape}, {n})"
-                )
-            edges.append(GraphEdge(v.id, ids[out.codes], *label))
+        codes = v.word.codes
+        for i, site in kinds.items():
+            if n > 2:
+                sub, pos, _ = subword(codes, i)
+                if sub not in memo:
+                    outs = [apply(kind, v.word) for kind in site]
+                    memo[sub] = [None if out is None else subword(out.codes, i)[0] for out in outs]
+                results = [None if out is None else write_back(codes, pos, out, i) for out in memo[sub]]
+            else:
+                results = [None if out is None else out.codes for out in (apply(kind, v.word) for kind in site)]
+            for kind, out in zip(site, results):
+                if not kind.lowering:
+                    ups.append((v, kind, None if out is None else ids.get(out, -1)))
+                elif out is not None:
+                    if out not in ids:
+                        raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
+                    edges.append(GraphEdge(v.id, ids[out], i, kind.primed))
     g = CrystalGraph(n, vertices, tuple(edges), shape)
-    for v in vertices:
-        for label in labels:
-            up = apply(raising[label], v.word, memo=memo)
-            src = g.e_map[label].get(v.id)
-            got = None if src is None else g.by_id[src].word.codes
-            want = None if up is None else up.codes
-            if got != want:
-                raise InternalInconsistency(
-                    f"{raising[label]}({v.word}) inconsistent with stored edges"
-                )
+    for v, kind, want in ups:
+        if g.e_map[kind.index, kind.primed].get(v.id) != want:
+            raise InternalInconsistency(f"{kind}({v.word}) inconsistent with stored edges")
     return g
 
 

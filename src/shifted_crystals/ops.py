@@ -17,10 +17,11 @@ families, every qualifying representative must agree (InternalInconsistency
 otherwise), and the word is rewritten once.
 
 The subword-space result depends on the relabeled subword and the family
-alone, not on i or on the letters outside the subword, so a caller that
-applies many operators (build_graph for n > 2) passes ``apply`` a memo
-keyed on (relabeled subword, lowering, primed) and each key runs the kernel
-once.  There is no process-wide cache: without a memo every call computes.
+alone, not on i or on the letters outside the subword.  ``subword`` (the
+scan) and ``write_back`` are public so that a caller applying many
+operators can reuse one result: build_graph for n > 2 keeps its own memo
+from the relabeled subword to the results of all four families.  There is
+no process-wide cache: every ``apply`` call computes.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class CriticalMatch:
         return self.kind not in ("5F", "5E")
 
 
-def _subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
+def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
     """Relabeled {i,i+1}-subword, the full-word positions of its letters, and
     the subword indices of the first i-family and first (i+1)-family letter
     (those present, in that order)."""
@@ -156,7 +157,7 @@ def lattice_walk(w: RawWord, i: int) -> Walk:
     """Walk of the given representative (a canonical Word walks its canonical
     representative)."""
     _check_index(i, w.n)
-    sub, pos, _ = _subword(w.codes, i)
+    sub, pos, _ = subword(w.codes, i)
     points = _walk_points(sub)
     steps = tuple(
         _STEP_NAME[(b[0] - a[0], b[1] - a[1])] for a, b in zip(points, points[1:])
@@ -318,7 +319,8 @@ def _canonical_sub(sub: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
+def write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
+    """The codes with the relabeled subword ``sub`` put back at ``pos``."""
     shift = 2 * (i - 1)
     out = list(codes)
     for p, c in zip(pos, sub):
@@ -367,39 +369,31 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     highest start index, longest on a tie.  Type 5 matches are returned as
     values; ``None`` means no representative has any critical substring."""
     _check_index(i, w.n)
-    sub, pos, firsts = _subword(w.codes, i)
+    sub, pos, firsts = subword(w.codes, i)
     best = _final_matches(_variants(sub, firsts), lower)
     if not best:
         return None
     variant, points, j, length, kind = best[0]
     return CriticalMatch(
         kind=kind,
-        representative=RawWord(_write_back(w.codes, pos, variant, i), w.n),
+        representative=RawWord(write_back(w.codes, pos, variant, i), w.n),
         positions=tuple(pos[j : j + length]),
         location=points[j],
     )
 
 
-def apply(kind: OpKind, w: Word, memo: dict | None = None) -> Word | None:
+def apply(kind: OpKind, w: Word) -> Word | None:
     """Apply one operator to a canonical word; ``None`` when undefined.
 
     Length is always preserved; the weight moves by -alpha_i for the F side
-    and +alpha_i for the E side.  ``memo``, when given, maps (relabeled
-    subword, lowering, primed) to the subword-space result: a key found
-    there skips the kernel, a missing one is computed and stored.  The
-    result is written back into the word and validated on every call.
+    and +alpha_i for the E side.  Every call scans the word, runs the
+    kernel, and writes the result back into a validated ``Word``.
     """
     i = kind.index
     _check_index(i, w.n)
-    sub, pos, firsts = _subword(w.codes, i)
-    if memo is None:
-        out = _on_subword(sub, firsts, kind.lowering, kind.primed)
-    else:
-        key = (sub, kind.lowering, kind.primed)
-        if key not in memo:
-            memo[key] = _on_subword(sub, firsts, kind.lowering, kind.primed)
-        out = memo[key]
-    return None if out is None else Word(_write_back(w.codes, pos, out, i), w.n)
+    sub, pos, firsts = subword(w.codes, i)
+    out = _on_subword(sub, firsts, kind.lowering, kind.primed)
+    return None if out is None else Word(write_back(w.codes, pos, out, i), w.n)
 
 
 def apply_to_tableau(kind: OpKind, t: ShiftedTableau) -> ShiftedTableau | None:

@@ -120,17 +120,31 @@ class TestUsageErrors:
             ("check", "--outer", "3,1", "--n", "3", "--axioms", ","),
             ("frobnicate", "--n", "2"),
             ("std", "--word", "12", "--n", "2", "--bogus"),
+            *[
+                (*prefix, value)
+                for prefix in (
+                    ("std", "--word", "1", "--n"),
+                    ("walk", "--word", "12", "--n", "2", "--index"),
+                    ("enumerate", "--n", "2", "--outer"),
+                    ("graph", "--outer", "3,1", "--n", "2", "--inner"),
+                )
+                for value in ("1_0", "\u0661", "3,1_0")
+            ],
+            ("std", "--word", "1", "--n", "1", "a\nb"),
+            ("std", "--word", "1", "--n", "1", "a\rb\u2028c\x85d"),
+            ("check", "--graph-file", "missing\ngraph.json"),
         ],
     )
     def test_one_line_exit_two(self, invoke, tmp_path, argv):
         """Conflicting inputs name real files, so that silently using one of
-        them would succeed."""
+        them would succeed.  Integers take ASCII digits only, and control
+        characters in an argument are escaped in the message."""
         files = {"tableau": tmp_path / "t.txt", "graph": tmp_path / "g.json"}
         files["tableau"].write_text("1 1\n2\n")
         invoke("graph", "--outer", "2,1", "--n", "2", "--format", "json", "--out", str(files["graph"]))
         status, out, err = invoke(*(arg.format(**files) for arg in argv))
         assert (status, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
     def test_help_exits_zero(self, capsys, argv):
@@ -214,7 +228,7 @@ class TestCheckVerb:
         path.write_text(json.dumps(graph))
         status, out, err = invoke("check", "--graph-file", str(path))
         assert (status, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
         return err
 
     def test_vertex_that_is_not_an_object(self, invoke, tmp_path):
@@ -237,14 +251,14 @@ class TestCheckVerb:
         path.write_text("[" * 100000 + "]" * 100000)
         status, out, err = invoke("check", "--graph-file", str(path))
         assert (status, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
 
     def test_non_utf8_file_exit_two(self, invoke, tmp_path):
         path = tmp_path / "latin.json"
         path.write_bytes(b'\xff\xfe{"vertices": [], "edges": []}')
         status, out, err = invoke("check", "--graph-file", str(path))
         assert (status, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
 
 
 _JUNK = st.one_of(
@@ -304,7 +318,7 @@ class TestGraphFileFuzz:
         status, out, err = invoke("check", "--graph-file", str(path))
         if imported is None:
             assert (status, out) == (2, "")
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err.splitlines()) == 1
         else:
             assert status in (0, 1) and err == ""
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +13,7 @@ import pytest
 
 import shifted_crystals
 from shifted_crystals import (
+    BrokenSemistandard,
     CrystalGraph,
     InternalInconsistency,
     InvalidIndex,
@@ -30,6 +32,7 @@ from shifted_crystals import (
     make_skew_shape,
     string_stats,
     strict_partitions,
+    Word,
 )
 from shifted_crystals import graph as graph_module
 from shifted_crystals import ops
@@ -105,6 +108,21 @@ def _break_first_E(apply):
     return patched
 
 
+def _drop_last_tableau(enumerate_tableaux):
+    """An enumerate_tableaux that loses its last tableau, so that some F
+    edge of the build leaves the vertex set."""
+    return lambda shape, n: enumerate_tableaux(shape, n)[:-1]
+
+
+def _run_under_optimize(body: str) -> subprocess.CompletedProcess:
+    """Run a script under python -O, which strips assert statements, with
+    this directory and the package importable."""
+    script = f"import sys\nsys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n" + textwrap.dedent(body)
+    src = str(Path(shifted_crystals.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestInternalConsistency:
     def test_e_disagreement_raises(self, monkeypatch):
         monkeypatch.setattr(graph_module, "apply", _break_first_E(graph_module.apply))
@@ -113,10 +131,8 @@ class TestInternalConsistency:
 
     def test_e_disagreement_raises_under_optimize(self):
         # the check must survive python -O, which strips assert statements
-        script = textwrap.dedent(
-            f"""
-            import sys
-            sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        proc = _run_under_optimize(
+            """
             from test_graph import _break_first_E
             from shifted_crystals import InternalInconsistency, graph, make_skew_shape
             graph.apply = _break_first_E(graph.apply)
@@ -128,10 +144,53 @@ class TestInternalConsistency:
             sys.exit(3)
             """
         )
-        src = str(Path(shifted_crystals.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_edge_leaving_the_vertex_set_raises(self, monkeypatch, n):
+        # at n = 5 the offending F result comes from a memo hit: the kernel
+        # evaluated its key once, while applying the operator to another word
+        evaluated, current = [], []
+        apply, on_subword = graph_module.apply, ops._on_subword
+
+        def traced_apply(kind, word, **kwargs):
+            current[:] = [word]
+            return apply(kind, word, **kwargs)
+
+        def traced_on_subword(sub, firsts, lower, primed):
+            evaluated.append((current[0], (sub, lower, primed)))
+            return on_subword(sub, firsts, lower, primed)
+
+        monkeypatch.setattr(graph_module, "apply", traced_apply)
+        monkeypatch.setattr(ops, "_on_subword", traced_on_subword)
+        monkeypatch.setattr(graph_module, "enumerate_tableaux", _drop_last_tableau(graph_module.enumerate_tableaux))
+        with pytest.raises(BrokenSemistandard) as exc:
+            build_graph(make_skew_shape((2, 1)), n)
+        message = {2: "F'_1(211) = 212' left ShST(2,1, 2)", 5: "F_3(535') = 545' left ShST(2,1, 5)"}[n]
+        assert str(exc.value) == message
+        family, i, text = re.match(r"(F'?)_(\d+)\((\S+)\)", message).groups()
+        word = Word.parse(text, n)
+        key = (ops.subword(word.codes, int(i))[0], True, family == "F'")
+        sources = [w for w, k in evaluated if k == key]
+        if n == 2:
+            assert sources == [word]
+        else:
+            assert len(sources) == 1 and sources[0] != word
+
+    def test_edge_leaving_the_vertex_set_raises_under_optimize(self):
+        proc = _run_under_optimize(
+            """
+            from test_graph import _drop_last_tableau
+            from shifted_crystals import BrokenSemistandard, graph, make_skew_shape
+            graph.enumerate_tableaux = _drop_last_tableau(graph.enumerate_tableaux)
+            assert False, "asserts must be stripped"
+            for n in (2, 5):
+                try:
+                    graph.build_graph(make_skew_shape((2, 1)), n)
+                except BrokenSemistandard:
+                    continue
+                sys.exit(3)
+            """
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -151,7 +210,7 @@ class TestOperatorMemo:
 
         def counted_apply(kind, word, **kwargs):
             applies.append(kind)
-            seen_keys.add((ops._subword(word.codes, kind.index)[0], kind.lowering, kind.primed))
+            seen_keys.add((ops.subword(word.codes, kind.index)[0], kind.lowering, kind.primed))
             return apply(kind, word, **kwargs)
 
         def counted_on_subword(sub, firsts, lower, primed):
@@ -160,10 +219,22 @@ class TestOperatorMemo:
 
         monkeypatch.setattr(graph_module, "apply", counted_apply)
         monkeypatch.setattr(ops, "_on_subword", counted_on_subword)
-        g = build_graph(make_skew_shape((4, 3, 2, 1)), 5)
-        assert len(applies) == 16 * len(g) == 10752
+        build_graph(make_skew_shape((4, 3, 2, 1)), 5)
         assert sorted(kernel_keys) == sorted(seen_keys)
-        assert len(kernel_keys) == 808
+        assert len(applies) == len(seen_keys) == len(kernel_keys) == 808
+
+    def test_two_letter_alphabet_applies_every_family_at_every_vertex(self, monkeypatch):
+        applies = []
+        apply = graph_module.apply
+
+        def counted_apply(kind, word):
+            applies.append((kind, word))
+            return apply(kind, word)
+
+        monkeypatch.setattr(graph_module, "apply", counted_apply)
+        g = build_graph(make_skew_shape((5, 3, 1)), 2)
+        expected = {(ops.OpKind(family, 1), v.word) for v in g.vertices for family in ops.FAMILIES}
+        assert len(applies) == len(expected) == 4 * len(g) and set(applies) == expected
 
 
 class TestExportDigests:

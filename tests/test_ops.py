@@ -11,6 +11,7 @@ from shifted_crystals import (
     alternate_E2prime,
     apply,
     apply_to_tableau,
+    build_graph,
     enumerate_tableaux,
     eta,
     final_critical_substring,
@@ -23,6 +24,8 @@ from shifted_crystals import (
     strict_partitions,
     weight,
 )
+from shifted_crystals.ops import FAMILIES
+from test_acceptance import strict_subpartitions
 
 F1, F2 = OpKind("F", 1), OpKind("F", 2)
 E1, E2 = OpKind("E", 1), OpKind("E", 2)
@@ -173,19 +176,27 @@ class TestApply:
 
 
 class TestOperatorMemo:
-    def test_shared_memo_agrees_with_direct_apply(self):
-        # one memo across every index, alphabet bound and shape: the key
-        # holds only the relabeled subword and the family
-        memo = {}
-        calls = 0
-        for n in (1, 2, 3, 4):
-            for word in straight_words(6, n):
+    def test_build_agrees_with_direct_apply(self):
+        # every edge and every missing edge of a build, whose F and E
+        # results come from the site memo and the vertex lookup, against a
+        # direct apply: straight |lam| <= 6 at n <= 4 and the criterion-2
+        # skew shapes at n = 3
+        shapes = [(make_skew_shape(lam), n) for size in range(1, 7) for lam in strict_partitions(size) for n in (1, 2, 3, 4)]
+        shapes += [
+            (make_skew_shape(lam, mu), 3)
+            for size in range(1, 8)
+            for lam in strict_partitions(size)
+            for mu in strict_subpartitions(lam)
+            if sum(mu) < size
+        ]
+        for shape, n in shapes:
+            g = build_graph(shape, n)
+            for v in g.vertices:
                 for i in range(1, n):
-                    for family in ("F", "E", "F'", "E'"):
+                    for family in FAMILIES:
                         kind = OpKind(family, i)
-                        assert apply(kind, word, memo=memo) == apply(kind, word)
-                        calls += 1
-        assert len(memo) < calls
+                        target = (g.f_map if kind.lowering else g.e_map)[i, kind.primed].get(v.id)
+                        assert (None if target is None else g.by_id[target].word) == apply(kind, v.word)
 
 
 class TestApplyToTableau:
