@@ -25,8 +25,7 @@ from .words import Letter, Word, eta, standardize
 
 
 def _integer(text: str) -> int:
-    """int() of an optional sign and ASCII digits only: int() alone also
-    takes digit-group underscores and non-ASCII digits."""
+    """int() of an optional sign and ASCII digits; int() alone also takes 1_0 and non-ASCII digits."""
     if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
         raise ValueError(text)
     return int(text)

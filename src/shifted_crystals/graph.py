@@ -27,7 +27,7 @@ from .errors import (
     NotStrictWeight,
     NotUnique,
 )
-from .ops import FAMILIES, OpKind, apply, subword, write_back
+from .ops import OpKind, apply, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
 from .words import Word, codes_to_str, parse_codes
 
@@ -312,32 +312,34 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
         GraphVertex(k, Word(t.reading_codes(), n), t.weight()) for k, t in enumerate(tableaux)
     )
     ids = {v.word.codes: v.id for v in vertices}
-    kinds = {i: [OpKind(family, i) for family in FAMILIES] for i in range(1, n)}
+    sites = {i: (OpKind("F", i), OpKind("F'", i), OpKind("E", i), OpKind("E'", i)) for i in range(1, n)}
     memo: dict[tuple[int, ...], list[tuple[int, ...] | None]] = {}
     edges = []
-    ups = []  # (vertex, E kind, id of the result): None when undefined, -1 outside the vertex set
+    ups = []  # E results in loop order: a vertex id, None when undefined, -1 outside the vertex set
     for v in vertices:
         codes = v.word.codes
-        for i, site in kinds.items():
+        for i, kinds in sites.items():
             if n > 2:
                 sub, pos, _ = subword(codes, i)
                 if sub not in memo:
-                    outs = [apply(kind, v.word) for kind in site]
+                    outs = [apply(kind, v.word) for kind in kinds]
                     memo[sub] = [None if out is None else subword(out.codes, i)[0] for out in outs]
                 results = [None if out is None else write_back(codes, pos, out, i) for out in memo[sub]]
             else:
-                results = [None if out is None else out.codes for out in (apply(kind, v.word) for kind in site)]
-            for kind, out in zip(site, results):
-                if not kind.lowering:
-                    ups.append((v, kind, None if out is None else ids.get(out, -1)))
-                elif out is not None:
+                results = [None if out is None else out.codes for out in [apply(kind, v.word) for kind in kinds]]
+            for kind, out in zip(kinds, results[:2]):
+                if out is not None:
                     if out not in ids:
                         raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
                     edges.append(GraphEdge(v.id, ids[out], i, kind.primed))
+            ups += [None if out is None else ids.get(out, -1) for out in results[2:]]
     g = CrystalGraph(n, vertices, tuple(edges), shape)
-    for v, kind, want in ups:
-        if g.e_map[kind.index, kind.primed].get(v.id) != want:
-            raise InternalInconsistency(f"{kind}({v.word}) inconsistent with stored edges")
+    want = iter(ups)
+    for v in vertices:
+        for i, kinds in sites.items():
+            for kind in kinds[2:]:
+                if g.e_map[i, kind.primed].get(v.id) != next(want):
+                    raise InternalInconsistency(f"{kind}({v.word}) inconsistent with stored edges")
     return g
 
 

@@ -177,6 +177,15 @@ class TestInternalConsistency:
         else:
             assert len(sources) == 1 and sources[0] != word
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_e_result_leaving_the_vertex_set_raises(self, monkeypatch, n):
+        # without the highest weight vertex, E of its F targets is defined
+        # but lies outside the vertex set, where no edge was stored
+        enumerate_tableaux = graph_module.enumerate_tableaux
+        monkeypatch.setattr(graph_module, "enumerate_tableaux", lambda shape, n: enumerate_tableaux(shape, n)[1:])
+        with pytest.raises(InternalInconsistency, match="inconsistent with stored edges"):
+            build_graph(make_skew_shape((2, 1)), n)
+
     def test_edge_leaving_the_vertex_set_raises_under_optimize(self):
         proc = _run_under_optimize(
             """
