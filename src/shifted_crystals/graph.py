@@ -312,34 +312,35 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
         GraphVertex(k, Word(t.reading_codes(), n), t.weight()) for k, t in enumerate(tableaux)
     )
     ids = {v.word.codes: v.id for v in vertices}
+    # kinds[primed] lowers and kinds[2 + primed] raises at index i
     sites = {i: (OpKind("F", i), OpKind("F'", i), OpKind("E", i), OpKind("E'", i)) for i in range(1, n)}
     memo: dict[tuple[int, ...], list[tuple[int, ...] | None]] = {}
     edges = []
     ups = []  # E results in loop order: a vertex id, None when undefined, -1 outside the vertex set
     for v in vertices:
-        codes = v.word.codes
+        word = v.word
         for i, kinds in sites.items():
             if n > 2:
-                sub, pos, _ = subword(codes, i)
+                sub, pos, _ = subword(word.codes, i)
                 if sub not in memo:
-                    outs = [apply(kind, v.word) for kind in kinds]
+                    outs = [apply(kind, word) for kind in kinds]
                     memo[sub] = [None if out is None else subword(out.codes, i)[0] for out in outs]
-                results = [None if out is None else write_back(codes, pos, out, i) for out in memo[sub]]
+                f, fp, e, ep = [None if out is None else write_back(word.codes, pos, out, i) for out in memo[sub]]
             else:
-                results = [None if out is None else out.codes for out in [apply(kind, v.word) for kind in kinds]]
-            for kind, out in zip(kinds, results[:2]):
+                f, fp, e, ep = [None if out is None else out.codes for out in map(apply, kinds, (word,) * 4)]
+            for primed, out in ((False, f), (True, fp)):
                 if out is not None:
                     if out not in ids:
-                        raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
-                    edges.append(GraphEdge(v.id, ids[out], i, kind.primed))
-            ups += [None if out is None else ids.get(out, -1) for out in results[2:]]
+                        raise BrokenSemistandard(f"{kinds[primed]}({word}) = {codes_to_str(out)} left ShST({shape}, {n})")
+                    edges.append(GraphEdge(v.id, ids[out], i, primed))
+            ups += (None if e is None else ids.get(e, -1), None if ep is None else ids.get(ep, -1))
     g = CrystalGraph(n, vertices, tuple(edges), shape)
     want = iter(ups)
     for v in vertices:
         for i, kinds in sites.items():
-            for kind in kinds[2:]:
-                if g.e_map[i, kind.primed].get(v.id) != next(want):
-                    raise InternalInconsistency(f"{kind}({v.word}) inconsistent with stored edges")
+            for primed in (False, True):
+                if g.e_map[i, primed].get(v.id) != next(want):
+                    raise InternalInconsistency(f"{kinds[2 + primed]}({v.word}) inconsistent with stored edges")
     return g
 
 

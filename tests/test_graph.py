@@ -20,6 +20,7 @@ from shifted_crystals import (
     NotAString,
     NotStrictWeight,
     NotUnique,
+    Word,
     build_graph,
     check_all,
     classify_string,
@@ -32,7 +33,6 @@ from shifted_crystals import (
     make_skew_shape,
     string_stats,
     strict_partitions,
-    Word,
 )
 from shifted_crystals import graph as graph_module
 from shifted_crystals import ops
@@ -153,9 +153,9 @@ class TestInternalConsistency:
         evaluated, current = [], []
         apply, on_subword = graph_module.apply, ops._on_subword
 
-        def traced_apply(kind, word, **kwargs):
+        def traced_apply(kind, word):
             current[:] = [word]
-            return apply(kind, word, **kwargs)
+            return apply(kind, word)
 
         def traced_on_subword(sub, firsts, lower, primed):
             evaluated.append((current[0], (sub, lower, primed)))
