@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -17,6 +18,7 @@ from shifted_crystals import (
     CrystalGraph,
     InternalInconsistency,
     InvalidIndex,
+    MalformedGraph,
     NotAString,
     NotStrictWeight,
     NotUnique,
@@ -522,3 +524,134 @@ class TestSerialization:
 
         with pytest.raises(MalformedGraph, match=f"edge index {index} outside"):
             abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, index, False)])
+
+
+_DROP = object()
+
+
+def _edited(*edits) -> str:
+    """A valid two-vertex, one-edge graph document with each (path, value)
+    edit applied in turn; the value _DROP deletes the key."""
+    data = {
+        "n": 2,
+        "vertices": [{"id": 0, "word": "1", "weight": [1, 0]}, {"id": 1, "word": "2", "weight": [0, 1]}],
+        "edges": [{"src": 0, "dst": 1, "index": 1, "primed": False}],
+    }
+    for path, value in edits:
+        *keys, last = path
+        holder = data
+        for key in keys:
+            holder = holder[key]
+        if value is _DROP:
+            del holder[last]
+        else:
+            holder[last] = value
+    return json.dumps(data)
+
+
+_V0, _V1, _E0 = ("vertices", 0), ("vertices", 1), ("edges", 0)
+
+# (document, the exact MalformedGraph message); where a document has several
+# defects, the message names the one import_json reports first.
+MALFORMED = {
+    "not-an-object": ("[]", "graph JSON needs 'vertices' and 'edges'"),
+    "no-edges": (_edited((("edges",), _DROP)), "graph JSON needs 'vertices' and 'edges'"),
+    "vertices-not-a-list": (_edited((("vertices",), {})), "'vertices' must be a list of objects"),
+    "edge-not-an-object": (_edited((("edges",), [1])), "'edges' must be a list of objects"),
+    "n-str": (_edited((("n",), "2")), "bad graph JSON: n must be int, got '2'"),
+    "n-bool": (_edited((("n",), True)), "bad graph JSON: n must be int, got True"),
+    "n-float": (_edited((("n",), 2.0)), "bad graph JSON: n must be int, got 2.0"),
+    "n-negative": (_edited((("n",), -1)), "bad graph JSON: alphabet bound must be nonnegative"),
+    "weight-entry-str": (_edited(((*_V0, "weight", 1), "0")), "bad graph JSON: weight entry must be int, got '0'"),
+    "weight-entry-bool": (_edited(((*_V1, "weight", 0), False)), "bad graph JSON: weight entry must be int, got False"),
+    "weight-not-iterable": (_edited(((*_V0, "weight"), 5)), "bad graph JSON: 'int' object is not iterable"),
+    "weight-length": (_edited(((*_V1, "weight"), [0, 1, 0])), "weight vectors must all have length n"),
+    "n-from-first-weight": (
+        _edited((("n",), _DROP), ((*_V0, "weight"), [1, 0, 0])),
+        "weight vectors must all have length n",
+    ),
+    "word-int": (_edited(((*_V0, "word"), 1)), "bad graph JSON: word must be str, got 1"),
+    "word-text": (_edited(((*_V0, "word"), "1x")), "bad graph JSON: bad word text '1x'"),
+    "word-zero": (_edited(((*_V0, "word"), "0")), "bad graph JSON: bad letter token '0'"),
+    "word-spaced-token": (_edited(((*_V0, "word"), "1 x")), "bad graph JSON: bad letter token 'x'"),
+    "word-alphabet": (_edited(((*_V0, "word"), "3")), "bad graph JSON: letter 3 outside alphabet bound 2"),
+    "word-canonical": (_edited(((*_V0, "word"), "1'")), "bad graph JSON: word 1' is not in canonical form"),
+    "id-str": (_edited(((*_V0, "id"), "0")), "bad graph JSON: vertex id must be int, got '0'"),
+    "id-missing": (_edited(((*_V1, "id"), _DROP)), "bad graph JSON: 'id'"),
+    "src-str": (_edited(((*_E0, "src"), "0")), "bad graph JSON: edge src must be int, got '0'"),
+    "dst-float": (_edited(((*_E0, "dst"), 1.0)), "bad graph JSON: edge dst must be int, got 1.0"),
+    "index-bool": (_edited(((*_E0, "index"), True)), "bad graph JSON: edge index must be int, got True"),
+    "primed-int": (_edited(((*_E0, "primed"), 0)), "bad graph JSON: edge primed must be bool, got 0"),
+    "primed-missing": (_edited(((*_E0, "primed"), _DROP)), "bad graph JSON: 'primed'"),
+    "src-before-missing-dst": (_edited(((*_E0,), {"src": "x"})), "bad graph JSON: edge src must be int, got 'x'"),
+    "missing-vertex": (
+        _edited(((*_E0, "src"), 5)),
+        "edge GraphEdge(src=5, dst=1, index=1, primed=False) references a missing vertex",
+    ),
+    "duplicate-id": (_edited(((*_V1, "id"), 0)), "duplicate vertex ids"),
+    "index-range": (_edited(((*_E0, "index"), 2)), "edge index 2 outside 1..1"),
+    "weights-before-earlier-word": (
+        _edited(((*_V0, "word"), 1), ((*_V1, "weight", 0), "x")),
+        "bad graph JSON: weight entry must be int, got 'x'",
+    ),
+    "n-before-word": (_edited((("n",), "2"), ((*_V0, "word"), 1)), "bad graph JSON: n must be int, got '2'"),
+    "word-before-id": (_edited(((*_V0, "word"), 1), ((*_V0, "id"), "0")), "bad graph JSON: word must be str, got 1"),
+    "vertex-before-edge": (
+        _edited(((*_V1, "id"), "1"), ((*_E0, "src"), "0")),
+        "bad graph JSON: vertex id must be int, got '1'",
+    ),
+    "edge-before-weight-length": (
+        _edited(((*_E0, "primed"), 0), ((*_V1, "weight"), [0])),
+        "bad graph JSON: edge primed must be bool, got 0",
+    ),
+    "weight-length-before-duplicate-id": (
+        _edited(((*_V1, "id"), 0), ((*_V1, "weight"), [0])),
+        "weight vectors must all have length n",
+    ),
+}
+
+
+class TestImportErrors:
+    @pytest.mark.parametrize("document, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_first_defect_and_its_message(self, document, message):
+        with pytest.raises(MalformedGraph) as caught:
+            import_json(document)
+        assert str(caught.value) == message
+
+
+def _reference_document(g: CrystalGraph) -> dict:
+    """The export schema built field by field, words spelled from their codes."""
+
+    def spelled(codes):
+        tokens = [str((c + 1) // 2) + ("'" if c % 2 else "") for c in codes]
+        return (" " if any(c > 18 for c in codes) else "").join(tokens)
+
+    return {
+        "n": g.n,
+        "vertices": [
+            {"id": v.id, "word": None if v.word is None else spelled(v.word.codes), "weight": list(v.weight)}
+            for v in g.vertices
+        ],
+        "edges": [{"src": e.src, "dst": e.dst, "index": e.index, "primed": e.primed} for e in g.edges],
+    }
+
+EXPORTED = {
+    "n0-empty-lists": lambda: CrystalGraph(0, (), ()),
+    "n0-empty-word": lambda: build_graph(make_skew_shape(()), 0),
+    "imported-without-words": lambda: import_json(_edited(((*_V0, "word"), None), ((*_V1, "word"), None))),
+    "one-vertex": lambda: build_graph(make_skew_shape((1,)), 1),
+    "values-above-nine": lambda: build_graph(make_skew_shape((1,)), 10),
+    "spaced-words": lambda: build_graph(make_skew_shape((2,)), 10),
+    "straight-3-1": lambda: build_graph(make_skew_shape((3, 1)), 3),
+}
+
+
+class TestExportOracle:
+    @pytest.mark.parametrize("make", EXPORTED.values(), ids=EXPORTED.keys())
+    def test_matches_json_dumps_with_indent_two(self, make):
+        g = make()
+        assert export_json(g) == json.dumps(_reference_document(g), indent=2) + "\n"
+
+    def test_spaced_words_are_exported(self):
+        words = [v["word"] for v in json.loads(export_json(build_graph(make_skew_shape((2,)), 10)))["vertices"]]
+        assert {"1 10", "9 10", "10 10"} <= set(words)

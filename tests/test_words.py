@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shifted_crystals import (
     Letter,
@@ -13,7 +13,7 @@ from shifted_crystals import (
     standardize,
     weight,
 )
-from shifted_crystals.words import is_primed, value_of
+from shifted_crystals.words import canonical_codes, codes_to_str, is_primed, value_of
 
 
 def w(text: str, n: int = 3) -> Word:
@@ -160,3 +160,46 @@ class TestEta:
         back = eta(eta(word))
         assert back == word
         assert weight(eta(word)) == tuple(reversed(weight(word)))
+
+
+@st.composite
+def bounded_codes(draw) -> tuple[tuple[int, ...], int]:
+    """n in 0..4 and codes that are, half the time, all inside 1..2n (so a
+    primed first occurrence is the only possible defect) and otherwise may
+    hold letters <= 0 or > 2n."""
+    n = draw(st.integers(0, 4))
+    low, high = (1, 2 * n) if n and draw(st.booleans()) else (-2, 2 * n + 2)
+    return tuple(draw(st.lists(st.integers(low, high), max_size=8))), n
+
+
+def expected_word_error(codes: tuple[int, ...], n: int) -> str | None:
+    """The message Word(codes, n) raises with, or None when it is a word:
+    the first letter outside 1..n, else a primed first occurrence."""
+    for c in codes:
+        value = (c + 1) // 2
+        if value < 1:
+            return f"letter value must be positive, got {value}"
+        if value > n:
+            prime = "'" if c % 2 else ""
+            return f"letter {value}{prime} outside alphabet bound {n}"
+    if codes != canonical_codes(codes):
+        return f"word {codes_to_str(codes)} is not in canonical form"
+    return None
+
+
+class TestWordValidation:
+    @settings(max_examples=400, derandomize=True)
+    @given(bounded_codes())
+    def test_raises_exactly_on_a_defect_with_its_message(self, case):
+        codes, n = case
+        message = expected_word_error(codes, n)
+        if message is None:
+            assert Word(codes, n).codes == codes
+        else:
+            with pytest.raises(ValueError) as caught:
+                Word(codes, n)
+            assert str(caught.value) == message
+
+    def test_negative_bound(self):
+        with pytest.raises(ValueError, match="alphabet bound must be nonnegative"):
+            Word((), -1)
