@@ -431,34 +431,56 @@ def component_isomorphic(c1: CrystalGraph, c2: CrystalGraph) -> dict[int, int] |
     return mapping
 
 
+_DOCUMENT = '{\n  "n": %d,\n  "vertices": %s,\n  "edges": %s\n}\n'
+_EDGE = '    {\n      "src": %d,\n      "dst": %d,\n      "index": %d,\n      "primed": %s\n    }'
+_EDGE_KEYS = ("src", "dst", "index", "primed")
+_EDGE_TYPES = (int, int, int, bool)
+_INT = {int}
+
+
+def _vertex_template(k: int) -> str:
+    """The text of one vertex whose weight has k entries, to be filled with
+    its id, its word as JSON and the entries."""
+    weight = "[\n" + ",\n".join(["        %d"] * k) + "\n      ]" if k else "[]"
+    return '    {\n      "id": %d,\n      "word": %s,\n      "weight": ' + weight + "\n    }"
+
+
+def _array(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def export_json(g: CrystalGraph) -> str:
-    data = {
-        "n": g.n,
-        "vertices": [
-            {
-                "id": v.id,
-                "word": None if v.word is None else str(v.word),
-                "weight": list(v.weight),
-            }
-            for v in g.vertices
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "index": e.index, "primed": e.primed}
-            for e in g.edges
-        ],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    """The graph as ``json.dumps(data, indent=2) + "\\n"`` writes it, byte for
+    byte, where data is ``{"n", "vertices": [{"id", "word", "weight"}, ...],
+    "edges": [{"src", "dst", "index", "primed"}, ...]}`` with the ints and
+    bools GraphVertex and GraphEdge declare, and null for a missing word.
+    Each vertex and each edge fills one template, and only the word strings
+    go through ``json.dumps``."""
+    templates: dict[int, str] = {}
+    vertices = []
+    for v in g.vertices:
+        wt = v.weight
+        template = templates.get(len(wt))
+        if template is None:
+            template = templates[len(wt)] = _vertex_template(len(wt))
+        word = "null" if v.word is None else json.dumps(str(v.word))
+        vertices.append(template % (v.id, word, *wt))
+    edges = [_EDGE % (e.src, e.dst, e.index, "true" if e.primed else "false") for e in g.edges]
+    return _DOCUMENT % (g.n, _array(vertices), _array(edges))
 
 
-def _exact(value, kind: type, what: str):
-    """value unchanged when its type is exactly kind, so that neither True
+def _exact(value, kind: type, what: str) -> None:
+    """Raise unless the type of value is exactly kind, so that neither True
     passes as an int nor 0.7 or "false" is coerced."""
     if type(value) is not kind:
         raise MalformedGraph(f"{what} must be {kind.__name__}, got {value!r}")
-    return value
 
 
 def import_json(text: str) -> CrystalGraph:
+    """The graph of an export_json document.  The first defect met raises
+    MalformedGraph: the top level, every weight entry, ``n`` (the length of
+    the first weight when absent), each vertex's word and id, each edge's
+    fields in key order, the weight lengths, then CrystalGraph's checks."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -470,31 +492,41 @@ def import_json(text: str) -> CrystalGraph:
         if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
             raise MalformedGraph(f"'{key}' must be a list of objects")
     n = data.get("n")
-    vertices = []
     try:
-        weights = [tuple(_exact(x, int, "weight entry") for x in v.get("weight", ())) for v in raw_vertices]
+        weights = []
+        for v in raw_vertices:
+            wt = tuple(v.get("weight", ()))
+            if not _INT.issuperset(map(type, wt)):
+                for x in wt:
+                    _exact(x, int, "weight entry")
+            weights.append(wt)
         if n is None:
             n = len(weights[0]) if weights else 0
-        _exact(n, int, "n")
+        if type(n) is not int:
+            _exact(n, int, "n")
+        vertices = []
         for v, wt in zip(raw_vertices, weights):
             word = v.get("word")
-            word = None if word is None else Word(parse_codes(_exact(word, str, "word")), n)
-            vertices.append(GraphVertex(_exact(v["id"], int, "vertex id"), word, wt))
-        edges = tuple(
-            GraphEdge(
-                _exact(e["src"], int, "edge src"),
-                _exact(e["dst"], int, "edge dst"),
-                _exact(e["index"], int, "edge index"),
-                _exact(e["primed"], bool, "edge primed"),
-            )
-            for e in raw_edges
-        )
+            if word is not None:
+                if type(word) is not str:
+                    _exact(word, str, "word")
+                word = Word(parse_codes(word), n)
+            vid = v["id"]
+            if type(vid) is not int:
+                _exact(vid, int, "vertex id")
+            vertices.append(GraphVertex(vid, word, wt))
+        edges = []
+        for e in raw_edges:
+            fields = tuple(map(e.get, _EDGE_KEYS))
+            if tuple(map(type, fields)) != _EDGE_TYPES:
+                for key, kind in zip(_EDGE_KEYS, _EDGE_TYPES):
+                    _exact(e[key], kind, f"edge {key}")
+            edges.append(GraphEdge(*fields))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedGraph(f"bad graph JSON: {exc}") from exc
-    for wt in weights:
-        if len(wt) != n:
-            raise MalformedGraph("weight vectors must all have length n")
-    return CrystalGraph(n, tuple(vertices), edges)
+    if not {n}.issuperset(map(len, weights)):
+        raise MalformedGraph("weight vectors must all have length n")
+    return CrystalGraph(n, tuple(vertices), tuple(edges))
 
 
 def export_dot(g: CrystalGraph) -> str:

@@ -10,6 +10,7 @@ representatives.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import total_ordering
 from itertools import product
@@ -60,43 +61,47 @@ class Letter:
         return f"{self.value}{PRIME if self.primed else ''}"
 
 
+# Every one-digit letter token and its code, "1'" -> 1, "1" -> 2, ..., "9" -> 18.
+_CODE = {f"{v}{p}": code_of(v, p == PRIME) for v in range(1, 10) for p in ("", PRIME)}
+_TOKEN = {code: token for token, code in _CODE.items()}
+_UNSPACED = re.compile(r".'?", re.DOTALL)  # a character and the prime after it, if any
+_SPACED = re.compile(r"([0-9]+)('?)")
+_SPACE = re.compile(r"\s")
+
+
 def _parse_token(token: str) -> int:
-    primed = token.endswith(PRIME)
-    digits = token[:-1] if primed else token
-    if not digits.isdigit() or int(digits) < 1:
+    """The code of a space-separated token: ASCII digits and an optional prime."""
+    match = _SPACED.fullmatch(token)
+    if match is None or int(match[1]) < 1:
         raise ValueError(f"bad letter token {token!r}")
-    return code_of(int(digits), primed)
+    return code_of(int(match[1]), bool(match[2]))
 
 
 def parse_codes(text: str) -> Codes:
     """Parse the apostrophe syntax, e.g. ``3111'21'12'``.
 
+    Digits are ASCII.  A text without spaces holds one digit per letter.
     Values with several digits must be space-separated (needed when n > 9);
     spaces are accepted in all cases.
     """
     text = text.strip()
-    if not text:
-        return ()
-    if any(ch.isspace() for ch in text):
-        return tuple(_parse_token(tok) for tok in text.split())
-    codes = []
-    i = 0
-    while i < len(text):
-        if not text[i].isdigit():
-            raise ValueError(f"bad word text {text!r}")
-        j = i + 1
-        if j < len(text) and text[j] == PRIME:
-            j += 1
-        codes.append(_parse_token(text[i:j]))
-        i = j
-    return tuple(codes)
+    try:
+        return tuple(map(_CODE.__getitem__, _UNSPACED.findall(text)))
+    except KeyError as exc:
+        token = exc.args[0]  # a space, a lone prime, or a character that is no letter
+    if _SPACE.search(text):
+        return tuple(map(_parse_token, text.split()))
+    if token[0].isdigit():  # 0, or a digit that is not ASCII
+        raise ValueError(f"bad letter token {token!r}")
+    raise ValueError(f"bad word text {text!r}")
 
 
 def codes_to_str(codes: Codes) -> str:
+    """The apostrophe syntax, space-separated when a value exceeds 9."""
+    if not codes or 1 <= min(codes) and max(codes) <= 18:
+        return "".join(map(_TOKEN.__getitem__, codes))
     tokens = [f"{value_of(c)}{PRIME if is_primed(c) else ''}" for c in codes]
-    if any(value_of(c) > 9 for c in codes):
-        return " ".join(tokens)
-    return "".join(tokens)
+    return (" " if max(codes) > 18 else "").join(tokens)
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,10 @@ class RawWord:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("alphabet bound must be nonnegative")
-        for c in self.codes:
-            if not 1 <= value_of(c) <= self.n:
-                raise ValueError(
-                    f"letter {Letter.from_code(c)} outside alphabet bound {self.n}"
-                )
+        codes = self.codes
+        if codes and (min(codes) < 1 or max(codes) > 2 * self.n):
+            c = next(c for c in codes if not 1 <= c <= 2 * self.n)
+            raise ValueError(f"letter {Letter.from_code(c)} outside alphabet bound {self.n}")
 
     @classmethod
     def parse(cls, text: str, n: int) -> "RawWord":
@@ -140,8 +144,11 @@ class Word(RawWord):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.codes != canonical_codes(self.codes):
-            raise ValueError(f"word {codes_to_str(self.codes)} is not in canonical form")
+        codes = self.codes
+        for c in set(codes):
+            # a primed letter c needs its unprimed twin c + 1 earlier in the word
+            if c % 2 and (c + 1 not in codes or codes.index(c + 1) > codes.index(c)):
+                raise ValueError(f"word {codes_to_str(codes)} is not in canonical form")
 
 
 def canonical_codes(codes: Codes) -> Codes:

@@ -79,6 +79,19 @@ class TestSmallVerbs:
         assert [d["word"] for d in data] == ["211", "212'"]
         assert data[0]["weight"] == [2, 1]
 
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ("\u0661\u0662", "bad letter token '\u0661'"),
+            ("\u00b2", "bad letter token '\u00b2'"),
+            ("1 \u0662", "bad letter token '\u0662'"),
+        ],
+        ids=["arabic-indic", "superscript", "spaced"],
+    )
+    def test_word_digits_are_ascii(self, invoke, word, message):
+        status, out, err = invoke("std", "--word", word, "--n", "2")
+        assert (status, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_shape_surfaces_library_error(self, invoke):
         status, _, err = invoke("enumerate", "--outer", "3,3", "--n", "2")
         assert status == 1 and "strict" in err
@@ -245,6 +258,11 @@ class TestCheckVerb:
         vertices = [{"id": 0.7, "word": None, "weight": [1, 0]}]
         err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
         assert "vertex id must be int, got 0.7" in err
+
+    def test_word_digits_are_ascii(self, invoke, tmp_path):
+        vertices = [{"id": 0, "word": "\u0661", "weight": [1, 0]}]
+        err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
+        assert err == "error: bad graph JSON: bad letter token '\u0661'\n"
 
     def test_deep_nesting_exit_two(self, invoke, tmp_path):
         path = tmp_path / "deep.json"

@@ -185,6 +185,10 @@ class TestTableauText:
         assert str(t) == text
         assert t.shape.outer == (4, 3, 1) and t.shape.inner == (2, 1)
 
+    def test_entries_are_ascii_digits(self):
+        with pytest.raises(ValueError, match="^bad letter token '\u0662'$"):
+            parse_tableau("1 \u0662", 2)
+
     def test_entries_map(self):
         t = rows_from_strings(["1 2'", "2"], 2)
         entries = {(cell, str(letter)) for cell, letter in t.entries.items()}

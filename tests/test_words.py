@@ -67,6 +67,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             Word.parse("14", 3)
 
+    @pytest.mark.parametrize("text", ["\u0661", "1\u0662", "\u00b2", "\u00b2'", "1 \u00b2'", "\u0967\u0966 2"])
+    def test_digits_are_ascii(self, text):
+        with pytest.raises(ValueError, match="^bad letter token"):
+            raw(text)
+
     def test_word_must_be_canonical(self):
         with pytest.raises(ValueError):
             Word.parse("2'11", 3)
