@@ -432,21 +432,17 @@ def component_isomorphic(c1: CrystalGraph, c2: CrystalGraph) -> dict[int, int] |
 
 
 _DOCUMENT = '{\n  "n": %d,\n  "vertices": %s,\n  "edges": %s\n}\n'
-_EDGE = '    {\n      "src": %d,\n      "dst": %d,\n      "index": %d,\n      "primed": %s\n    }'
+_VERTEX = '{\n      "id": %d,\n      "word": %s,\n      "weight": %s\n    }'
+_EDGE = '{\n      "src": %d,\n      "dst": %d,\n      "index": %d,\n      "primed": %s\n    }'
 _EDGE_KEYS = ("src", "dst", "index", "primed")
 _EDGE_TYPES = (int, int, int, bool)
 _INT = {int}
 
 
-def _vertex_template(k: int) -> str:
-    """The text of one vertex whose weight has k entries, to be filled with
-    its id, its word as JSON and the entries."""
-    weight = "[\n" + ",\n".join(["        %d"] * k) + "\n      ]" if k else "[]"
-    return '    {\n      "id": %d,\n      "word": %s,\n      "weight": ' + weight + "\n    }"
-
-
-def _array(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of these item texts as ``json.dumps(indent=2)`` writes it
+    where its closing bracket is indented by indent."""
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
 
 
 def export_json(g: CrystalGraph) -> str:
@@ -454,19 +450,14 @@ def export_json(g: CrystalGraph) -> str:
     byte, where data is ``{"n", "vertices": [{"id", "word", "weight"}, ...],
     "edges": [{"src", "dst", "index", "primed"}, ...]}`` with the ints and
     bools GraphVertex and GraphEdge declare, and null for a missing word.
-    Each vertex and each edge fills one template, and only the word strings
-    go through ``json.dumps``."""
-    templates: dict[int, str] = {}
+    Each vertex and each edge fills one template; only the word strings go
+    through ``json.dumps``."""
     vertices = []
     for v in g.vertices:
-        wt = v.weight
-        template = templates.get(len(wt))
-        if template is None:
-            template = templates[len(wt)] = _vertex_template(len(wt))
         word = "null" if v.word is None else json.dumps(str(v.word))
-        vertices.append(template % (v.id, word, *wt))
+        vertices.append(_VERTEX % (v.id, word, _array(list(map(str, v.weight)), "      ")))
     edges = [_EDGE % (e.src, e.dst, e.index, "true" if e.primed else "false") for e in g.edges]
-    return _DOCUMENT % (g.n, _array(vertices), _array(edges))
+    return _DOCUMENT % (g.n, _array(vertices, "  "), _array(edges, "  "))
 
 
 def _exact(value, kind: type, what: str) -> None:
