@@ -64,14 +64,14 @@ class Letter:
 # Every one-digit letter token and its code, "1'" -> 1, "1" -> 2, ..., "9" -> 18.
 _CODE = {f"{v}{p}": code_of(v, p == PRIME) for v in range(1, 10) for p in ("", PRIME)}
 _TOKEN = {code: token for token, code in _CODE.items()}
-_UNSPACED = re.compile(r".'?", re.DOTALL)  # a character and the prime after it, if any
-_SPACED = re.compile(r"([0-9]+)('?)")
+_UNSPACED_TOKEN = re.compile(r".'?", re.DOTALL)  # a character and the prime after it, if any
+_SPACED_TOKEN = re.compile(r"([0-9]+)('?)")
 _SPACE = re.compile(r"\s")
 
 
 def _parse_token(token: str) -> int:
     """The code of a space-separated token: ASCII digits and an optional prime."""
-    match = _SPACED.fullmatch(token)
+    match = _SPACED_TOKEN.fullmatch(token)
     if match is None or int(match[1]) < 1:
         raise ValueError(f"bad letter token {token!r}")
     return code_of(int(match[1]), bool(match[2]))
@@ -86,7 +86,7 @@ def parse_codes(text: str) -> Codes:
     """
     text = text.strip()
     try:
-        return tuple(map(_CODE.__getitem__, _UNSPACED.findall(text)))
+        return tuple(map(_CODE.__getitem__, _UNSPACED_TOKEN.findall(text)))
     except KeyError as exc:
         token = exc.args[0]  # a space, a lone prime, or a character that is no letter
     if _SPACE.search(text):
