@@ -28,6 +28,10 @@ class TestApply:
         status, out, _ = invoke("apply", "--op", "F", "--index", "1", "--word", "2112", "--n", "2")
         assert (status, out) == (0, "undefined (type 5F at position 3)\n")
 
+    def test_undefined_raising_reports_type(self, invoke):
+        status, out, _ = invoke("apply", "--op", "E", "--index", "1", "--word", "11'21", "--n", "2")
+        assert (status, out) == (0, "undefined (type 5E at position 4)\n")
+
     def test_undefined_without_critical_substring(self, invoke):
         status, out, _ = invoke("apply", "--op", "F", "--index", "1", "--word", "2", "--n", "2")
         assert (status, out) == (0, "undefined (no critical substring)\n")

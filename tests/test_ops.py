@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,7 @@ from shifted_crystals import (
     strict_partitions,
     weight,
 )
+from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
 from test_acceptance import strict_subpartitions
 
@@ -92,6 +95,25 @@ class TestFinalCriticalSubstring:
     def test_raising_side(self):
         match = final_critical_substring(Word.parse("2", 2), 1, lower=False)
         assert match.kind == "4E" and match.positions == (0,)
+
+    @pytest.mark.parametrize(
+        "text, kind, positions, location",
+        [
+            ("22'1", "1E", (1, 2), (0, 1)),
+            ("122", "2E", (1, 2), (1, 0)),
+            ("22'", "3E", (1,), (0, 1)),
+            ("11'21", "5E", (3,), (2, 1)),
+        ],
+    )
+    def test_raising_matches_off_the_diagonal(self, text, kind, positions, location):
+        # each location has x != y, so reading the walk with its axes
+        # swapped would move it
+        match = final_critical_substring(Word.parse(text, 2), 1, lower=False)
+        assert (match.kind, match.positions, match.location) == (kind, positions, location)
+
+    def test_raising_match_reports_its_representative(self):
+        match = final_critical_substring(Word.parse("122", 2), 1, lower=False)
+        assert str(match.representative) == "12'2"
 
     def test_tied_matches_agree(self):
         # "1" matches 3F in its canonical representative and 4F in the
@@ -173,6 +195,28 @@ class TestApply:
                 out = apply(OpKind("F'", i), word)
                 if out is not None:
                     assert standardize(out) == standardize(word)
+
+
+def canonical_subwords(max_length: int):
+    """Every canonical relabeled subword of length <= max_length with its
+    firsts: codes 1', 1, 2', 2 = 1..4, the first letter of each family
+    unprimed."""
+    for length in range(max_length + 1):
+        for sub in product((1, 2, 3, 4), repeat=length):
+            if ops._canonical_sub(sub) == sub:
+                yield sub, ops.subword(sub, 1)[2]
+
+
+class TestSubwordKernel:
+    def test_partial_inverse_on_every_subword(self):
+        # a lowering and a raising result undo each other in subword space,
+        # for the unprimed and the primed pair alike
+        for sub, firsts in canonical_subwords(7):
+            for lower, primed in product((True, False), repeat=2):
+                out = ops._on_subword(sub, firsts, lower, primed)
+                if out is not None:
+                    back = ops._on_subword(out, ops.subword(out, 1)[2], not lower, primed)
+                    assert back == sub, (sub, lower, primed, out)
 
 
 class TestOperatorMemo:
