@@ -151,10 +151,7 @@ def schur_P(sigma: StrictPartition, n: int) -> Polynomial:
 def schur_Q(sigma: StrictPartition, n: int) -> Polynomial:
     """Q = 2^len(sigma) * P."""
     sigma = check_strict(sigma)
-    poly = schur_P(sigma, n).scale(2 ** len(sigma))
-    if not poly.is_symmetric():
-        raise InternalInconsistency(f"Q_{sigma} came out asymmetric")
-    return poly
+    return schur_P(sigma, n).scale(2 ** len(sigma))
 
 
 def expand(shape: SkewShape, n: int) -> Expansion:

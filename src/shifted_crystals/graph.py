@@ -298,14 +298,16 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
 
     Raises BrokenSemistandard when an F result is not a vertex, and
     InternalInconsistency unless E_i / E_i' applied directly agree with the
-    reversed edges.  For n > 2 the build scans each site (vertex, i) once
-    for its relabeled {i,i+1}-subword.  A memo local to the build maps that
-    subword to the result subwords of all four families, filled on a miss
-    by one ``apply`` per family, which validates the results.  Each stored
-    result is written back into the vertex's codes and looked up among the
-    vertices: a match equals a word that ``Word`` already validated, and it
-    also lies in ShST(shape, n).  For n = 2 the subword is the whole word,
-    so no key can repeat: every site calls ``apply`` once per family.
+    reversed edges: as E is F read through eta, this checks on every vertex
+    that the flipped F inverts F.  For n > 2 the build scans each site
+    (vertex, i) once for its relabeled {i,i+1}-subword.  A memo local to the
+    build maps that subword to the result subwords of all four families,
+    filled on a miss by one ``apply`` per family, which validates the
+    results.  Each stored result is written back into the vertex's codes and
+    looked up among the vertices: a match equals a word that ``Word``
+    already validated, and it also lies in ShST(shape, n).  For n = 2 the
+    subword is the whole word, so no key can repeat: every site calls
+    ``apply`` once per family.
     """
     tableaux = enumerate_tableaux(shape, n)
     vertices = tuple(
@@ -470,8 +472,9 @@ def _exact(value, kind: type, what: str) -> None:
 def import_json(text: str) -> CrystalGraph:
     """The graph of an export_json document.  The first defect met raises
     MalformedGraph: the top level, every weight entry, ``n`` (the length of
-    the first weight when absent), each vertex's word and id, each edge's
-    fields in key order, the weight lengths, then CrystalGraph's checks."""
+    the first weight when absent) and its sign, each vertex's word and id,
+    each edge's fields in key order, the weight lengths, then CrystalGraph's
+    checks."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -495,6 +498,8 @@ def import_json(text: str) -> CrystalGraph:
             n = len(weights[0]) if weights else 0
         if type(n) is not int:
             _exact(n, int, "n")
+        if n < 0:
+            raise ValueError("alphabet bound must be nonnegative")
         vertices = []
         for v, wt in zip(raw_vertices, weights):
             word = v.get("word")

@@ -9,12 +9,15 @@ south, 1' east, 2 north, 2' west.
 One kernel computes every operator in subword space.  It scans the word
 once for the subword and its first i and first i+1; the representatives
 that matter are the <= 4 subwords with those two letters primed or not.
-The unprimed operators take the final critical substring over them
-(highest start, longest on a tie) and transform it per the type tables;
-the primed operators re-prime the last i / last (i+1)' when it sits right
-of its counterpart.  Each result re-canonicalises only the two moved value
-families, every qualifying representative must agree (InternalInconsistency
-otherwise), and the word is rewritten once.
+There is one rule set, the lowering one: F_i takes the final critical
+substring over them (highest start, longest on a tie) and transforms it
+per the type table, and F_i' re-primes the last i when it sits right of
+the last (i+1)'.  A raising operator reads the subword through eta, which
+on the {i, i+1}-letters swaps 1 with 2' and 1' with 2 and swaps the axes
+of the walk, so E_i meets type kE where the flipped subword meets kF.
+Each result re-canonicalises only the two moved value families, every
+qualifying representative must agree (InternalInconsistency otherwise),
+and the word is rewritten once.
 
 The subword-space result depends on the relabeled subword and the family
 alone, not on i or on the letters outside the subword.  ``subword`` (the
@@ -46,6 +49,10 @@ FAMILIES = ("F", "E", "F'", "E'")
 
 # Relabeled letter codes inside a subword.
 _1P, _1, _2P, _2 = 1, 2, 3, 4
+
+# The codes that play 1', 1, 2', 2 in the rules; eta flips code c to 5 - c.
+_LOWER_ROLES = (_1P, _1, _2P, _2)
+_RAISE_ROLES = tuple(5 - c for c in _LOWER_ROLES)
 
 
 @dataclass(frozen=True)
@@ -128,20 +135,23 @@ def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int
     return tuple(sub), pos, firsts
 
 
-def _walk_points(sub: list[int]) -> tuple[tuple[int, int], ...]:
+def _walk_points(sub, roles=_LOWER_ROLES) -> tuple[tuple[int, int], ...]:
+    """The walk of ``sub`` with its letters read in ``roles``; in the raising
+    roles each point is the lattice walk's point with its axes swapped."""
+    one_p, one, _, two = roles
     x = y = 0
     points = [(0, 0)]
     for c in sub:
-        if c == _1:
+        if c == one:
             if x == 0 or y == 0:
                 x += 1
             else:
                 y -= 1
-        elif c == _1P:
+        elif c == one_p:
             x += 1
-        elif c == _2:
+        elif c == two:
             y += 1
-        else:  # _2P
+        else:  # 2'
             if x == 0 or y == 0:
                 y += 1
             else:
@@ -165,71 +175,47 @@ def lattice_walk(w: RawWord, i: int) -> Walk:
     return Walk(i, tuple(pos), points, steps)
 
 
-def _matches_at(sub, points, j: int, lower: bool) -> list[tuple[int, str]]:
+def _matches_at(sub, points, j: int, roles) -> list[tuple[int, int]]:
     """Critical substrings of one representative that start at subword
-    index j, as (length, kind) pairs in type-table order."""
+    index j, as (length, type) pairs in type-table order.  The table is the
+    lowering one, types 1-5, on the letters in ``roles`` and the walk read
+    in the same roles."""
+    one_p, one, two_p, two = roles
     c = sub[j]
     x, y = points[j]
     m = len(sub)
     out = []
-    if lower:
-        if c == _1 and y == 0:
-            out.append((1, "3F"))
-        if c == _1P and x == 0:
-            out.append((1, "4F"))
-        if (c == _1 or c == _2P) and x == 1 and y >= 1:
-            out.append((1, "5F"))
-        if c == _1 and (y == 0 or (y == 1 and x >= 1)):
-            k = j + 1
-            while k < m and sub[k] == _1P:
-                k += 1
-            if k < m and sub[k] == _2P:
-                out.append((k - j + 1, "1F"))
-        if c == _1 and (x == 0 or (x == 1 and y >= 1)):
-            k = j + 1
-            while k < m and sub[k] == _2:
-                k += 1
-            if k < m and sub[k] == _1P:
-                out.append((k - j + 1, "2F"))
-    else:
-        if c == _2P and x == 0:
-            out.append((1, "3E"))
-        if c == _2 and y == 0:
-            out.append((1, "4E"))
-        if (c == _1 or c == _2P) and y == 1 and x >= 1:
-            out.append((1, "5E"))
-        if c == _2P and (x == 0 or (x == 1 and y >= 1)):
-            k = j + 1
-            while k < m and sub[k] == _2:
-                k += 1
-            if k < m and sub[k] == _1:
-                out.append((k - j + 1, "1E"))
-        if c == _2P and (y == 0 or (y == 1 and x >= 1)):
-            k = j + 1
-            while k < m and sub[k] == _1P:
-                k += 1
-            if k < m and sub[k] == _2:
-                out.append((k - j + 1, "2E"))
+    if c == one and y == 0:
+        out.append((1, 3))
+    if c == one_p and x == 0:
+        out.append((1, 4))
+    if (c == one or c == two_p) and x == 1 and y >= 1:
+        out.append((1, 5))
+    if c == one and (y == 0 or (y == 1 and x >= 1)):
+        k = j + 1
+        while k < m and sub[k] == one_p:
+            k += 1
+        if k < m and sub[k] == two_p:
+            out.append((k - j + 1, 1))
+    if c == one and (x == 0 or (x == 1 and y >= 1)):
+        k = j + 1
+        while k < m and sub[k] == two:
+            k += 1
+        if k < m and sub[k] == one_p:
+            out.append((k - j + 1, 2))
     return out
 
 
-def _transform(kind: str, piece: tuple[int, ...]) -> tuple[int, ...]:
-    if kind == "1F":  # 1 (1')* 2'  ->  2' (1')* 2
-        return (_2P,) + piece[1:-1] + (_2,)
-    if kind == "2F":  # 1 (2)* 1'  ->  2' (2)* 1
-        return (_2P,) + piece[1:-1] + (_1,)
-    if kind == "3F":
-        return (_2,)
-    if kind == "4F":
-        return (_2P,)
-    if kind == "1E":  # 2' (2)* 1  ->  1 (2)* 1'
-        return (_1,) + piece[1:-1] + (_1P,)
-    if kind == "2E":  # 2' (1')* 2  ->  1 (1')* 2'
-        return (_1,) + piece[1:-1] + (_2P,)
-    if kind == "3E":
-        return (_1P,)
-    if kind == "4E":
-        return (_1,)
+def _transform(kind: int, piece: tuple[int, ...], roles) -> tuple[int, ...]:
+    _, one, two_p, two = roles
+    if kind == 1:  # 1 (1')* 2'  ->  2' (1')* 2
+        return (two_p,) + piece[1:-1] + (two,)
+    if kind == 2:  # 1 (2)* 1'  ->  2' (2)* 1
+        return (two_p,) + piece[1:-1] + (one,)
+    if kind == 3:
+        return (two,)
+    if kind == 4:
+        return (two_p,)
     raise ValueError(f"type {kind} has no transformation")
 
 
@@ -251,22 +237,22 @@ def _variants(sub: tuple[int, ...], firsts: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def _final_matches(variants: list[list[int]], lower: bool):
-    """Final critical substrings over all representatives: every match tied
-    at the highest (start, length), as (variant, walk points, start, length,
-    kind) in representative order.
+def _final_matches(variants: list[list[int]], roles):
+    """Final critical substrings over all representatives, read in
+    ``roles``: every match tied at the highest (start, length), as (variant,
+    walk points, start, length, type) in representative order.
 
     All representatives share one walk: each first-occurrence letter is
     stepped on an axis, where primed and unprimed letters move alike.
     """
-    points = _walk_points(variants[0])
+    points = _walk_points(variants[0], roles)
     best_key = None
     best = []
     for variant in variants:
         for j in range(len(variant) - 1, -1, -1):
             if best_key is not None and j < best_key[0]:
                 break
-            found = _matches_at(variant, points, j, lower)
+            found = _matches_at(variant, points, j, roles)
             if not found:
                 continue
             length = max(size for size, _ in found)
@@ -280,24 +266,20 @@ def _final_matches(variants: list[list[int]], lower: bool):
     return best
 
 
-def _reprime(variant: list[int], lower: bool) -> list[int] | None:
-    """F': the last i becomes (i+1)' when right of the last (i+1)'.
-    E': the last (i+1)' becomes i when right of the last i."""
+def _reprime(variant: list[int], roles) -> list[int] | None:
+    """The last 1 becomes 2' when right of the last 2', in ``roles``: for F'
+    the last i becomes (i+1)', for E' the last (i+1)' becomes i."""
+    _, one, two_p, _ = roles
     last_1 = last_2p = -1
     for k, c in enumerate(variant):
-        if c == _1:
+        if c == one:
             last_1 = k
-        elif c == _2P:
+        elif c == two_p:
             last_2p = k
+    if last_1 < 0 or last_1 < last_2p:
+        return None
     out = list(variant)
-    if lower:
-        if last_1 < 0 or last_1 < last_2p:
-            return None
-        out[last_1] = _2P
-    else:
-        if last_2p < 0 or last_2p < last_1:
-            return None
-        out[last_2p] = _1
+    out[last_1] = two_p
     return out
 
 
@@ -336,25 +318,26 @@ def _on_subword(
     canonical subword."""
     if not sub:
         return None
+    roles = _LOWER_ROLES if lower else _RAISE_ROLES
     variants = _variants(sub, firsts)
     results: set[tuple[int, ...] | None] = set()
     if primed:
         for variant in variants:
-            out = _reprime(variant, lower)
+            out = _reprime(variant, roles)
             if out is not None:
                 results.add(_canonical_sub(out))
         if not results:
             return None
     else:
-        best = _final_matches(variants, lower)
+        best = _final_matches(variants, roles)
         if not best:
             return None
         for variant, _, j, length, kind in best:
-            if kind in ("5F", "5E"):
+            if kind == 5:
                 results.add(None)
                 continue
             out = list(variant)
-            out[j : j + length] = _transform(kind, tuple(variant[j : j + length]))
+            out[j : j + length] = _transform(kind, tuple(variant[j : j + length]), roles)
             results.add(_canonical_sub(out))
     if len(results) != 1:
         raise InternalInconsistency(
@@ -367,18 +350,21 @@ def _on_subword(
 def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMatch | None:
     """The final F_i- (or E_i-) critical substring over all representatives:
     highest start index, longest on a tie.  Type 5 matches are returned as
-    values; ``None`` means no representative has any critical substring."""
+    values; ``None`` means no representative has any critical substring.
+    An E_i match is found in the raising roles and reported in the word's
+    own letters and walk."""
     _check_index(i, w.n)
     sub, pos, firsts = subword(w.codes, i)
-    best = _final_matches(_variants(sub, firsts), lower)
+    best = _final_matches(_variants(sub, firsts), _LOWER_ROLES if lower else _RAISE_ROLES)
     if not best:
         return None
     variant, points, j, length, kind = best[0]
+    x, y = points[j]
     return CriticalMatch(
-        kind=kind,
+        kind=f"{kind}{'F' if lower else 'E'}",
         representative=RawWord(write_back(w.codes, pos, variant, i), w.n),
         positions=tuple(pos[j : j + length]),
-        location=points[j],
+        location=(x, y) if lower else (y, x),
     )
 
 

@@ -268,6 +268,10 @@ class TestCheckVerb:
         err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
         assert err == "error: bad graph JSON: bad letter token '\u0661'\n"
 
+    def test_negative_alphabet_bound_without_vertices(self, invoke, tmp_path):
+        err = self._rejected(invoke, tmp_path, {"n": -3, "vertices": [], "edges": []})
+        assert err == "error: bad graph JSON: alphabet bound must be nonnegative\n"
+
     def test_deep_nesting_exit_two(self, invoke, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)

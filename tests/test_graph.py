@@ -562,6 +562,11 @@ MALFORMED = {
     "n-bool": (_edited((("n",), True)), "bad graph JSON: n must be int, got True"),
     "n-float": (_edited((("n",), 2.0)), "bad graph JSON: n must be int, got 2.0"),
     "n-negative": (_edited((("n",), -1)), "bad graph JSON: alphabet bound must be nonnegative"),
+    "n-negative-empty": ('{"n": -3, "vertices": [], "edges": []}', "bad graph JSON: alphabet bound must be nonnegative"),
+    "n-negative-null-words": (
+        _edited((("n",), -3), ((*_V0, "word"), None), ((*_V1, "word"), None)),
+        "bad graph JSON: alphabet bound must be nonnegative",
+    ),
     "weight-entry-str": (_edited(((*_V0, "weight", 1), "0")), "bad graph JSON: weight entry must be int, got '0'"),
     "weight-entry-bool": (_edited(((*_V1, "weight", 0), False)), "bad graph JSON: weight entry must be int, got False"),
     "weight-not-iterable": (_edited(((*_V0, "weight"), 5)), "bad graph JSON: 'int' object is not iterable"),
