@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import product
 
 import pytest
@@ -176,6 +177,25 @@ class TestValidation:
     def test_primed_first_occurrence_rejected(self):
         with pytest.raises(BrokenSemistandard):
             rows_from_strings(["1 1", "2'"], 2)
+
+    @pytest.mark.parametrize(
+        "rows,n,message",
+        [
+            (["1 4"], 3, "letter 4 exceeds bound 3"),
+            (["2 1"], 2, "row 1 is not weakly increasing"),
+            (["1 2' 2'", "2"], 3, "primed letter repeats in row 1"),
+            (["1 3", "2"], 3, "column 2 is not weakly increasing"),
+            (["1 2", "2"], 2, "unprimed letter repeats in column 2"),
+            (["1 2'"], 2, "first family letter in reading order is primed"),
+            # the top row is checked before the bottom row's descent
+            (["1 1 4", "3 2"], 3, "letter 4 exceeds bound 3"),
+            # every row is checked before any column
+            (["2 1", "1"], 2, "row 1 is not weakly increasing"),
+        ],
+    )
+    def test_first_defect_message(self, rows, n, message):
+        with pytest.raises(BrokenSemistandard, match=f"^{re.escape(message)}$"):
+            rows_from_strings(rows, n)
 
 
 class TestTableauText:
