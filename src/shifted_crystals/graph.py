@@ -311,7 +311,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     """
     tableaux = enumerate_tableaux(shape, n)
     vertices = tuple(
-        GraphVertex(k, Word(t.reading_codes(), n), t.weight()) for k, t in enumerate(tableaux)
+        GraphVertex(k, Word(t.codes, n), t.weight()) for k, t in enumerate(tableaux)
     )
     ids = {v.word.codes: v.id for v in vertices}
     # kinds[primed] lowers and kinds[2 + primed] raises at index i

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import InternalInconsistency, InvalidIndex
-from .tableaux import ShiftedTableau, from_reading_codes, reading_word
+from .tableaux import ShiftedTableau, reading_word
 from .words import (
     Codes,
     RawWord,
@@ -383,13 +383,13 @@ def apply(kind: OpKind, w: Word) -> Word | None:
 
 
 def apply_to_tableau(kind: OpKind, t: ShiftedTableau) -> ShiftedTableau | None:
-    """Act through the reading word; the result is refilled into the same
-    shape and revalidated (BrokenSemistandard would mean a bug, as the
-    operators are closed on each ShST(shape, n))."""
+    """Act through the reading word; the result word is the reading word of
+    a tableau of the same shape, which is revalidated (BrokenSemistandard
+    would mean a bug, as the operators are closed on each ShST(shape, n))."""
     out = apply(kind, reading_word(t))
     if out is None:
         return None
-    return from_reading_codes(t.shape, out.codes, t.n)
+    return ShiftedTableau(t.shape, out.codes, t.n)
 
 
 def _canonical_words_with_weight(wt: tuple[int, ...]):

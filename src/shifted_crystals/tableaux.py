@@ -6,6 +6,9 @@ Semistandardness: rows and columns weakly increase in the letter order,
 an unprimed value appears at most once per column, a primed value at most
 once per row, and the first letter of each value in reading order (rows
 bottom to top, left to right) is unprimed.
+
+A tableau is stored as its reading word, the layout the operators, the
+graph build and the weights read; its rows are derived from the word.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ StrictPartition = tuple[int, ...]
 
 
 def check_strict(parts) -> StrictPartition:
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(parts)
+    if any(type(p) is not int for p in parts):
+        raise NotStrict(f"parts must be integers: {parts}")
     if any(p <= 0 for p in parts):
         raise NotStrict(f"parts must be positive: {parts}")
     for a, b in zip(parts, parts[1:]):
@@ -109,54 +114,59 @@ def make_skew_shape(outer, inner=()) -> SkewShape:
 
 @dataclass(frozen=True)
 class ShiftedTableau:
-    """A semistandard shifted filling, rows stored top to bottom."""
+    """A semistandard shifted filling stored as its reading word: ``codes``
+    holds the rows from bottom to top, each left to right.  ``rows`` (top
+    row first) is derived from it."""
 
     shape: SkewShape
-    rows: tuple[Codes, ...]
+    codes: Codes
     n: int
 
     def __post_init__(self) -> None:
-        _validate(self.shape, self.rows, self.n)
+        _validate(self.shape, self.codes, self.n)
+
+    @property
+    def rows(self) -> tuple[Codes, ...]:
+        return _rows(self.shape, self.codes)
 
     @property
     def entries(self) -> dict[tuple[int, int], Letter]:
         out = {}
-        for r in range(1, self.shape.nrows + 1):
+        for r, row in enumerate(self.rows, start=1):
             lo, _ = self.shape.row_span(r)
-            for j, c in enumerate(self.rows[r - 1]):
+            for j, c in enumerate(row):
                 out[(r, lo + j)] = Letter.from_code(c)
         return out
 
-    def reading_codes(self) -> Codes:
-        out: list[int] = []
-        for row in reversed(self.rows):
-            out.extend(row)
-        return tuple(out)
-
-    @property
-    def size(self) -> int:
-        return self.shape.size
-
     def weight(self) -> WeightVector:
-        return weight_of_codes(self.reading_codes(), self.n)
+        return weight_of_codes(self.codes, self.n)
 
     def __str__(self) -> str:
         lines = []
-        for r in range(1, self.shape.nrows + 1):
+        for r, row in enumerate(self.rows, start=1):
             tokens = ["."] * self.shape.inner_part(r)
-            tokens.extend(str(Letter.from_code(c)) for c in self.rows[r - 1])
+            tokens.extend(str(Letter.from_code(c)) for c in row)
             lines.append(" ".join(tokens))
         return "\n".join(lines)
 
 
-def _validate(shape: SkewShape, rows: tuple[Codes, ...], n: int) -> None:
-    if len(rows) != shape.nrows:
-        raise BrokenSemistandard("row count does not match shape")
+def _rows(shape: SkewShape, codes: Codes) -> tuple[Codes, ...]:
+    """Slice a reading word into the rows of ``shape``, top row first: the
+    top row is the end of the word."""
+    rows = []
+    end = len(codes)
     for r in range(1, shape.nrows + 1):
         lo, hi = shape.row_span(r)
-        row = rows[r - 1]
-        if len(row) != hi - lo:
-            raise BrokenSemistandard(f"row {r} has wrong length")
+        rows.append(codes[end - (hi - lo) : end])
+        end -= hi - lo
+    return tuple(rows)
+
+
+def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
+    if len(codes) != shape.size:
+        raise BrokenSemistandard("word length does not match shape size")
+    rows = _rows(shape, codes)
+    for r, row in enumerate(rows, start=1):
         for c in row:
             if not 1 <= value_of(c) <= n:
                 raise BrokenSemistandard(f"letter {Letter.from_code(c)} exceeds bound {n}")
@@ -175,79 +185,62 @@ def _validate(shape: SkewShape, rows: tuple[Codes, ...], n: int) -> None:
                 raise BrokenSemistandard(f"column {col} is not weakly increasing")
             if a == b and not is_primed(a):
                 raise BrokenSemistandard(f"unprimed letter repeats in column {col}")
-    word: list[int] = []
-    for row in reversed(rows):
-        word.extend(row)
-    if tuple(word) != canonical_codes(tuple(word)):
+    if codes != canonical_codes(codes):
         raise BrokenSemistandard("first family letter in reading order is primed")
 
 
 def reading_word(t: ShiftedTableau) -> Word:
-    """Concatenation of the rows from bottom to top."""
-    return Word(t.reading_codes(), t.n)
+    """The stored reading word (rows bottom to top) as a ``Word``."""
+    return Word(t.codes, t.n)
 
 
-def from_reading_codes(shape: SkewShape, codes: Codes, n: int) -> ShiftedTableau:
-    """Refill ``shape`` with a word in reading order; validates the result."""
-    if len(codes) != shape.size:
-        raise BrokenSemistandard("word length does not match shape size")
-    rows: list[Codes] = []
-    pos = 0
-    for r in range(shape.nrows, 0, -1):
-        lo, hi = shape.row_span(r)
-        width = hi - lo
-        rows.append(tuple(codes[pos : pos + width]))
-        pos += width
-    return ShiftedTableau(shape, tuple(reversed(rows)), n)
-
-
-def _enumerate_rows(
+def _fillings(
     shape: SkewShape,
     n: int,
     canonical: bool,
     diagonal_unprimed: bool,
-) -> list[tuple[Codes, ...]]:
-    """Backtracking enumeration over cells in reading order.
+) -> list[Codes]:
+    """Reading words of the fillings, by backtracking over the cells in
+    reading order on one stack of codes.  Each cell's left and lower
+    neighbours are positions in that order, found once per call.  Codes are
+    tried in ascending order, so the words come out sorted.
 
     ``canonical=True`` enforces the first-family-letter-unprimed rule (the
     tableaux of this package); ``canonical=False, diagonal_unprimed=True``
     gives the classical decorated fillings behind the Schur P-polynomials.
     """
     cells = shape.reading_cells()
-    spans = {r: shape.row_span(r) for r in range(1, shape.nrows + 1)}
-    grid: dict[tuple[int, int], int] = {}
-    results: list[tuple[Codes, ...]] = []
+    position = {cell: k for k, cell in enumerate(cells)}
+    left = [position.get((r, c - 1)) for r, c in cells]
+    below = [position.get((r + 1, c)) for r, c in cells]
+    diagonal = [c == r for r, c in cells]
+    stack: list[int] = []
+    results: list[Codes] = []
     family_seen = [False] * (n + 1)
 
     def place(k: int) -> None:
         if k == len(cells):
-            rows = tuple(
-                tuple(grid[(r, c)] for c in range(*spans[r]))
-                for r in range(1, shape.nrows + 1)
-            )
-            results.append(rows)
+            results.append(tuple(stack))
             return
-        r, c = cells[k]
-        left = grid.get((r, c - 1))
-        below = grid.get((r + 1, c))
-        lo = left if left is not None else 1
-        hi = below if below is not None else 2 * n
+        l, b = left[k], below[k]
+        lo = 1 if l is None else stack[l]
+        hi = 2 * n if b is None else stack[b]
         for code in range(lo, hi + 1):
             primed = is_primed(code)
-            if left is not None and code == left and primed:
+            if l is not None and code == lo and primed:
                 continue  # primed repeat in row
-            if below is not None and code == below and not primed:
+            if b is not None and code == hi and not primed:
                 continue  # unprimed repeat in column
             v = value_of(code)
             if primed and canonical and not family_seen[v]:
                 continue
-            if primed and diagonal_unprimed and c == r and shape.inner_part(r) == 0:
+            if primed and diagonal_unprimed and diagonal[k]:
                 continue
             newly_seen = not family_seen[v]
             family_seen[v] = True
-            grid[(r, c)] = code
+            stack.append(code)
             place(k + 1)
-            del grid[(r, c)]
+            stack.pop()
             if newly_seen:
                 family_seen[v] = False
 
@@ -256,12 +249,11 @@ def _enumerate_rows(
 
 
 def enumerate_tableaux(shape: SkewShape, n: int) -> list[ShiftedTableau]:
-    """All canonical-form semistandard fillings, sorted by reading word:
-    ``_enumerate_rows`` fills the cells in reading order and tries codes in
-    ascending order, so its depth-first output is already in that order."""
+    """All canonical-form semistandard fillings, sorted by reading word
+    (``_fillings`` already yields them in that order), each validated."""
     return [
-        ShiftedTableau(shape, rows, n)
-        for rows in _enumerate_rows(shape, n, canonical=True, diagonal_unprimed=False)
+        ShiftedTableau(shape, codes, n)
+        for codes in _fillings(shape, n, canonical=True, diagonal_unprimed=False)
     ]
 
 
@@ -270,27 +262,25 @@ def decorated_filling_weights(
 ) -> list[WeightVector]:
     """Weights of the classical prime-decorated semistandard fillings
     (no canonical-form condition; optionally no primes on the diagonal)."""
-    out = []
-    for rows in _enumerate_rows(shape, n, canonical=False, diagonal_unprimed=diagonal_unprimed):
-        codes: list[int] = []
-        for row in rows:
-            codes.extend(row)
-        out.append(weight_of_codes(tuple(codes), n))
-    return out
+    return [
+        weight_of_codes(codes, n)
+        for codes in _fillings(shape, n, canonical=False, diagonal_unprimed=diagonal_unprimed)
+    ]
 
 
 def is_special(t: ShiftedTableau) -> bool:
     """Exactly one 2-family letter sitting in the top row, a nonempty second
     row, and no 3' in the top row (alphabet bound 3)."""
-    if t.shape.nrows < 2 or not t.rows[1]:
+    rows = t.rows
+    if t.shape.nrows < 2 or not rows[1]:
         return False
     two_family = [
-        (r, j) for r, row in enumerate(t.rows, start=1) for j, c in enumerate(row) if value_of(c) == 2
+        (r, j) for r, row in enumerate(rows, start=1) for j, c in enumerate(row) if value_of(c) == 2
     ]
     if len(two_family) != 1 or two_family[0][0] != 1:
         return False
     three_prime = 2 * 3 - 1
-    return three_prime not in t.rows[0]
+    return three_prime not in rows[0]
 
 
 def parse_tableau(text: str, n: int) -> ShiftedTableau:
@@ -316,7 +306,7 @@ def parse_tableau(text: str, n: int) -> ShiftedTableau:
     shape = SkewShape(tuple(outer), tuple(p for p in inner if p > 0))
     if list(shape.inner) + [0] * (len(outer) - len(shape.inner)) != inner:
         raise NotContained(f"inner dots {inner} do not form a strict partition prefix")
-    return ShiftedTableau(shape, tuple(rows), n)
+    return ShiftedTableau(shape, tuple(c for row in reversed(rows) for c in row), n)
 
 
 def rows_from_strings(rows: list[str], n: int) -> ShiftedTableau:

@@ -17,6 +17,7 @@ from shifted_crystals import (
     rows_from_strings,
     strict_partitions,
 )
+from shifted_crystals.tableaux import decorated_filling_weights
 from shifted_crystals.words import canonical_codes, is_primed, value_of
 
 
@@ -33,6 +34,14 @@ class TestSkewShape:
         shape = make_skew_shape((3, 1), (2,))
         assert shape.cells() == [(1, 3), (2, 2)]
         assert shape.size == 2
+
+    @pytest.mark.parametrize("outer", [(2.7, 1), "31", (True,), (3, 1.0), ("2",)])
+    def test_parts_must_be_integers(self, outer):
+        with pytest.raises(NotStrict, match="^parts must be integers: "):
+            make_skew_shape(outer)
+
+    def test_parts_from_any_iterable_of_ints(self):
+        assert make_skew_shape([3, 1], (p for p in [1])) == make_skew_shape((3, 1), (1,))
 
     def test_not_contained(self):
         with pytest.raises(NotContained):
@@ -74,7 +83,7 @@ class TestEnumerate:
             (make_skew_shape((13, 11, 9, 7, 5, 3, 1), (12, 10, 8, 6, 4, 2)), 2),
         ]
         for shape, n in cases:
-            words = [t.reading_codes() for t in enumerate_tableaux(shape, n)]
+            words = [t.codes for t in enumerate_tableaux(shape, n)]
             assert all(a < b for a, b in zip(words, words[1:])), (shape, n)
 
     def test_reading_word_injective_per_shape(self):
@@ -84,10 +93,11 @@ class TestEnumerate:
             assert len(set(words)) == len(words)
 
 
-def _valid_by_independent_predicate(shape, rows, n) -> bool:
+def _valid_by_independent_predicate(shape, rows, n, canonical=True, diagonal_unprimed=False) -> bool:
     """Invariant clauses spelled out directly, independent of the
-    enumerator's incremental pruning."""
-    cells = shape.cells()
+    enumerator's incremental pruning.  ``canonical=False`` drops the
+    first-family-letter-unprimed clause; ``diagonal_unprimed`` forbids
+    primes on the main diagonal."""
     grid = {}
     for r in range(1, shape.nrows + 1):
         lo, hi = shape.row_span(r)
@@ -111,40 +121,56 @@ def _valid_by_independent_predicate(shape, rows, n) -> bool:
                 return False
             if is_primed(code) and r2 == r and c2 != c:
                 return False
+    if diagonal_unprimed and any(is_primed(code) for (r, c), code in grid.items() if r == c):
+        return False
     word = []
     for r in range(shape.nrows, 0, -1):
         word.extend(rows[r - 1])
-    return tuple(word) == canonical_codes(tuple(word))
+    return not canonical or tuple(word) == canonical_codes(tuple(word))
+
+
+def _filtered(shape, n, **clauses) -> list[tuple[tuple[int, ...], ...]]:
+    """Every filling of ``shape`` over the 2n codes, as rows top row first,
+    that the independent predicate accepts."""
+    row_widths = [shape.row_span(r)[1] - shape.row_span(r)[0] for r in range(1, shape.nrows + 1)]
+    valid = []
+    for assignment in product(range(1, 2 * n + 1), repeat=shape.size):
+        rows = []
+        pos = 0
+        for width in row_widths:
+            rows.append(tuple(assignment[pos : pos + width]))
+            pos += width
+        if _valid_by_independent_predicate(shape, rows, n, **clauses):
+            valid.append(tuple(rows))
+    return valid
+
+
+BRUTE_FORCE_CASES = [
+    ((2, 1), (), 2),
+    ((3,), (), 2),
+    ((2, 1), (1,), 3),
+    ((3, 1), (), 2),
+    ((4,), (), 1),
+    ((3, 1), (2,), 3),
+    ((2,), (), 4),
+    ((2, 1), (), 4),
+]
 
 
 class TestBruteForceAgreement:
-    @pytest.mark.parametrize(
-        "outer,inner,n",
-        [
-            ((2, 1), (), 2),
-            ((3,), (), 2),
-            ((2, 1), (1,), 3),
-            ((3, 1), (), 2),
-            ((4,), (), 1),
-            ((3, 1), (2,), 3),
-            ((2,), (), 4),
-            ((2, 1), (), 4),
-        ],
-    )
+    @pytest.mark.parametrize("outer,inner,n", BRUTE_FORCE_CASES)
     def test_matches_exhaustive_filter(self, outer, inner, n):
         shape = make_skew_shape(outer, inner)
-        row_widths = [shape.row_span(r)[1] - shape.row_span(r)[0] for r in range(1, shape.nrows + 1)]
-        valid = set()
-        for assignment in product(range(1, 2 * n + 1), repeat=shape.size):
-            rows = []
-            pos = 0
-            for width in row_widths:
-                rows.append(tuple(assignment[pos : pos + width]))
-                pos += width
-            if _valid_by_independent_predicate(shape, rows, n):
-                valid.add(tuple(rows))
         enumerated = {t.rows for t in enumerate_tableaux(shape, n)}
-        assert enumerated == valid
+        assert enumerated == set(_filtered(shape, n))
+
+    @pytest.mark.parametrize("diagonal_unprimed", [True, False])
+    @pytest.mark.parametrize("outer,inner,n", BRUTE_FORCE_CASES)
+    def test_decorated_fillings_match_exhaustive_filter(self, outer, inner, n, diagonal_unprimed):
+        shape = make_skew_shape(outer, inner)
+        valid = _filtered(shape, n, canonical=False, diagonal_unprimed=diagonal_unprimed)
+        expected = [tuple(sum(value_of(c) == v for row in rows for c in row) for v in range(1, n + 1)) for rows in valid]
+        assert sorted(decorated_filling_weights(shape, n, diagonal_unprimed)) == sorted(expected)
 
 
 class TestReadingWord:
@@ -208,6 +234,23 @@ class TestTableauText:
     def test_entries_are_ascii_digits(self):
         with pytest.raises(ValueError, match="^bad letter token '\u0662'$"):
             parse_tableau("1 \u0662", 2)
+
+    def test_round_trip_every_small_tableau(self):
+        count = 0
+        for size in range(7):
+            for lam in strict_partitions(size):
+                inside = [
+                    mu
+                    for k in range(size + 1)
+                    for mu in strict_partitions(k)
+                    if len(mu) <= len(lam) and all(m <= l for m, l in zip(mu, lam))
+                ]
+                for mu in inside:
+                    for n in range(1, 4):
+                        for t in enumerate_tableaux(make_skew_shape(lam, mu), n):
+                            assert parse_tableau(str(t), n) == t, (lam, mu, n, str(t))
+                            count += 1
+        assert count == 1340
 
     def test_entries_map(self):
         t = rows_from_strings(["1 2'", "2"], 2)
