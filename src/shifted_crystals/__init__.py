@@ -11,7 +11,6 @@ from .axioms import (
     ALL_AXIOMS,
     AXIOM_IDS,
     CheckReport,
-    DeltaPair,
     Violation,
     check,
     check_all,

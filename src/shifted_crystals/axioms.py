@@ -58,15 +58,6 @@ ALL_AXIOMS = AXIOM_IDS + LEMMA_IDS
 
 
 @dataclass(frozen=True)
-class DeltaPair:
-    d_eps_i: int
-    d_eps_i1: int
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.d_eps_i, self.d_eps_i1)
-
-
-@dataclass(frozen=True)
 class Violation:
     axiom: str
     vertices: tuple[int, ...]
@@ -124,17 +115,17 @@ class _View:
             self.f[j], self.fp[j] = arrows[k, False], arrows[k, True]
             self.stats[j] = dual if reverse else stats
 
-    def delta_at(self, w: int, i: int, x: int, y: int) -> DeltaPair | None:
+    def delta_at(self, w: int, i: int, x: int, y: int) -> tuple[int, int] | None:
         """(eps_i(w)-eps_i(y), eps_{i+1}(w)-eps_{i+1}(x)) for an i-side
         target x and an (i+1)-side target y."""
         s, t = self.stats[i], self.stats[i + 1]
         parts = (s.get(w), s.get(y), t.get(w), t.get(x))
         if None in parts:
             return None
-        return DeltaPair(parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps)
+        return parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps
 
 
-def _delta(view: _View, w: int, i: int, x_primed: bool, y_primed: bool, arrows: str) -> DeltaPair:
+def _delta(view: _View, w: int, i: int, x_primed: bool, y_primed: bool, arrows: str) -> tuple[int, int]:
     x = (view.fp if x_primed else view.f).get(i, {}).get(w)
     y = (view.fp if y_primed else view.f).get(i + 1, {}).get(w)
     if x is None or y is None:
@@ -145,14 +136,14 @@ def _delta(view: _View, w: int, i: int, x_primed: bool, y_primed: bool, arrows: 
     return d
 
 
-def delta(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> DeltaPair:
+def delta(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> tuple[int, int]:
     """Delta across the downward arrows toward the i-side target x and the
     (i+1)-side target y; primed flags select f' arrows (as in the
     half-solid-square configuration)."""
     return _delta(_View(g), w, i, x_primed, y_primed, f"f_{i} or f_{i + 1}")
 
 
-def delta_dual(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> DeltaPair:
+def delta_dual(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> tuple[int, int]:
     """Dual delta across the upward arrows from the e_{i+1}-side source x
     and the e_i-side source y, that is (phi_{i+1}(w)-phi_{i+1}(y),
     phi_i(w)-phi_i(x)): delta on the reversed graph at n-1-i."""
@@ -341,7 +332,7 @@ def _check_A2(view: _View, w: int, i: int, out: list) -> None:
     s1 = view.stats[i + 1].get(w)
     numeric = None
     if d is not None and s1 is not None:
-        numeric = d.as_tuple() == (0, 0) and s1.phi == 1 and s1.phi_hat == 0
+        numeric = d == (0, 0) and s1.phi == 1 and s1.phi_hat == 0
     _iff("A2", view, w, i, structural, numeric, out)
 
 
@@ -386,7 +377,7 @@ def _check_A5(view: _View, w: int, i: int, out: list) -> None:
     lhs = view.fp[i].get(y)
     structural = lhs is not None and lhs == view.fp[i + 1].get(x)
     d = view.delta_at(w, i, x, y)
-    numeric = None if d is None else d.as_tuple() == (1, 1)
+    numeric = None if d is None else d == (1, 1)
     _iff("A5", view, w, i, structural, numeric, out)
 
 
@@ -398,7 +389,7 @@ def _check_A6(view: _View, w: int, i: int, out: list) -> None:
     lhs = view.f[i].get(y)
     structural = lhs is not None and lhs == view.f[i + 1].get(x)
     d = view.delta_at(w, i, x, y)
-    numeric = None if d is None else d.as_tuple() in ((1, 0), (0, 1))
+    numeric = None if d is None else d in ((1, 0), (0, 1))
     _iff("A6", view, w, i, structural, numeric, out)
 
 
@@ -416,7 +407,7 @@ def _check_A7(view: _View, w: int, i: int, out: list) -> None:
     sy, sw = view.stats[i].get(y), view.stats[i].get(w)
     numeric = None
     if d is not None and sy is not None and sw is not None:
-        numeric = d.as_tuple() == (0, 0) and sw.eps_hat - sy.eps_hat == -1
+        numeric = d == (0, 0) and sw.eps_hat - sy.eps_hat == -1
     _iff("A7", view, w, i, structural, numeric, out)
 
 
@@ -434,7 +425,7 @@ def _check_A8(view: _View, w: int, i: int, out: list) -> None:
     sy = view.stats[i].get(y)
     numeric = None
     if d is not None and sy is not None:
-        numeric = d.as_tuple() == (0, 0) and sy.phi_hat >= 2
+        numeric = d == (0, 0) and sy.phi_hat >= 2
     _iff("A8", view, w, i, structural, numeric, out)
 
 
@@ -467,7 +458,7 @@ def _check_SA(view: _View, w: int, i: int, out: list) -> None:
         return
     x, y = pair
     d = view.delta_at(w, i, x, y)
-    if d is None or d.as_tuple() != (0, 0):
+    if d is None or d != (0, 0):
         return
     sw, sy = view.stats[i].get(w), view.stats[i].get(y)
     if sw is None or sy is None:
@@ -552,7 +543,7 @@ def _check_L_TD(view: _View) -> list[Violation]:
                         "L_TD",
                         (z, t),
                         i,
-                        f"Delta changes along the primed edge: {dz.as_tuple()} vs {dt.as_tuple()}",
+                        f"Delta changes along the primed edge: {dz} vs {dt}",
                         _context(g, (z, t)),
                     )
                 )
@@ -678,7 +669,7 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
                 continue
             d = view.delta_at(vert.id, i, x, y)
             if d is not None:
-                hist[d.as_tuple()] += 1
+                hist[d] += 1
     return CheckReport(
         axioms=tuple(axioms),
         violations=violations,

@@ -1,19 +1,15 @@
-"""Weight generating functions, brute-force Schur P/Q polynomials, and
+"""Weight generating functions, the classical Schur P/Q polynomials (by the
+branching rule, sharing no code with the tableau enumerator), and
 Schur-Q-positive expansions extracted from highest-weight enumeration."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InternalInconsistency
 from .graph import CrystalGraph, build_graph, components, highest_weight
-from .tableaux import (
-    SkewShape,
-    StrictPartition,
-    check_strict,
-    decorated_filling_weights,
-    enumerate_tableaux,
-)
+from .tableaux import SkewShape, StrictPartition, check_strict, enumerate_tableaux
 
 
 class Polynomial:
@@ -134,15 +130,45 @@ def genfun_weighted(tableaux, n: int) -> Polynomial:
     return _weight_polynomial((t.weight() for t in tableaux), n, class_size=True)
 
 
+def _letter_steps(mu: StrictPartition, sigma: StrictPartition) -> list[tuple[StrictPartition, int]]:
+    """Each strict lam, mu <= lam <= sigma, that one letter k can add to mu
+    (lam_{r+1} <= mu_r in every row r), with its number of fillings: k or k'
+    in the south-west cell of each edge-connected piece of lam/mu, only k on
+    the main diagonal, the other cells forced (Macdonald, III.8)."""
+    rows = min(len(mu) + 1, len(sigma))
+    m = mu + (0,) * (rows + 1 - len(mu))
+    ranges = [range(m[r], min(sigma[r], m[r - 1] if r else sigma[r]) + 1) for r in range(rows)]
+    steps = []
+    for parts in product(*ranges):
+        lam = parts + (0,)
+        if any(0 < lam[r + 1] == lam[r] for r in range(rows)):
+            continue  # not strict
+        # row r starts a free piece unless lam_{r+1} = mu_r (continued below, or on the diagonal)
+        free = sum(1 for r in range(rows) if m[r] < lam[r] and lam[r + 1] != m[r])
+        steps.append((tuple(p for p in parts if p), 2**free))
+    return steps
+
+
 def schur_P(sigma: StrictPartition, n: int) -> Polynomial:
-    """Classical Schur P-polynomial by brute force over decorated shifted
-    fillings with an unprimed main diagonal; raises InternalInconsistency
-    unless it comes out symmetric."""
+    """Classical Schur P-polynomial by the branching rule: after k letters,
+    ``polys[lam]`` is P_lam(x_1..x_k) for each lam inside sigma they reach,
+    and letter k+1 extends it along the ``_letter_steps`` of lam, computed
+    once per call.  Raises InternalInconsistency unless it is symmetric."""
     sigma = check_strict(sigma)
-    if not sigma:
-        return Polynomial.monomial((0,) * n)
-    fillings = decorated_filling_weights(SkewShape(sigma), n, diagonal_unprimed=True)
-    poly = _weight_polynomial(fillings, n)
+    steps = {}
+    polys: dict[StrictPartition, dict[tuple[int, ...], int]] = {(): {(): 1}}
+    for _ in range(n):
+        grown: dict[StrictPartition, dict[tuple[int, ...], int]] = {}
+        for mu, terms in polys.items():
+            if mu not in steps:
+                steps[mu] = [(lam, sum(lam) - sum(mu), ways) for lam, ways in _letter_steps(mu, sigma)]
+            for lam, added, ways in steps[mu]:
+                acc = grown.setdefault(lam, {})
+                for e, c in terms.items():
+                    e += (added,)
+                    acc[e] = acc.get(e, 0) + ways * c
+        polys = grown
+    poly = Polynomial(polys.get(sigma), n)
     if not poly.is_symmetric():
         raise InternalInconsistency(f"P_{sigma} came out asymmetric")
     return poly

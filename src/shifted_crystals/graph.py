@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ops import OpKind, apply, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
-from .words import Word, codes_to_str, parse_codes
+from .words import _INT, Word, codes_to_str, parse_codes
 
 StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see strings()
 StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
@@ -438,7 +438,6 @@ _VERTEX = '{\n      "id": %d,\n      "word": %s,\n      "weight": %s\n    }'
 _EDGE = '{\n      "src": %d,\n      "dst": %d,\n      "index": %d,\n      "primed": %s\n    }'
 _EDGE_KEYS = ("src", "dst", "index", "primed")
 _EDGE_TYPES = (int, int, int, bool)
-_INT = {int}
 
 
 def _array(items: list[str], indent: str) -> str:

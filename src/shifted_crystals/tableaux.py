@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import BrokenSemistandard, NotContained, NotStrict
 from .words import (
+    _INT,
     Codes,
     Letter,
     WeightVector,
@@ -163,6 +164,8 @@ def _rows(shape: SkewShape, codes: Codes) -> tuple[Codes, ...]:
 
 
 def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
+    if type(codes) is not tuple or not _INT.issuperset(map(type, codes)):
+        raise BrokenSemistandard(f"codes must be a tuple of ints: {codes!r}")
     if len(codes) != shape.size:
         raise BrokenSemistandard("word length does not match shape size")
     rows = _rows(shape, codes)
@@ -194,26 +197,16 @@ def reading_word(t: ShiftedTableau) -> Word:
     return Word(t.codes, t.n)
 
 
-def _fillings(
-    shape: SkewShape,
-    n: int,
-    canonical: bool,
-    diagonal_unprimed: bool,
-) -> list[Codes]:
-    """Reading words of the fillings, by backtracking over the cells in
-    reading order on one stack of codes.  Each cell's left and lower
-    neighbours are positions in that order, found once per call.  Codes are
-    tried in ascending order, so the words come out sorted.
-
-    ``canonical=True`` enforces the first-family-letter-unprimed rule (the
-    tableaux of this package); ``canonical=False, diagonal_unprimed=True``
-    gives the classical decorated fillings behind the Schur P-polynomials.
-    """
+def _fillings(shape: SkewShape, n: int) -> list[Codes]:
+    """Reading words of the canonical-form semistandard fillings, by
+    backtracking over the cells in reading order on one stack of codes; a
+    primed code waits until its value has appeared.  Each cell's left and
+    lower neighbours are positions in that order, found once per call.
+    Codes are tried in ascending order, so the words come out sorted."""
     cells = shape.reading_cells()
     position = {cell: k for k, cell in enumerate(cells)}
     left = [position.get((r, c - 1)) for r, c in cells]
     below = [position.get((r + 1, c)) for r, c in cells]
-    diagonal = [c == r for r, c in cells]
     stack: list[int] = []
     results: list[Codes] = []
     family_seen = [False] * (n + 1)
@@ -232,9 +225,7 @@ def _fillings(
             if b is not None and code == hi and not primed:
                 continue  # unprimed repeat in column
             v = value_of(code)
-            if primed and canonical and not family_seen[v]:
-                continue
-            if primed and diagonal_unprimed and diagonal[k]:
+            if primed and not family_seen[v]:
                 continue
             newly_seen = not family_seen[v]
             family_seen[v] = True
@@ -251,21 +242,7 @@ def _fillings(
 def enumerate_tableaux(shape: SkewShape, n: int) -> list[ShiftedTableau]:
     """All canonical-form semistandard fillings, sorted by reading word
     (``_fillings`` already yields them in that order), each validated."""
-    return [
-        ShiftedTableau(shape, codes, n)
-        for codes in _fillings(shape, n, canonical=True, diagonal_unprimed=False)
-    ]
-
-
-def decorated_filling_weights(
-    shape: SkewShape, n: int, diagonal_unprimed: bool = True
-) -> list[WeightVector]:
-    """Weights of the classical prime-decorated semistandard fillings
-    (no canonical-form condition; optionally no primes on the diagonal)."""
-    return [
-        weight_of_codes(codes, n)
-        for codes in _fillings(shape, n, canonical=False, diagonal_unprimed=diagonal_unprimed)
-    ]
+    return [ShiftedTableau(shape, codes, n) for codes in _fillings(shape, n)]
 
 
 def is_special(t: ShiftedTableau) -> bool:

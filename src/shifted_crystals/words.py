@@ -20,6 +20,7 @@ PRIME = "'"
 Codes = tuple[int, ...]
 WeightVector = tuple[int, ...]
 StandardWord = tuple[int, ...]
+_INT = {int}  # for exact-type tests: a bool, float or int subclass is not in it
 
 
 def code_of(value: int, primed: bool) -> int:
@@ -112,6 +113,8 @@ class RawWord:
     n: int
 
     def __post_init__(self) -> None:
+        if type(self.codes) is not tuple or not _INT.issuperset(map(type, self.codes)):
+            raise ValueError(f"codes must be a tuple of ints: {self.codes!r}")
         if self.n < 0:
             raise ValueError("alphabet bound must be nonnegative")
         codes = self.codes

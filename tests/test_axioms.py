@@ -61,7 +61,7 @@ class TestDelta:
         seen = set()
         for v in g.vertices:
             if g.f(v.id, 1) is not None and g.f(v.id, 2) is not None:
-                seen.add(delta(g, v.id, 1).as_tuple())
+                seen.add(delta(g, v.id, 1))
         assert seen and seen <= {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_half_solid_square_config(self, graph_cache):
@@ -71,7 +71,7 @@ class TestDelta:
         vid = next(v.id for v in g.vertices if v.word.codes == reading_word(top).codes)
         assert g.f(vid, 1, True) is not None and g.f(vid, 2, True) is not None
         d = delta(g, vid, 1, x_primed=True, y_primed=True)
-        assert d.as_tuple() == (0, 0)
+        assert d == (0, 0)
 
     def test_missing_arrow(self, graph_cache):
         g = graph_cache((2, 1), (), 2)
@@ -88,7 +88,7 @@ class TestDelta:
             fp_y, fp_x = g.f(y, 1, True), g.f(x, 2, True)
             if fp_y is not None and fp_y == fp_x:
                 found += 1
-                assert delta(g, v.id, 1).as_tuple() == (1, 1)
+                assert delta(g, v.id, 1) == (1, 1)
         assert found > 0
 
 
@@ -145,7 +145,7 @@ class TestDualSymmetry:
                     j = g.n - i - 1
                     assert g.e(image, j) is not None and g.e(image, j + 1) is not None
                     assert g.e(image, j + 1, True) is None
-                    assert delta(g, v.id, i).as_tuple() == delta_dual(g, image, j).as_tuple()
+                    assert delta(g, v.id, i) == delta_dual(g, image, j)
                     checked += 1
             assert checked > 0
 

@@ -8,13 +8,15 @@ from shifted_crystals import (
     enumerate_tableaux,
     expand,
     genfun,
+    genfun_weighted,
     make_skew_shape,
     schur_P,
     schur_Q,
+    strict_partitions,
     verify_expansion,
 )
-from shifted_crystals import expansion, graph
-from shifted_crystals.tableaux import SkewShape, decorated_filling_weights
+from shifted_crystals import expansion, graph, tableaux
+from shifted_crystals.tableaux import SkewShape
 
 
 def mono(*exps, c=1):
@@ -69,18 +71,26 @@ class TestSchurPQ:
             assert schur_P(lam, 3).is_symmetric()
 
     def test_asymmetric_p_raises(self, monkeypatch):
-        monkeypatch.setattr(expansion, "decorated_filling_weights", lambda *a, **k: [(1, 0)])
+        # every letter may only jump straight to sigma: P_(1)(x1, x2) = x1
+        monkeypatch.setattr(expansion, "_letter_steps", lambda mu, sigma: [(sigma, 1)])
         with pytest.raises(InternalInconsistency, match="asymmetric"):
             schur_P((1,), 2)
 
-    def test_q_matches_direct_enumeration(self):
-        # enumerating with primed diagonals allowed gives exactly 2^len * P
-        for lam in ((1,), (2,), (2, 1), (3, 1)):
-            shape = make_skew_shape(lam)
-            direct = Polynomial.zero(3)
-            for wt in decorated_filling_weights(shape, 3, diagonal_unprimed=False):
-                direct = direct + Polynomial.monomial(wt)
-            assert direct == schur_Q(lam, 3), lam
+    def test_empty_partition_and_no_letters(self):
+        assert schur_P((), 3) == mono(0, 0, 0)
+        assert schur_P((), 0) == Polynomial.monomial(())
+        assert schur_Q((2, 1), 0) == Polynomial.zero(0)
+
+    def test_independent_of_the_enumerator(self, monkeypatch):
+        cases = [((1,), 2), ((3, 1), 3), ((4, 2, 1), 4), ((), 2)]
+        expected = [(schur_P(sigma, n), schur_Q(sigma, n)) for sigma, n in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the classical P/Q must not enumerate tableaux")
+
+        monkeypatch.setattr(tableaux, "_fillings", refuse)
+        monkeypatch.setattr(expansion, "enumerate_tableaux", refuse)
+        assert [(schur_P(sigma, n), schur_Q(sigma, n)) for sigma, n in cases] == expected
 
 
 class TestExpand:
@@ -128,6 +138,13 @@ class TestVerifyExpansion:
                 assert report.identity_ok
                 weighted_kinds |= {k for _, k in report.weighted_matches}
         assert weighted_kinds == {"Q"}
+
+    def test_weighted_genfun_is_Q_on_a_wider_sweep(self):
+        cases = [(lam, n) for size in range(1, 10) for lam in strict_partitions(size) for n in range(1, 5)]
+        cases.append(((4, 3, 2, 1), 5))
+        assert len(cases) == 129
+        for lam, n in cases:
+            assert genfun_weighted(enumerate_tableaux(make_skew_shape(lam), n), n) == schur_Q(lam, n), (lam, n)
 
     def test_plain_genfun_is_not_P_in_general(self):
         report = verify_expansion(make_skew_shape((2,)), 2)

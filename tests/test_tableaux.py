@@ -9,15 +9,18 @@ from shifted_crystals import (
     BrokenSemistandard,
     NotContained,
     NotStrict,
+    Polynomial,
+    ShiftedTableau,
     enumerate_tableaux,
     is_special,
     make_skew_shape,
     parse_tableau,
     reading_word,
     rows_from_strings,
+    schur_P,
+    schur_Q,
     strict_partitions,
 )
-from shifted_crystals.tableaux import decorated_filling_weights
 from shifted_crystals.words import canonical_codes, is_primed, value_of
 
 
@@ -164,13 +167,27 @@ class TestBruteForceAgreement:
         enumerated = {t.rows for t in enumerate_tableaux(shape, n)}
         assert enumerated == set(_filtered(shape, n))
 
-    @pytest.mark.parametrize("diagonal_unprimed", [True, False])
-    @pytest.mark.parametrize("outer,inner,n", BRUTE_FORCE_CASES)
-    def test_decorated_fillings_match_exhaustive_filter(self, outer, inner, n, diagonal_unprimed):
-        shape = make_skew_shape(outer, inner)
-        valid = _filtered(shape, n, canonical=False, diagonal_unprimed=diagonal_unprimed)
-        expected = [tuple(sum(value_of(c) == v for row in rows for c in row) for v in range(1, n + 1)) for rows in valid]
-        assert sorted(decorated_filling_weights(shape, n, diagonal_unprimed)) == sorted(expected)
+
+SCHUR_CASES = [(outer, n) for outer, inner, n in BRUTE_FORCE_CASES if not inner]
+SCHUR_CASES += [((1,), 3), ((2,), 3), ((2, 1), 3), ((3, 1), 3), ((3, 2), 3), ((4, 1), 3)]
+
+
+@pytest.mark.parametrize("sigma,n", SCHUR_CASES)
+def test_schur_p_and_q_match_exhaustive_filter(sigma, n):
+    """The classical P and Q, computed without the enumerator, against the
+    weights of every decorated filling the independent predicate accepts:
+    unprimed main diagonal for P, any diagonal for Q."""
+    shape = make_skew_shape(sigma)
+
+    def weight_polynomial(diagonal_unprimed):
+        poly = Polynomial.zero(n)
+        for rows in _filtered(shape, n, canonical=False, diagonal_unprimed=diagonal_unprimed):
+            wt = tuple(sum(value_of(c) == v for row in rows for c in row) for v in range(1, n + 1))
+            poly = poly + Polynomial.monomial(wt)
+        return poly
+
+    assert schur_P(sigma, n) == weight_polynomial(True)
+    assert schur_Q(sigma, n) == weight_polynomial(False)
 
 
 class TestReadingWord:
@@ -222,6 +239,11 @@ class TestValidation:
     def test_first_defect_message(self, rows, n, message):
         with pytest.raises(BrokenSemistandard, match=f"^{re.escape(message)}$"):
             rows_from_strings(rows, n)
+
+    @pytest.mark.parametrize("codes", [[2], (2.0,), (True,)], ids=["list", "float", "bool"])
+    def test_codes_must_be_a_tuple_of_ints(self, codes):
+        with pytest.raises(BrokenSemistandard, match="^codes must be a tuple of ints: "):
+            ShiftedTableau(make_skew_shape((1,)), codes, 1)
 
 
 class TestTableauText:

@@ -208,3 +208,9 @@ class TestWordValidation:
     def test_negative_bound(self):
         with pytest.raises(ValueError, match="alphabet bound must be nonnegative"):
             Word((), -1)
+
+    @pytest.mark.parametrize("cls", [RawWord, Word])
+    @pytest.mark.parametrize("codes", [[2], (2.0,), (True,)], ids=["list", "float", "bool"])
+    def test_codes_must_be_a_tuple_of_ints(self, cls, codes):
+        with pytest.raises(ValueError, match="^codes must be a tuple of ints: "):
+            cls(codes, 1)
