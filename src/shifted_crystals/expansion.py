@@ -155,7 +155,7 @@ def schur_P(sigma: StrictPartition, n: int) -> Polynomial:
     and letter k+1 extends it along the ``_letter_steps`` of lam, computed
     once per call.  Raises InternalInconsistency unless it is symmetric."""
     sigma = check_strict(sigma)
-    steps = {}
+    steps: dict[StrictPartition, list[tuple[StrictPartition, int, int]]] = {}
     polys: dict[StrictPartition, dict[tuple[int, ...], int]] = {(): {(): 1}}
     for _ in range(n):
         grown: dict[StrictPartition, dict[tuple[int, ...], int]] = {}

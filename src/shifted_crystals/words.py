@@ -113,11 +113,11 @@ class RawWord:
     n: int
 
     def __post_init__(self) -> None:
-        if type(self.codes) is not tuple or not _INT.issuperset(map(type, self.codes)):
-            raise ValueError(f"codes must be a tuple of ints: {self.codes!r}")
+        codes = self.codes
+        if type(codes) is not tuple or not _INT.issuperset(map(type, codes)):
+            raise ValueError(f"codes must be a tuple of ints: {codes!r}")
         if self.n < 0:
             raise ValueError("alphabet bound must be nonnegative")
-        codes = self.codes
         if codes and (min(codes) < 1 or max(codes) > 2 * self.n):
             c = next(c for c in codes if not 1 <= c <= 2 * self.n)
             raise ValueError(f"letter {Letter.from_code(c)} outside alphabet bound {self.n}")
