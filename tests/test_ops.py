@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -28,6 +29,7 @@ from shifted_crystals import (
 )
 from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
+from shifted_crystals.words import canonical_codes, first_occurrences
 from test_acceptance import strict_subpartitions
 
 F1, F2 = OpKind("F", 1), OpKind("F", 2)
@@ -128,6 +130,16 @@ class TestFinalCriticalSubstring:
         with pytest.raises(InternalInconsistency, match="representatives disagree"):
             apply(F1, Word.parse("1", 2))
 
+    def test_tied_disagreement_at_a_first_occurrence_raises(self, monkeypatch):
+        # in "21" the 1 is the first of its family and the 2 precedes it:
+        # the tied 4F matches at that 1 in the representatives 21' and
+        # 2'1' give "22'" and "2'2'" before re-canonicalisation
+        monkeypatch.setattr(ops, "_canonical_sub", tuple)
+        with pytest.raises(InternalInconsistency, match="representatives disagree"):
+            apply(F1, Word.parse("21", 2))
+        match = final_critical_substring(Word.parse("21", 2), 1)
+        assert (match.kind, match.positions, str(match.representative)) == ("4F", (1,), "21'")
+
 
 class TestApply:
     def test_primed_lowering(self):
@@ -200,11 +212,12 @@ class TestApply:
 def canonical_subwords(max_length: int):
     """Every canonical relabeled subword of length <= max_length with its
     firsts: codes 1', 1, 2', 2 = 1..4, the first letter of each family
-    unprimed."""
+    unprimed.  Such a subword is a canonical word at n = 2, so it is found
+    and its firsts are read without the kernel."""
     for length in range(max_length + 1):
         for sub in product((1, 2, 3, 4), repeat=length):
-            if ops._canonical_sub(sub) == sub:
-                yield sub, ops.subword(sub, 1)[2]
+            if canonical_codes(sub) == sub:
+                yield sub, tuple(first_occurrences(sub).values())
 
 
 class TestSubwordKernel:
@@ -217,6 +230,27 @@ class TestSubwordKernel:
                 if out is not None:
                     back = ops._on_subword(out, ops.subword(out, 1)[2], not lower, primed)
                     assert back == sub, (sub, lower, primed, out)
+
+    def test_outputs_are_pinned(self):
+        # one digest over every canonical subword of length <= 8 (22,101
+        # subwords, 88,404 kernel calls): each family's result or the name
+        # of the error it raises, and the final critical substring on both
+        # sides with its kind, positions, representative and location
+        digest = hashlib.sha256()
+        for sub, firsts in canonical_subwords(8):
+            record = []
+            for lower, primed in product((True, False), repeat=2):
+                try:
+                    record.append(ops._on_subword(sub, firsts, lower, primed))
+                except Exception as exc:
+                    record.append(type(exc).__name__)
+            for lower in (True, False):
+                match = final_critical_substring(Word(sub, 2), 1, lower)
+                if match is not None:
+                    match = (match.kind, match.positions, match.representative.codes, match.location)
+                record.append(match)
+            digest.update(f"{sub} {record}\n".encode())
+        assert digest.hexdigest() == "f99227fd9387134773653c6653f5b92ff9782bd7fbdad45b028090eede23ec47"
 
 
 class TestOperatorMemo:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import re
 from itertools import product
 
@@ -239,6 +240,24 @@ class TestValidation:
     def test_first_defect_message(self, rows, n, message):
         with pytest.raises(BrokenSemistandard, match=f"^{re.escape(message)}$"):
             rows_from_strings(rows, n)
+
+    def test_outcomes_are_pinned(self):
+        # one digest over the outcome of every code tuple over 0..2n+1, so
+        # that each bound, row, column and canonical-form defect and the
+        # order they are met in show: the brute-force cases, a skew shape
+        # with overlapping rows, and one whose rows share no column
+        cases = BRUTE_FORCE_CASES + [((4, 2), (1,), 2), ((5, 3, 1), (4, 2), 2)]
+        digest = hashlib.sha256()
+        for outer, inner, n in cases:
+            shape = make_skew_shape(outer, inner)
+            for codes in product(range(2 * n + 2), repeat=shape.size):
+                try:
+                    ShiftedTableau(shape, codes, n)
+                    outcome = "accepted"
+                except Exception as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{shape} {n} {codes} {outcome}\n".encode())
+        assert digest.hexdigest() == "31365cf059936d2f9e37fa4223351074f7b91e0a348b3b4e8f6f1a64ac983f16"
 
     @pytest.mark.parametrize("codes", [[2], (2.0,), (True,)], ids=["list", "float", "bool"])
     def test_codes_must_be_a_tuple_of_ints(self, codes):
