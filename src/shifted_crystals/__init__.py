@@ -61,19 +61,16 @@ from .ops import (
     CriticalMatch,
     OpKind,
     Walk,
-    alternate_E2prime,
     apply,
     apply_to_tableau,
     final_critical_substring,
     lattice_walk,
-    primed_by_standardization,
 )
 from .tableaux import (
     ShiftedTableau,
     SkewShape,
     StrictPartition,
     enumerate_tableaux,
-    is_special,
     make_skew_shape,
     parse_tableau,
     reading_word,

@@ -30,20 +30,11 @@ no process-wide cache: every ``apply`` call computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .errors import InternalInconsistency, InvalidIndex
 from .tableaux import ShiftedTableau, reading_word
-from .words import (
-    Codes,
-    RawWord,
-    Word,
-    canonical_codes,
-    codes_to_str,
-    standardize_codes,
-    value_of,
-    weight_of_codes,
-)
+from .words import Codes, RawWord, Word, codes_to_str
 
 FAMILIES = ("F", "E", "F'", "E'")
 
@@ -390,77 +381,3 @@ def apply_to_tableau(kind: OpKind, t: ShiftedTableau) -> ShiftedTableau | None:
     if out is None:
         return None
     return ShiftedTableau(t.shape, out.codes, t.n)
-
-
-def _canonical_words_with_weight(wt: tuple[int, ...]):
-    values = []
-    for v, count in enumerate(wt, start=1):
-        values.extend([v] * count)
-    seen_arrangements = set()
-    for arrangement in permutations(values):
-        if arrangement in seen_arrangements:
-            continue
-        seen_arrangements.add(arrangement)
-        positions: dict[int, list[int]] = {}
-        for p, v in enumerate(arrangement):
-            positions.setdefault(v, []).append(p)
-        later = [p for v, ps in positions.items() for p in ps[1:]]
-        for mask in product((0, 1), repeat=len(later)):
-            codes = [2 * v for v in arrangement]
-            for p, bit in zip(later, mask):
-                if bit:
-                    codes[p] -= 1
-            yield tuple(codes)
-
-
-def primed_by_standardization(w: Word, i: int, lower: bool = True) -> Word | None:
-    """Brute-force oracle for the primed operators: the unique word of the
-    same standardization whose weight moved by -alpha_i (lower) or +alpha_i
-    (raise); ``None`` when no such word exists."""
-    _check_index(i, w.n)
-    wt = list(weight_of_codes(w.codes, w.n))
-    delta = -1 if lower else 1
-    wt[i - 1] += delta
-    wt[i] -= delta
-    if wt[i - 1] < 0 or wt[i] < 0:
-        return None
-    target_std = standardize_codes(w.codes)
-    hits = []
-    for codes in _canonical_words_with_weight(tuple(wt)):
-        if standardize_codes(codes) == target_std:
-            hits.append(codes)
-    if len(hits) > 1:
-        raise InternalInconsistency(f"standardization oracle found several words for {w}")
-    return Word(hits[0], w.n) if hits else None
-
-
-def alternate_E2prime(w: Word) -> Word | None:
-    """The alternate E_2' rule: change the last 3' (counting the first 3,
-    which may be primed in a representative) to a 2, with a prime swap when
-    the word holds a single 2-family letter left of that 3'."""
-    if w.n < 3:
-        raise InvalidIndex("alternate rule needs alphabet bound 3")
-    three_prime, three = 5, 6
-    codes = w.codes
-    primes3 = [p for p, c in enumerate(codes) if c == three_prime]
-    if primes3:
-        x = primes3[-1]
-        base = list(codes)
-    else:
-        first3 = next((p for p, c in enumerate(codes) if c == three), None)
-        if first3 is None:
-            return None
-        x = first3
-        base = list(codes)
-        base[x] = three_prime
-    two_family = [p for p, c in enumerate(codes) if value_of(c) == 2]
-    if len(two_family) == 1 and x < two_family[0]:
-        y = two_family[0]
-        base[x] = 4
-        base[y] = 3
-        return Word(canonical_codes(tuple(base)), w.n)
-    cand = list(base)
-    cand[x] = 4
-    if standardize_codes(tuple(cand)) == standardize_codes(codes):
-        return Word(canonical_codes(tuple(cand)), w.n)
-    return None

@@ -245,21 +245,6 @@ def enumerate_tableaux(shape: SkewShape, n: int) -> list[ShiftedTableau]:
     return [ShiftedTableau(shape, codes, n) for codes in _fillings(shape, n)]
 
 
-def is_special(t: ShiftedTableau) -> bool:
-    """Exactly one 2-family letter sitting in the top row, a nonempty second
-    row, and no 3' in the top row (alphabet bound 3)."""
-    rows = t.rows
-    if t.shape.nrows < 2 or not rows[1]:
-        return False
-    two_family = [
-        (r, j) for r, row in enumerate(rows, start=1) for j, c in enumerate(row) if value_of(c) == 2
-    ]
-    if len(two_family) != 1 or two_family[0][0] != 1:
-        return False
-    three_prime = 2 * 3 - 1
-    return three_prime not in rows[0]
-
-
 def parse_tableau(text: str, n: int) -> ShiftedTableau:
     """Parse the row format: one line per row, top row first, entries
     space-separated, ``.`` for inner cells."""

@@ -13,7 +13,6 @@ from shifted_crystals import (
     CrystalGraph,
     OpKind,
     Word,
-    alternate_E2prime,
     apply,
     apply_to_tableau,
     build_graph,
@@ -28,7 +27,6 @@ from shifted_crystals import (
     highest_weight,
     lattice_walk,
     make_skew_shape,
-    primed_by_standardization,
     reading_word,
     rows_from_strings,
     schur_Q,
@@ -37,6 +35,8 @@ from shifted_crystals import (
     verify_expansion,
 )
 from shifted_crystals.graph import GraphEdge
+
+from oracles import alternate_E2prime, primed_by_standardization
 
 
 def _report(criterion: int, message: str) -> None:

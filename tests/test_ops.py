@@ -11,7 +11,6 @@ from shifted_crystals import (
     InvalidIndex,
     OpKind,
     Word,
-    alternate_E2prime,
     apply,
     apply_to_tableau,
     build_graph,
@@ -20,7 +19,6 @@ from shifted_crystals import (
     final_critical_substring,
     lattice_walk,
     make_skew_shape,
-    primed_by_standardization,
     reading_word,
     rows_from_strings,
     standardize,
@@ -30,6 +28,7 @@ from shifted_crystals import (
 from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
 from shifted_crystals.words import canonical_codes, first_occurrences
+from oracles import alternate_E2prime, primed_by_standardization
 from test_acceptance import strict_subpartitions
 
 F1, F2 = OpKind("F", 1), OpKind("F", 2)

@@ -13,7 +13,6 @@ from shifted_crystals import (
     Polynomial,
     ShiftedTableau,
     enumerate_tableaux,
-    is_special,
     make_skew_shape,
     parse_tableau,
     reading_word,
@@ -23,6 +22,8 @@ from shifted_crystals import (
     strict_partitions,
 )
 from shifted_crystals.words import canonical_codes, is_primed, value_of
+
+from oracles import is_special
 
 
 class TestSkewShape:
