@@ -79,17 +79,17 @@ def _parse_token(token: str) -> int:
 
 
 def parse_codes(text: str) -> Codes:
-    """Parse the apostrophe syntax, e.g. ``3111'21'12'``.
+    """Parse the apostrophe syntax, e.g. ``3111'21'12'`` or ``10 2 10'``.
 
-    Digits are ASCII.  A text without spaces holds one digit per letter.
-    Values with several digits must be space-separated (needed when n > 9);
-    spaces are accepted in all cases.
+    Digits are ASCII.  A text without whitespace holds one digit per
+    letter.  A text with whitespace anywhere, its ends included, holds one
+    letter per whitespace-separated token, so ``11`` is the word 1 1 and
+    ``11 `` the one letter 11.
     """
-    text = text.strip()
     try:
         return tuple(map(_CODE.__getitem__, _UNSPACED_TOKEN.findall(text)))
     except KeyError as exc:
-        token = exc.args[0]  # a space, a lone prime, or a character that is no letter
+        token = exc.args[0]  # whitespace, a lone prime, or a character that is no letter
     if _SPACE.search(text):
         return tuple(map(_parse_token, text.split()))
     if token[0].isdigit():  # 0, or a digit that is not ASCII
@@ -98,11 +98,15 @@ def parse_codes(text: str) -> Codes:
 
 
 def codes_to_str(codes: Codes) -> str:
-    """The apostrophe syntax, space-separated when a value exceeds 9."""
+    """The apostrophe syntax that ``parse_codes`` reads back: unspaced while
+    every value is at most 9, otherwise one token per letter, separated by
+    spaces, and ended by a space when there is only one."""
     if not codes or 1 <= min(codes) and max(codes) <= 18:
         return "".join(map(_TOKEN.__getitem__, codes))
     tokens = [f"{value_of(c)}{PRIME if is_primed(c) else ''}" for c in codes]
-    return (" " if max(codes) > 18 else "").join(tokens)
+    if max(codes) <= 18:  # a letter below 1, in an error message
+        return "".join(tokens)
+    return " ".join(tokens) + (" " if len(tokens) == 1 else "")
 
 
 @dataclass(frozen=True)

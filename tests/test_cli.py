@@ -221,6 +221,18 @@ class TestCheckVerb:
         status, out, _ = invoke("check", "--graph-file", str(path))
         assert status == 0 and "total violations: 0" in out
 
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_graph_file_round_trip_above_nine(self, invoke, tmp_path, n):
+        # the one-letter words 10 and 11 are written "10 " and "11 ", so
+        # that they are not read back as 1 0 or 1 1
+        status, out, _ = invoke("graph", "--outer", "1", "--n", str(n), "--format", "json")
+        assert status == 0
+        assert [v["word"] for v in json.loads(out)["vertices"]][8:] == ["9", "10 ", "11 "][: n - 8]
+        path = tmp_path / "g.json"
+        path.write_text(out)
+        status, out, err = invoke("check", "--graph-file", str(path))
+        assert (status, err) == (0, "") and "total violations: 0" in out
+
     def test_violations_exit_one(self, invoke, tmp_path):
         bad = {
             "n": 2,

@@ -628,8 +628,11 @@ def _reference_document(g: CrystalGraph) -> dict:
     """The export schema built field by field, words spelled from their codes."""
 
     def spelled(codes):
+        # a word above 9 is spaced, and a lone letter ends in a space
         tokens = [str((c + 1) // 2) + ("'" if c % 2 else "") for c in codes]
-        return (" " if any(c > 18 for c in codes) else "").join(tokens)
+        if not any(c > 18 for c in codes):
+            return "".join(tokens)
+        return " ".join(tokens) + (" " if len(tokens) == 1 else "")
 
     return {
         "n": g.n,

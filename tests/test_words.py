@@ -13,7 +13,7 @@ from shifted_crystals import (
     standardize,
     weight,
 )
-from shifted_crystals.words import canonical_codes, codes_to_str, is_primed, value_of
+from shifted_crystals.words import canonical_codes, codes_to_str, is_primed, parse_codes, value_of
 
 
 def w(text: str, n: int = 3) -> Word:
@@ -62,6 +62,20 @@ class TestParsing:
     def test_round_trip(self):
         for text in ("", "211", "33'122'132", "212'"):
             assert str(w(text)) == text
+
+    def test_every_short_word_round_trips_at_n_19(self):
+        # a one-letter word above 9 ends in a space: "11 " is the letter 11
+        # and "11" the word 1 1
+        codes = range(1, 39)
+        words = [()] + [(a,) for a in codes] + [(a, b) for a in codes for b in codes]
+        words += [(a, b, c) for a in codes for b in codes for c in codes]
+        for word in words:
+            assert parse_codes(codes_to_str(word)) == word, word
+        assert (codes_to_str((22,)), codes_to_str((2, 2))) == ("11 ", "11")
+
+    @pytest.mark.parametrize("text, codes", [("11 ", (22,)), (" 10", (20,)), ("11", (2, 2)), ("1 1", (2, 2))])
+    def test_whitespace_anywhere_means_one_letter_per_token(self, text, codes):
+        assert parse_codes(text) == codes
 
     def test_alphabet_bound_enforced(self):
         with pytest.raises(ValueError):
