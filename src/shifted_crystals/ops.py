@@ -19,6 +19,12 @@ Each result re-canonicalises only the two moved value families, every
 qualifying representative must agree (InternalInconsistency otherwise),
 and the word is rewritten once.
 
+The representatives differ only at the <= 2 first occurrences, so the
+backward search for the final critical substring runs once over the
+letters right of the last of them, and per representative only at or
+left of it; F_i' reads every representative's last i and last (i+1)' off
+one scan of the canonical subword.
+
 The subword-space result depends on the relabeled subword and the family
 alone, not on i or on the letters outside the subword.  ``subword`` (the
 scan) and ``write_back`` are public so that a caller applying many
@@ -30,7 +36,6 @@ no process-wide cache: every ``apply`` call computes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import InternalInconsistency, InvalidIndex
 from .tableaux import ShiftedTableau, reading_word
@@ -174,21 +179,25 @@ def _matches_at(sub, points, j: int, roles) -> list[tuple[int, int]]:
     one_p, one, two_p, two = roles
     c = sub[j]
     x, y = points[j]
+    if c != one:  # only types 4 and 5 start elsewhere
+        if c == one_p and x == 0:
+            return [(1, 4)]
+        if c == two_p and x == 1 and y >= 1:
+            return [(1, 5)]
+        return []
     m = len(sub)
     out = []
-    if c == one and y == 0:
+    if y == 0:
         out.append((1, 3))
-    if c == one_p and x == 0:
-        out.append((1, 4))
-    if (c == one or c == two_p) and x == 1 and y >= 1:
+    if x == 1 and y >= 1:
         out.append((1, 5))
-    if c == one and (y == 0 or (y == 1 and x >= 1)):
+    if y == 0 or (y == 1 and x >= 1):
         k = j + 1
         while k < m and sub[k] == one_p:
             k += 1
         if k < m and sub[k] == two_p:
             out.append((k - j + 1, 1))
-    if c == one and (x == 0 or (x == 1 and y >= 1)):
+    if x == 0 or (x == 1 and y >= 1):
         k = j + 1
         while k < m and sub[k] == two:
             k += 1
@@ -211,42 +220,58 @@ def _transform(kind: int, piece: tuple[int, ...], roles) -> tuple[int, ...]:
 
 
 def _check_index(i: int, n: int) -> None:
-    if not 1 <= i <= max(n - 1, 0):
+    if not 1 <= i < n:
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 
 
 def _variants(sub: tuple[int, ...], firsts: tuple[int, ...]) -> list[list[int]]:
     """The representative subwords: each first-occurrence letter, unprimed
-    in the canonical word, either kept or primed.  Re-priming any other
-    value never touches the subword, so these cover every representative."""
-    out = []
-    for mask in product((0, 1), repeat=len(firsts)):
-        variant = list(sub)
-        for k, bit in zip(firsts, mask):
-            variant[k] -= bit
-        out.append(variant)
-    return out
+    in the canonical word, either kept or primed, the first of ``firsts``
+    changing slowest.  Re-priming any other value never touches the
+    subword, so these cover every representative."""
+    kept = list(sub)
+    if not firsts:
+        return [kept]
+    first = kept.copy()
+    first[firsts[0]] -= 1
+    if len(firsts) == 1:
+        return [kept, first]
+    second, both = kept.copy(), first.copy()
+    second[firsts[1]] -= 1
+    both[firsts[1]] -= 1
+    return [kept, second, first, both]
 
 
-def _final_matches(variants: list[list[int]], roles):
+def _final_matches(variants: list[list[int]], firsts: tuple[int, ...], roles):
     """Final critical substrings over all representatives, read in
     ``roles``: every match tied at the highest (start, length), as (variant,
     walk points, start, length, type) in representative order.
 
     All representatives share one walk: each first-occurrence letter is
-    stepped on an axis, where primed and unprimed letters move alike.
+    stepped on an axis, where primed and unprimed letters move alike.  A
+    match starting at j reads the letters from j on, which right of the
+    last first occurrence are the same in every representative: there the
+    search runs once, and a match it finds is every representative's
+    final one.
     """
     points = _walk_points(variants[0], roles)
+    split = max(firsts, default=-1)
+    shared = variants[0]
+    for j in range(len(shared) - 1, split, -1):
+        found = _matches_at(shared, points, j, roles)
+        if found:
+            length = max(found)[0]
+            return [(v, points, j, size, kind) for v in variants for size, kind in found if size == length]
     best_key = None
     best = []
     for variant in variants:
-        for j in range(len(variant) - 1, -1, -1):
+        for j in range(split, -1, -1):
             if best_key is not None and j < best_key[0]:
                 break
             found = _matches_at(variant, points, j, roles)
             if not found:
                 continue
-            length = max(size for size, _ in found)
+            length = max(found)[0]
             key = (j, length)
             if best_key is None or key > best_key:
                 best_key = key
@@ -257,20 +282,37 @@ def _final_matches(variants: list[list[int]], roles):
     return best
 
 
-def _reprime(variant: list[int], roles) -> list[int] | None:
-    """The last 1 becomes 2' when right of the last 2', in ``roles``: for F'
-    the last i becomes (i+1)', for E' the last (i+1)' becomes i."""
+def _last(sub, c) -> int:
+    """Index of the last ``c`` in ``sub``, -1 when there is none."""
+    return len(sub) - 1 - sub[::-1].index(c) if c in sub else -1
+
+
+def _reprimes(sub: tuple[int, ...], firsts: tuple[int, ...], variants: list[list[int]], roles) -> list[list[int]]:
+    """Each representative whose last 1 lies right of its last 2', with
+    that 1 made 2', in ``roles``: for F' the last i becomes (i+1)', for E'
+    the last (i+1)' becomes i.  Both positions are read off the canonical
+    subword once; priming a first occurrence only removes the letter there
+    (it has no like letter to its left) or adds one."""
     _, one, two_p, _ = roles
-    last_1 = last_2p = -1
-    for k, c in enumerate(variant):
-        if c == one:
-            last_1 = k
-        elif c == two_p:
-            last_2p = k
-    if last_1 < 0 or last_1 < last_2p:
-        return None
-    out = list(variant)
-    out[last_1] = two_p
+    last_1, last_2p = _last(sub, one), _last(sub, two_p)
+    out = []
+    for variant in variants:
+        l1, l2p = last_1, last_2p
+        for k in firsts:
+            was, now = sub[k], variant[k]
+            if was != now:
+                if was == one and l1 == k:
+                    l1 = -1
+                if now == one:
+                    l1 = max(l1, k)
+                if was == two_p and l2p == k:
+                    l2p = -1
+                if now == two_p:
+                    l2p = max(l2p, k)
+        if l1 >= 0 and l1 > l2p:
+            variant = variant.copy()
+            variant[l1] = two_p
+            out.append(variant)
     return out
 
 
@@ -313,14 +355,12 @@ def _on_subword(
     variants = _variants(sub, firsts)
     results: set[tuple[int, ...] | None] = set()
     if primed:
-        for variant in variants:
-            out = _reprime(variant, roles)
-            if out is not None:
-                results.add(_canonical_sub(out))
+        for out in _reprimes(sub, firsts, variants, roles):
+            results.add(_canonical_sub(out))
         if not results:
             return None
     else:
-        best = _final_matches(variants, roles)
+        best = _final_matches(variants, firsts, roles)
         if not best:
             return None
         for variant, _, j, length, kind in best:
@@ -346,7 +386,7 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     own letters and walk."""
     _check_index(i, w.n)
     sub, pos, firsts = subword(w.codes, i)
-    best = _final_matches(_variants(sub, firsts), _LOWER_ROLES if lower else _RAISE_ROLES)
+    best = _final_matches(_variants(sub, firsts), firsts, _LOWER_ROLES if lower else _RAISE_ROLES)
     if not best:
         return None
     variant, points, j, length, kind = best[0]

@@ -14,6 +14,7 @@ graph build and the weights read; its rows are derived from the word.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BrokenSemistandard, NotContained, NotStrict
 from .words import (
@@ -22,7 +23,7 @@ from .words import (
     Letter,
     WeightVector,
     Word,
-    canonical_codes,
+    is_canonical,
     is_primed,
     value_of,
     weight_of_codes,
@@ -102,6 +103,31 @@ class SkewShape:
     def size(self) -> int:
         return sum(self.outer) - sum(self.inner)
 
+    @cached_property
+    def reading_slices(self) -> tuple[tuple[int, int], ...]:
+        """Each row's (start, end) in the reading word, top row first: the
+        top row is the end of the word.  Computed once per shape."""
+        out = []
+        end = self.size
+        for r in range(1, self.nrows + 1):
+            lo, hi = self.row_span(r)
+            out.append((end - (hi - lo), end))
+            end -= hi - lo
+        return tuple(out)
+
+    @cached_property
+    def column_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(column, upper, lower) for each cell with a cell below it, as
+        reading-word positions, by row and then column.  Computed once per
+        shape."""
+        out = []
+        for r, (start, _) in enumerate(self.reading_slices[:-1], start=1):
+            lo, hi = self.row_span(r)
+            lo2, hi2 = self.row_span(r + 1)
+            start2 = self.reading_slices[r][0]
+            out.extend((col, start + col - lo, start2 + col - lo2) for col in range(max(lo, lo2), min(hi, hi2)))
+        return tuple(out)
+
     def __str__(self) -> str:
         inner = ",".join(map(str, self.inner))
         outer = ",".join(map(str, self.outer)) or "()"
@@ -152,15 +178,8 @@ class ShiftedTableau:
 
 
 def _rows(shape: SkewShape, codes: Codes) -> tuple[Codes, ...]:
-    """Slice a reading word into the rows of ``shape``, top row first: the
-    top row is the end of the word."""
-    rows = []
-    end = len(codes)
-    for r in range(1, shape.nrows + 1):
-        lo, hi = shape.row_span(r)
-        rows.append(codes[end - (hi - lo) : end])
-        end -= hi - lo
-    return tuple(rows)
+    """Slice a reading word into the rows of ``shape``, top row first."""
+    return tuple(codes[start:end] for start, end in shape.reading_slices)
 
 
 def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
@@ -168,27 +187,25 @@ def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
         raise BrokenSemistandard(f"codes must be a tuple of ints: {codes!r}")
     if len(codes) != shape.size:
         raise BrokenSemistandard("word length does not match shape size")
-    rows = _rows(shape, codes)
-    for r, row in enumerate(rows, start=1):
-        for c in row:
-            if not 1 <= value_of(c) <= n:
-                raise BrokenSemistandard(f"letter {Letter.from_code(c)} exceeds bound {n}")
+    in_bounds = not codes or 1 <= min(codes) and max(codes) <= 2 * n
+    for r, (start, end) in enumerate(shape.reading_slices, start=1):
+        row = codes[start:end]
+        if not in_bounds:
+            for c in row:
+                if not 1 <= value_of(c) <= n:
+                    raise BrokenSemistandard(f"letter {Letter.from_code(c)} exceeds bound {n}")
         for a, b in zip(row, row[1:]):
             if a > b:
                 raise BrokenSemistandard(f"row {r} is not weakly increasing")
-            if a == b and is_primed(a):
+            if a == b and a % 2:
                 raise BrokenSemistandard(f"primed letter repeats in row {r}")
-    for r in range(1, shape.nrows):
-        lo_hi = shape.row_span(r)
-        lo2_hi2 = shape.row_span(r + 1)
-        for col in range(max(lo_hi[0], lo2_hi2[0]), min(lo_hi[1], lo2_hi2[1])):
-            a = rows[r - 1][col - lo_hi[0]]
-            b = rows[r][col - lo2_hi2[0]]
-            if a > b:
-                raise BrokenSemistandard(f"column {col} is not weakly increasing")
-            if a == b and not is_primed(a):
-                raise BrokenSemistandard(f"unprimed letter repeats in column {col}")
-    if codes != canonical_codes(codes):
+    for col, upper, lower in shape.column_pairs:
+        a, b = codes[upper], codes[lower]
+        if a > b:
+            raise BrokenSemistandard(f"column {col} is not weakly increasing")
+        if a == b and not a % 2:
+            raise BrokenSemistandard(f"unprimed letter repeats in column {col}")
+    if not is_canonical(codes):
         raise BrokenSemistandard("first family letter in reading order is primed")
 
 

@@ -151,11 +151,17 @@ class Word(RawWord):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        codes = self.codes
-        for c in set(codes):
-            # a primed letter c needs its unprimed twin c + 1 earlier in the word
-            if c % 2 and (c + 1 not in codes or codes.index(c + 1) > codes.index(c)):
-                raise ValueError(f"word {codes_to_str(codes)} is not in canonical form")
+        if not is_canonical(self.codes):
+            raise ValueError(f"word {codes_to_str(self.codes)} is not in canonical form")
+
+
+def is_canonical(codes: Codes) -> bool:
+    """Whether the first letter of each value is unprimed."""
+    for c in set(codes):
+        # a primed letter c needs its unprimed twin c + 1 earlier in the word
+        if c % 2 and (c + 1 not in codes or codes.index(c + 1) > codes.index(c)):
+            return False
+    return True
 
 
 def canonical_codes(codes: Codes) -> Codes:
