@@ -154,7 +154,7 @@ class ShiftedTableau:
 
     @property
     def rows(self) -> tuple[Codes, ...]:
-        return _rows(self.shape, self.codes)
+        return tuple(self.codes[start:end] for start, end in self.shape.reading_slices)
 
     @property
     def entries(self) -> dict[tuple[int, int], Letter]:
@@ -175,11 +175,6 @@ class ShiftedTableau:
             tokens.extend(str(Letter.from_code(c)) for c in row)
             lines.append(" ".join(tokens))
         return "\n".join(lines)
-
-
-def _rows(shape: SkewShape, codes: Codes) -> tuple[Codes, ...]:
-    """Slice a reading word into the rows of ``shape``, top row first."""
-    return tuple(codes[start:end] for start, end in shape.reading_slices)
 
 
 def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
