@@ -16,8 +16,8 @@ on the crystal with every arrow reversed.  That view is a different
 binding, not a different class: f_j and f_j' read the e maps at n-j, and
 the statistics at j are the duals of those at n-j (eps and phi swap
 together with their primed and hat parts), so the index pair (i, i+1)
-becomes (n-1-i, n-i).  A violation found there is reported at the
-original index.
+becomes (n-1-i, n-i).  Each dual reruns its axiom's own runner there and
+reports every violation at the original index.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class _View:
     {j,j'}-string to its statistics, and strings[j] is the string table of
     j.  The reversed view binds at j the e maps, the dual statistics and the
     string table of index n-j, so a dual axiom at i is its axiom at n-1-i
-    on it."""
+    on it.  ``indices`` lists the site indices i <= n-2 in the original
+    order: ascending here, and n-2 down to 1 on the reversed view."""
 
     def __init__(self, g: CrystalGraph, reverse: bool = False):
         self.g, self.n = g, g.n
@@ -114,6 +115,18 @@ class _View:
             self.strings[j], stats, dual = g.table(k)
             self.f[j], self.fp[j] = arrows[k, False], arrows[k, True]
             self.stats[j] = dual if reverse else stats
+        self.indices = range(g.n - 2, 0, -1) if reverse else range(1, g.n - 1)
+
+    def pair_sites(self):
+        """Every site (w, i, x, y) with x = f_i(w) and y = f_{i+1}(w) both
+        defined, in vertex order, then in ``indices`` order."""
+        f = self.f
+        for vert in self.g.vertices:
+            w = vert.id
+            for i in self.indices:
+                x, y = f[i].get(w), f[i + 1].get(w)
+                if x is not None and y is not None:
+                    yield w, i, x, y
 
     def delta_at(self, w: int, i: int, x: int, y: int) -> tuple[int, int] | None:
         """(eps_i(w)-eps_i(y), eps_{i+1}(w)-eps_{i+1}(x)) for an i-side
@@ -361,49 +374,26 @@ def _check_A4(view: _View, w: int, i: int, out: list) -> None:
     _iff("A4", view, w, i, structural, numeric, out)
 
 
-def _solid_pair(view: _View, w: int, i: int):
-    """Hypothesis shared by A5-A8: f_i, f_{i+1} defined, f_i' undefined."""
-    x, y = view.f[i].get(w), view.f[i + 1].get(w)
-    if x is None or y is None or w in view.fp[i]:
-        return None
-    return x, y
-
-
-def _check_A5(view: _View, w: int, i: int, out: list) -> None:
-    pair = _solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
+def _check_A5(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None:
     lhs = view.fp[i].get(y)
     structural = lhs is not None and lhs == view.fp[i + 1].get(x)
-    d = view.delta_at(w, i, x, y)
     numeric = None if d is None else d == (1, 1)
     _iff("A5", view, w, i, structural, numeric, out)
 
 
-def _check_A6(view: _View, w: int, i: int, out: list) -> None:
-    pair = _solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
+def _check_A6(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None:
     lhs = view.f[i].get(y)
     structural = lhs is not None and lhs == view.f[i + 1].get(x)
-    d = view.delta_at(w, i, x, y)
     numeric = None if d is None else d in ((1, 0), (0, 1))
     _iff("A6", view, w, i, structural, numeric, out)
 
 
-def _check_A7(view: _View, w: int, i: int, out: list) -> None:
-    pair = _solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
+def _check_A7(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None:
     f, fp = view.f, view.fp
     lhs = f[i + 1].get(fp[i].get(f[i].get(y)))
     rhs = fp[i].get(f[i + 1].get(f[i + 1].get(x)))
     no_square = f[i].get(y) != f[i + 1].get(x)
     structural = lhs is not None and lhs == rhs and no_square
-    d = view.delta_at(w, i, x, y)
     sy, sw = view.stats[i].get(y), view.stats[i].get(w)
     numeric = None
     if d is not None and sy is not None and sw is not None:
@@ -411,17 +401,12 @@ def _check_A7(view: _View, w: int, i: int, out: list) -> None:
     _iff("A7", view, w, i, structural, numeric, out)
 
 
-def _check_A8(view: _View, w: int, i: int, out: list) -> None:
-    pair = _solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
+def _check_A8(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None:
     f = view.f
     lhs = f[i + 1].get(f[i].get(f[i].get(y)))
     rhs = f[i].get(f[i + 1].get(f[i + 1].get(x)))
     no_square = f[i].get(y) != f[i + 1].get(x)
     structural = lhs is not None and lhs == rhs and no_square
-    d = view.delta_at(w, i, x, y)
     sy = view.stats[i].get(y)
     numeric = None
     if d is not None and sy is not None:
@@ -452,13 +437,8 @@ def _check_XL(view: _View, w: int, i: int, out: list) -> None:
             )
 
 
-def _check_SA(view: _View, w: int, i: int, out: list) -> None:
-    pair = _solid_pair(view, w, i)
-    if pair is None:
-        return
-    x, y = pair
-    d = view.delta_at(w, i, x, y)
-    if d is None or d != (0, 0):
+def _check_SA(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None:
+    if d != (0, 0):
         return
     sw, sy = view.stats[i].get(w), view.stats[i].get(y)
     if sw is None or sy is None:
@@ -522,42 +502,54 @@ def _check_L_TD(view: _View) -> list[Violation]:
     g = view.g
     out = []
     f = view.f
-    for vert in g.vertices:
-        z = vert.id
-        for i in range(1, view.n - 1):
-            t, x, y = view.fp[i].get(z), f[i].get(z), f[i + 1].get(z)
-            if t is None or x is None or t == x or y is None:
-                continue
-            if t not in f[i] or t not in f[i + 1]:
-                out.append(
-                    Violation("L_TD", (z, t), i, "f_i or f_{i+1} undefined at the primed target", _context(g, (z, t)))
+    for z, i, x, y in view.pair_sites():
+        t = view.fp[i].get(z)
+        if t is None or t == x:
+            continue
+        if t not in f[i] or t not in f[i + 1]:
+            out.append(
+                Violation("L_TD", (z, t), i, "f_i or f_{i+1} undefined at the primed target", _context(g, (z, t)))
+            )
+            continue
+        dz = view.delta_at(z, i, x, y)
+        dt = view.delta_at(t, i, f[i][t], f[i + 1][t])
+        if dz is None or dt is None:
+            continue
+        if dz != dt:
+            out.append(
+                Violation(
+                    "L_TD",
+                    (z, t),
+                    i,
+                    f"Delta changes along the primed edge: {dz} vs {dt}",
+                    _context(g, (z, t)),
                 )
-                continue
-            dz = view.delta_at(z, i, x, y)
-            dt = view.delta_at(t, i, f[i][t], f[i + 1][t])
-            if dz is None or dt is None:
-                continue
-            if dz != dt:
-                out.append(
-                    Violation(
-                        "L_TD",
-                        (z, t),
-                        i,
-                        f"Delta changes along the primed edge: {dz} vs {dt}",
-                        _context(g, (z, t)),
-                    )
-                )
+            )
     return out
 
 
 def _every_site(fn):
-    """Run a per-(vertex, i) check at every vertex and every i <= n-2."""
+    """Run a per-(vertex, i) check at every vertex and every site index."""
 
     def run(view: _View) -> list[Violation]:
         out: list[Violation] = []
         for vert in view.g.vertices:
-            for i in range(1, view.n - 1):
+            for i in view.indices:
                 fn(view, vert.id, i, out)
+        return out
+
+    return run
+
+
+def _solid_sites(fn):
+    """Run a check at the sites where f_i and f_{i+1} are defined and f_i'
+    is not (the hypothesis of A5-A8 and SA), passing x, y and Delta."""
+
+    def run(view: _View) -> list[Violation]:
+        out: list[Violation] = []
+        for w, i, x, y in view.pair_sites():
+            if w not in view.fp[i]:
+                fn(view, w, i, x, y, view.delta_at(w, i, x, y), out)
         return out
 
     return run
@@ -569,34 +561,31 @@ _DUAL_MESSAGES = {
 }
 
 
-def _dual(axiom: str, fn):
-    """Run merge axiom ``axiom`` on the reversed view at n-1-i in the original
-    site order; report at i, restating the messages that name arrows."""
+def _dual(axiom: str, run):
+    """Run merge axiom ``axiom``'s own runner on the reversed view; report
+    each violation at the original index, restating the messages that name
+    arrows."""
 
-    def run(view: _View) -> list[Violation]:
-        reversed_view = _View(view.g, reverse=True)
+    def dual_run(view: _View) -> list[Violation]:
         top = view.n - 1
-        out: list[Violation] = []
-        for vert in view.g.vertices:
-            for i in range(1, top):
-                fn(reversed_view, vert.id, top - i, out)
         message = _DUAL_MESSAGES.get(axiom)
         return [
-            replace(v, axiom=f"{axiom}D", index=top - v.index, message=message or v.message) for v in out
+            replace(v, axiom=f"{axiom}D", index=top - v.index, message=message or v.message)
+            for v in run(_View(view.g, reverse=True))
         ]
 
-    return run
+    return dual_run
 
 
 _MERGE = {
-    "A1": _check_A1,
-    "A2": _check_A2,
-    "A3": _check_A3,
-    "A4": _check_A4,
-    "A5": _check_A5,
-    "A6": _check_A6,
-    "A7": _check_A7,
-    "A8": _check_A8,
+    "A1": _every_site(_check_A1),
+    "A2": _every_site(_check_A2),
+    "A3": _every_site(_check_A3),
+    "A4": _every_site(_check_A4),
+    "A5": _solid_sites(_check_A5),
+    "A6": _solid_sites(_check_A6),
+    "A7": _solid_sites(_check_A7),
+    "A8": _solid_sites(_check_A8),
 }
 
 _CHECKS = {
@@ -604,10 +593,10 @@ _CHECKS = {
     "B2": _check_B2,
     "B3": _check_B3,
     "K": _check_K,
-    **{axiom: _every_site(fn) for axiom, fn in _MERGE.items()},
-    **{f"{axiom}D": _dual(axiom, fn) for axiom, fn in _MERGE.items()},
+    **_MERGE,
+    **{f"{axiom}D": _dual(axiom, run) for axiom, run in _MERGE.items()},
     "XL": _every_site(_check_XL),
-    "SA": _every_site(_check_SA),
+    "SA": _solid_sites(_check_SA),
     "L_CAS": _check_L_CAS,
     "L_CF1": _check_L_CF1,
     "L_TD": _check_L_TD,
@@ -662,14 +651,10 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
         violations[axiom] = check(g, axiom)
     view = _View(g)
     hist: Counter = Counter()
-    for vert in g.vertices:
-        for i in range(1, g.n - 1):
-            x, y = view.f[i].get(vert.id), view.f[i + 1].get(vert.id)
-            if x is None or y is None:
-                continue
-            d = view.delta_at(vert.id, i, x, y)
-            if d is not None:
-                hist[d] += 1
+    for w, i, x, y in view.pair_sites():
+        d = view.delta_at(w, i, x, y)
+        if d is not None:
+            hist[d] += 1
     return CheckReport(
         axioms=tuple(axioms),
         violations=violations,
