@@ -25,6 +25,7 @@ from .words import (
     Word,
     is_canonical,
     is_primed,
+    letter_token,
     value_of,
     weight_of_codes,
 )
@@ -188,7 +189,7 @@ def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
         if not in_bounds:
             for c in row:
                 if not 1 <= value_of(c) <= n:
-                    raise BrokenSemistandard(f"letter {Letter.from_code(c)} exceeds bound {n}")
+                    raise BrokenSemistandard(f"letter {letter_token(c)} exceeds bound {n}")
         for a, b in zip(row, row[1:]):
             if a > b:
                 raise BrokenSemistandard(f"row {r} is not weakly increasing")

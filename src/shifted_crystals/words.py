@@ -35,6 +35,12 @@ def is_primed(code: int) -> bool:
     return code % 2 == 1
 
 
+def letter_token(code: int) -> str:
+    """The value, then a prime when the code is odd; spells any int code,
+    including those below 1 that no ``Letter`` holds."""
+    return f"{value_of(code)}{PRIME if is_primed(code) else ''}"
+
+
 @total_ordering
 @dataclass(frozen=True)
 class Letter:
@@ -103,7 +109,7 @@ def codes_to_str(codes: Codes) -> str:
     spaces, and ended by a space when there is only one."""
     if not codes or 1 <= min(codes) and max(codes) <= 18:
         return "".join(map(_TOKEN.__getitem__, codes))
-    tokens = [f"{value_of(c)}{PRIME if is_primed(c) else ''}" for c in codes]
+    tokens = list(map(letter_token, codes))
     if max(codes) <= 18:  # a letter below 1, in an error message
         return "".join(tokens)
     return " ".join(tokens) + (" " if len(tokens) == 1 else "")
@@ -124,7 +130,7 @@ class RawWord:
             raise ValueError("alphabet bound must be nonnegative")
         if codes and (min(codes) < 1 or max(codes) > 2 * self.n):
             c = next(c for c in codes if not 1 <= c <= 2 * self.n)
-            raise ValueError(f"letter {Letter.from_code(c)} outside alphabet bound {self.n}")
+            raise ValueError(f"letter {letter_token(c)} outside alphabet bound {self.n}")
 
     @classmethod
     def parse(cls, text: str, n: int) -> "RawWord":

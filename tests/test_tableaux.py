@@ -258,12 +258,17 @@ class TestValidation:
                 except Exception as exc:
                     outcome = f"{type(exc).__name__}: {exc}"
                 digest.update(f"{shape} {n} {codes} {outcome}\n".encode())
-        assert digest.hexdigest() == "31365cf059936d2f9e37fa4223351074f7b91e0a348b3b4e8f6f1a64ac983f16"
+        assert digest.hexdigest() == "2be31ca20c38f495bf7614ef2ab483c763e59e53f6a6b3a286a7b42f5c8aacf2"
 
     @pytest.mark.parametrize("codes", [[2], (2.0,), (True,)], ids=["list", "float", "bool"])
     def test_codes_must_be_a_tuple_of_ints(self, codes):
         with pytest.raises(BrokenSemistandard, match="^codes must be a tuple of ints: "):
             ShiftedTableau(make_skew_shape((1,)), codes, 1)
+
+    @pytest.mark.parametrize("code,letter", [(0, "0"), (-1, "0'")])
+    def test_letter_below_one_is_spelled_out(self, code, letter):
+        with pytest.raises(BrokenSemistandard, match=f"^letter {letter} exceeds bound 1$"):
+            ShiftedTableau(make_skew_shape((1,)), (code,), 1)
 
 
 class TestTableauText:

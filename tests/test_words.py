@@ -196,9 +196,7 @@ def expected_word_error(codes: tuple[int, ...], n: int) -> str | None:
     the first letter outside 1..n, else a primed first occurrence."""
     for c in codes:
         value = (c + 1) // 2
-        if value < 1:
-            return f"letter value must be positive, got {value}"
-        if value > n:
+        if not 1 <= value <= n:
             prime = "'" if c % 2 else ""
             return f"letter {value}{prime} outside alphabet bound {n}"
     if codes != canonical_codes(codes):
@@ -222,6 +220,12 @@ class TestWordValidation:
     def test_negative_bound(self):
         with pytest.raises(ValueError, match="alphabet bound must be nonnegative"):
             Word((), -1)
+
+    @pytest.mark.parametrize("cls", [RawWord, Word])
+    @pytest.mark.parametrize("code,letter", [(0, "0"), (-1, "0'")])
+    def test_letter_below_one_is_spelled_out(self, cls, code, letter):
+        with pytest.raises(ValueError, match=f"^letter {letter} outside alphabet bound 1$"):
+            cls((code,), 1)
 
     @pytest.mark.parametrize("cls", [RawWord, Word])
     @pytest.mark.parametrize("codes", [[2], (2.0,), (True,)], ids=["list", "float", "bool"])
