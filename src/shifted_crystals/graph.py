@@ -29,7 +29,7 @@ from .errors import (
 )
 from .ops import OpKind, apply, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
-from .words import _INT, Word, codes_to_str, parse_codes
+from .words import _INT, Word, codes_to_str, parse_codes, weight_of_codes
 
 StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see strings()
 StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
@@ -72,9 +72,6 @@ class StringStats:
     eps_hat: int
     phi_hat: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.eps, self.phi, self.eps_prime, self.phi_prime, self.eps_hat, self.phi_hat)
-
     @property
     def dual(self) -> StringStats:
         """The same string read with every arrow reversed: eps and phi swap,
@@ -102,12 +99,6 @@ class StringShape:
             (v, StringStats(j + 1, m - j, 1, 0, j, m - j)) for j, v in enumerate(lower)
         ]
 
-    def stats_of(self, vid: int) -> StringStats:
-        for member, stats in self.member_stats():
-            if member == vid:
-                return stats
-        raise ValueError(f"vertex {vid} is not on this string")
-
 
 class CrystalGraph:
     """Immutable but for the memoised per-index string tables; adjacency is precomputed.
@@ -124,12 +115,10 @@ class CrystalGraph:
         n: int,
         vertices: tuple[GraphVertex, ...],
         edges: tuple[GraphEdge, ...],
-        shape: SkewShape | None = None,
     ):
         self.n = n
         self.vertices = tuple(vertices)
         self.edges = tuple(sorted(edges, key=lambda e: (e.src, e.index, e.primed, e.dst)))
-        self.shape = shape
         self.by_id = {v.id: v for v in self.vertices}
         if len(self.by_id) != len(self.vertices):
             raise MalformedGraph("duplicate vertex ids")
@@ -336,7 +325,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
                         raise BrokenSemistandard(f"{kinds[primed]}({word}) = {codes_to_str(out)} left ShST({shape}, {n})")
                     edges.append(GraphEdge(v.id, ids[out], i, primed))
             ups += (None if e is None else ids.get(e, -1), None if ep is None else ids.get(ep, -1))
-    g = CrystalGraph(n, vertices, tuple(edges), shape)
+    g = CrystalGraph(n, vertices, tuple(edges))
     want = iter(ups)
     for v in vertices:
         for i, kinds in sites.items():
@@ -360,7 +349,7 @@ def components(g: CrystalGraph) -> list[CrystalGraph]:
         vertices[comp_of[v.id]].append(v)
     for e in g.edges:
         edges[comp_of[e.src]].append(e)
-    return [CrystalGraph(g.n, tuple(vs), tuple(es), g.shape) for vs, es in zip(vertices, edges)]
+    return [CrystalGraph(g.n, tuple(vs), tuple(es)) for vs, es in zip(vertices, edges)]
 
 
 def is_strict_padded(weight: tuple[int, ...]) -> bool:
@@ -472,8 +461,9 @@ def import_json(text: str) -> CrystalGraph:
     """The graph of an export_json document.  The first defect met raises
     MalformedGraph: the top level, every weight entry, ``n`` (the length of
     the first weight when absent) and its sign, each vertex's word and id,
-    each edge's fields in key order, the weight lengths, then CrystalGraph's
-    checks."""
+    each edge's fields in key order, the weight lengths, CrystalGraph's
+    checks, then, vertex by vertex, that no weight entry is negative and
+    that a vertex with a word has that word's weight."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -521,7 +511,13 @@ def import_json(text: str) -> CrystalGraph:
         raise MalformedGraph(f"bad graph JSON: {exc}") from exc
     if not {n}.issuperset(map(len, weights)):
         raise MalformedGraph("weight vectors must all have length n")
-    return CrystalGraph(n, tuple(vertices), tuple(edges))
+    g = CrystalGraph(n, tuple(vertices), tuple(edges))
+    for v in g.vertices:
+        if v.weight and min(v.weight) < 0:
+            raise MalformedGraph(f"vertex {v.id} has a negative weight entry: {list(v.weight)}")
+        if v.word is not None and (wt := weight_of_codes(v.word.codes, n)) != v.weight:
+            raise MalformedGraph(f"vertex {v.id} has weight {list(v.weight)} but its word {v.word} has weight {list(wt)}")
+    return g
 
 
 def export_dot(g: CrystalGraph) -> str:

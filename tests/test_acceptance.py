@@ -313,7 +313,7 @@ def test_criterion_8_mutation_sensitivity():
     g = build_graph(make_skew_shape((3, 1)), 3)
     mutants = 0
     for k in range(len(g.edges)):
-        mutated = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :], g.shape)
+        mutated = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :])
         assert first_violation(mutated) is not None, f"deletion of {g.edges[k]} undetected"
         mutants += 1
     for k, e in enumerate(g.edges):
@@ -321,7 +321,7 @@ def test_criterion_8_mutation_sensitivity():
             if v.id == e.dst:
                 continue
             edges = g.edges[:k] + (GraphEdge(e.src, v.id, e.index, e.primed),) + g.edges[k + 1 :]
-            mutated = CrystalGraph(g.n, g.vertices, edges, g.shape)
+            mutated = CrystalGraph(g.n, g.vertices, edges)
             assert first_violation(mutated) is not None, f"retarget {e} -> {v.id} undetected"
             mutants += 1
     _report(8, f"{mutants} single-edge mutations all detected")

@@ -232,7 +232,7 @@ class TestStructuralCoverage:
 class TestMutationsByHand:
     def test_deleting_an_edge_is_caught(self, graph_cache):
         g = graph_cache((3, 1), (), 3)
-        mutated = CrystalGraph(g.n, g.vertices, g.edges[1:], g.shape)
+        mutated = CrystalGraph(g.n, g.vertices, g.edges[1:])
         assert first_violation(mutated) is not None
 
     def test_retargeting_is_caught(self, graph_cache):
@@ -240,7 +240,7 @@ class TestMutationsByHand:
         e = g.edges[0]
         other = next(v.id for v in g.vertices if v.id not in (e.src, e.dst))
         edges = (GraphEdge(e.src, other, e.index, e.primed),) + g.edges[1:]
-        mutated = CrystalGraph(g.n, g.vertices, edges, g.shape)
+        mutated = CrystalGraph(g.n, g.vertices, edges)
         assert first_violation(mutated) is not None
 
     def test_weight_preserving_swaps_need_merge_axioms(self, graph_cache):
@@ -264,7 +264,7 @@ class TestMutationsByHand:
                 mut = list(edges)
                 mut[a] = GraphEdge(ea.src, eb.dst, ea.index, ea.primed)
                 mut[b] = GraphEdge(eb.src, ea.dst, eb.index, eb.primed)
-                report = check_all(CrystalGraph(g.n, g.vertices, tuple(mut), g.shape))
+                report = check_all(CrystalGraph(g.n, g.vertices, tuple(mut)))
                 fired = {ax for ax, v in report.violations.items() if v}
                 assert fired, (ea, eb)
                 assert not any(v for ax, v in report.violations.items() if ax == "K")
@@ -406,7 +406,7 @@ class TestReadsBindMaps:
     def test_no_graph_accessor_runs_per_read(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)
         k = len(g.edges) // 2
-        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :], g.shape)
+        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :])
         calls = []
         running = [None]
         check = axioms_module.check

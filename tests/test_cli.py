@@ -284,6 +284,16 @@ class TestCheckVerb:
         err = self._rejected(invoke, tmp_path, {"n": -3, "vertices": [], "edges": []})
         assert err == "error: bad graph JSON: alphabet bound must be nonnegative\n"
 
+    def test_word_must_match_weight(self, invoke, tmp_path):
+        vertices = [{"id": 0, "word": "22", "weight": [2, 0]}]
+        err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
+        assert err == "error: vertex 0 has weight [2, 0] but its word 22 has weight [0, 2]\n"
+
+    def test_weight_entries_are_nonnegative(self, invoke, tmp_path):
+        vertices = [{"id": 0, "word": None, "weight": [-1, 2]}]
+        err = self._rejected(invoke, tmp_path, {"n": 2, "vertices": vertices, "edges": []})
+        assert err == "error: vertex 0 has a negative weight entry: [-1, 2]\n"
+
     def test_deep_nesting_exit_two(self, invoke, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100000 + "]" * 100000)

@@ -38,7 +38,7 @@ from shifted_crystals import (
 )
 from shifted_crystals import graph as graph_module
 from shifted_crystals import ops
-from shifted_crystals.graph import GraphEdge, GraphVertex
+from shifted_crystals.graph import GraphEdge, GraphVertex, StringStats
 
 EXPORT_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "export_json.sha256"
 
@@ -274,15 +274,15 @@ class TestStringStats:
 
     def test_separated_two_vertex(self, graph_cache):
         g = graph_cache((2, 1), (), 2)
-        assert string_stats(g, 0, 1).as_tuple() == (0, 1, 0, 1, 0, 0)
-        assert string_stats(g, 1, 1).as_tuple() == (1, 0, 1, 0, 0, 0)
+        assert string_stats(g, 0, 1) == StringStats(0, 1, 0, 1, 0, 0)
+        assert string_stats(g, 1, 1) == StringStats(1, 0, 1, 0, 0, 0)
 
     def test_collapsed_counts(self, graph_cache):
         g = graph_cache((3,), (), 2)
         chain = classify_string(g, 0, 1).chains[0]
         for j, vid in enumerate(chain):
             s = string_stats(g, vid, 1)
-            assert s.as_tuple() == (j, 3 - j, j, 3 - j, j, 3 - j)
+            assert s == StringStats(j, 3 - j, j, 3 - j, j, 3 - j)
 
     def test_k2_identity(self, graph_cache):
         g = graph_cache((4, 2, 1), (), 3)
@@ -296,7 +296,7 @@ class TestStringStats:
         for v in g.vertices:
             for i in (1, 2):
                 shape = classify_string(g, v.id, i)
-                s = shape.stats_of(v.id)
+                s = dict(shape.member_stats())[v.id]
                 if shape.kind == "separated":
                     assert s.eps == s.eps_prime + s.eps_hat
                     assert s.phi == s.phi_prime + s.phi_hat
@@ -325,7 +325,7 @@ class TestStringTable:
     def test_each_string_walked_and_classified_once(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)
         k = len(g.edges) // 2
-        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :], g.shape)
+        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :])
         calls = {"reach": 0, "classify": 0}
         reach, classify = CrystalGraph.reach, graph_module._classify
 
@@ -346,7 +346,7 @@ class TestStringTable:
     def test_interrupted_build_is_rebuilt_whole(self, graph_cache, monkeypatch):
         g = graph_cache((4, 2, 1), (), 3)
         want = [(g.string_of(v.id, 1), g.stats(v.id, 1)) for v in g.vertices]
-        fresh = CrystalGraph(g.n, g.vertices, g.edges, g.shape)
+        fresh = CrystalGraph(g.n, g.vertices, g.edges)
         classify = graph_module._classify
         calls = []
 
@@ -379,7 +379,7 @@ class TestStringTable:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                fresh = CrystalGraph(g.n, g.vertices, g.edges, g.shape)
+                fresh = CrystalGraph(g.n, g.vertices, g.edges)
                 threads = [threading.Thread(target=read, args=(fresh, keys[k::8] + keys)) for k in range(8)]
                 for t in threads:
                     t.start()
@@ -394,7 +394,7 @@ class TestStringTable:
 class TestIndexRange:
     def test_out_of_range_index_raises(self, graph_cache):
         g = graph_cache((3, 1), (), 3)
-        fresh = CrystalGraph(g.n, g.vertices, g.edges, g.shape)
+        fresh = CrystalGraph(g.n, g.vertices, g.edges)
         for i in (0, g.n):
             with pytest.raises(InvalidIndex):
                 fresh.stats(0, i)
@@ -612,6 +612,26 @@ MALFORMED = {
     "weight-length-before-duplicate-id": (
         _edited(((*_V1, "id"), 0), ((*_V1, "weight"), [0])),
         "weight vectors must all have length n",
+    ),
+    "weight-negative": (
+        _edited(((*_V0, "word"), None), ((*_V0, "weight"), [-1, 2])),
+        "vertex 0 has a negative weight entry: [-1, 2]",
+    ),
+    "weight-not-the-words": (
+        _edited(((*_V1, "word"), "22"), ((*_V1, "weight"), [2, 0])),
+        "vertex 1 has weight [2, 0] but its word 22 has weight [0, 2]",
+    ),
+    "negative-before-word-weight": (
+        _edited(((*_V1, "weight"), [-1, 2])),
+        "vertex 1 has a negative weight entry: [-1, 2]",
+    ),
+    "earlier-vertex-first": (
+        _edited(((*_V0, "weight"), [0, 1]), ((*_V1, "weight"), [-1, 2])),
+        "vertex 0 has weight [0, 1] but its word 1 has weight [1, 0]",
+    ),
+    "missing-vertex-before-word-weight": (
+        _edited(((*_E0, "src"), 5), ((*_V0, "weight"), [0, 1])),
+        "edge GraphEdge(src=5, dst=1, index=1, primed=False) references a missing vertex",
     ),
 }
 
