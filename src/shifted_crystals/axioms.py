@@ -643,9 +643,11 @@ class CheckReport:
 
 
 def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckReport:
-    """Run every requested axiom and aggregate counts, runtime, and the
-    Delta histogram over all vertices carrying both f_i and f_{i+1}."""
+    """Run every requested axiom once, in first-seen order, and aggregate
+    counts, runtime, and the Delta histogram over all vertices carrying both
+    f_i and f_{i+1}."""
     start = time.perf_counter()
+    axioms = tuple(dict.fromkeys(axioms))
     violations = {}
     for axiom in axioms:
         violations[axiom] = check(g, axiom)
@@ -656,7 +658,7 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
         if d is not None:
             hist[d] += 1
     return CheckReport(
-        axioms=tuple(axioms),
+        axioms=axioms,
         violations=violations,
         delta_histogram=hist,
         runtime_seconds=time.perf_counter() - start,

@@ -18,7 +18,7 @@ import sys
 from .axioms import ALL_AXIOMS, check_all
 from .errors import MalformedGraph
 from .expansion import verify_expansion
-from .graph import build_graph, components, export_dot, export_json, import_json
+from .graph import build_graph, component_labels, export_dot, export_json, import_json
 from .ops import FAMILIES, OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
 from .tableaux import enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
 from .words import Letter, Word, eta, standardize
@@ -156,9 +156,7 @@ def _cmd_graph(args) -> int:
     elif args.format == "dot":
         _emit(export_dot(g), args.out)
     else:
-        lines = [
-            f"vertices {len(g)} edges {len(g.edges)} components {len(components(g))}"
-        ]
+        lines = [f"vertices {len(g)} edges {len(g.edges)} components {component_labels(g)[1]}"]
         for v in g.vertices:
             wt = ",".join(map(str, v.weight))
             lines.append(f"{v.id} {v.word} ({wt})")
@@ -183,7 +181,7 @@ def _cmd_check(args) -> int:
         g = build_graph(make_skew_shape(args.outer, args.inner or ()), args.n)
     report = check_all(g, args.axioms)
     text = report.render() + "\n"
-    for axiom in args.axioms:
+    for axiom in report.axioms:
         for violation in report.violations[axiom]:
             text += f"{violation}\n{violation.context}\n"
     _emit(text, args.out)

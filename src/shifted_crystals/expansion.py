@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InternalInconsistency
-from .graph import CrystalGraph, build_graph, components, highest_weight
+from .graph import CrystalGraph, build_graph, highest_weights
 from .tableaux import SkewShape, StrictPartition, check_strict, enumerate_tableaux
 
 
@@ -189,8 +189,7 @@ def expand(shape: SkewShape, n: int) -> Expansion:
 
 def expansion_of_graph(graph: CrystalGraph) -> Expansion:
     counts: dict[StrictPartition, int] = {}
-    for comp in components(graph):
-        g = highest_weight(comp)
+    for g in highest_weights(graph):
         sigma = tuple(p for p in g.weight if p > 0)
         counts[sigma] = counts.get(sigma, 0) + 1
     terms = tuple(sorted(counts.items(), key=lambda kv: (-sum(kv[0]), kv[0])))

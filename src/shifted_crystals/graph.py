@@ -2,7 +2,7 @@
 
 Vertices are reading words (ids dense in enumeration order); each vertex
 carries its weight vector.  Only F-edges are stored: E operators follow
-the reversed edges, and build_graph checks that applying E directly
+the reversed edges, and build_graph checks that E, read through eta,
 agrees with the stored reversals, raising InternalInconsistency when it
 does not.  Per label (i, primed) the graph keeps one map from a vertex to
 its f target and one to its e source.  {i,i'}-components are classified
@@ -27,7 +27,7 @@ from .errors import (
     NotStrictWeight,
     NotUnique,
 )
-from .ops import OpKind, apply, subword, write_back
+from .ops import OpKind, apply, eta_subword, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
 from .words import _INT, Word, codes_to_str, parse_codes, weight_of_codes
 
@@ -285,64 +285,92 @@ def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
 def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     """Crystal over enumerate_tableaux(shape, n) with all F_i / F_i' edges.
 
-    Raises BrokenSemistandard when an F result is not a vertex, and
-    InternalInconsistency unless E_i / E_i' applied directly agree with the
-    reversed edges: as E is F read through eta, this checks on every vertex
-    that the flipped F inverts F.  For n > 2 the build scans each site
-    (vertex, i) once for its relabeled {i,i+1}-subword.  A memo local to the
-    build maps that subword to the result subwords of all four families,
-    filled on a miss by one ``apply`` per family, which validates the
-    results.  Each stored result is written back into the vertex's codes and
-    looked up among the vertices: a match equals a word that ``Word``
-    already validated, and it also lies in ShST(shape, n).  For n = 2 the
-    subword is the whole word, so no key can repeat: every site calls
-    ``apply`` once per family.
+    Each site (vertex, i) is scanned once for its relabeled {i,i+1}-subword.
+    A memo local to the build maps each such subword k, and eta(k) as
+    ``eta_subword`` reads it, to (F(k), F'(k)): ``apply`` of F_1 and F_1' to
+    ``Word(k, 2)``, which validates the results, or, for an eta(k) that no F
+    evaluation covers, eta of E_1 and E_1' of k, as E is F read through eta.
+    A result written back into the vertex's codes must be a vertex, or
+    BrokenSemistandard is raised.  E agrees with the reversed edges when
+    every site subword k with F(k) = t has E(t) = k and E is defined at as
+    many sites as there are edges, for then F is injective; otherwise the
+    first site where they disagree raises InternalInconsistency.
     """
     tableaux = enumerate_tableaux(shape, n)
     vertices = tuple(
         GraphVertex(k, Word(t.codes, n), t.weight()) for k, t in enumerate(tableaux)
     )
     ids = {v.word.codes: v.id for v in vertices}
-    # kinds[primed] lowers and kinds[2 + primed] raises at index i
-    sites = {i: (OpKind("F", i), OpKind("F'", i), OpKind("E", i), OpKind("E'", i)) for i in range(1, n)}
-    memo: dict[tuple[int, ...], list[tuple[int, ...] | None]] = {}
+    memo: dict[tuple[int, ...], list] = {}  # subword k -> [F(k), F'(k), number of sites with subword k]
+    lowering, raising = (OpKind("F", 1), OpKind("F'", 1)), (OpKind("E", 1), OpKind("E'", 1))
+
+    def evaluate(kinds: tuple[OpKind, OpKind], k: tuple[int, ...], read) -> list:
+        word = Word(k, 2)
+        outs = [apply(kind, word) for kind in kinds]
+        return [None if out is None else read(out.codes) for out in outs] + [0]
+
     edges = []
-    ups = []  # E results in loop order: a vertex id, None when undefined, -1 outside the vertex set
     for v in vertices:
-        word = v.word
-        for i, kinds in sites.items():
-            if n > 2:
-                sub, pos, _ = subword(word.codes, i)
-                if sub not in memo:
-                    outs = [apply(kind, word) for kind in kinds]
-                    memo[sub] = [None if out is None else subword(out.codes, i)[0] for out in outs]
-                f, fp, e, ep = [None if out is None else write_back(word.codes, pos, out, i) for out in memo[sub]]
-            else:
-                f, fp, e, ep = [None if out is None else out.codes for out in map(apply, kinds, (word,) * 4)]
-            for primed, out in ((False, f), (True, fp)):
-                if out is not None:
-                    if out not in ids:
-                        raise BrokenSemistandard(f"{kinds[primed]}({word}) = {codes_to_str(out)} left ShST({shape}, {n})")
-                    edges.append(GraphEdge(v.id, ids[out], i, primed))
-            ups += (None if e is None else ids.get(e, -1), None if ep is None else ids.get(ep, -1))
-    g = CrystalGraph(n, vertices, tuple(edges))
-    want = iter(ups)
-    for v in vertices:
-        for i, kinds in sites.items():
+        codes = v.word.codes
+        for i in range(1, n):
+            sub, pos, _ = subword(codes, i)
+            outs = memo.get(sub) or memo.setdefault(sub, evaluate(lowering, sub, tuple))
+            outs[2] += 1
             for primed in (False, True):
-                if g.e_map[i, primed].get(v.id) != next(want):
-                    raise InternalInconsistency(f"{kinds[2 + primed]}({v.word}) inconsistent with stored edges")
+                if outs[primed] is not None:
+                    out = write_back(codes, pos, outs[primed], i)
+                    if out not in ids:
+                        kind = OpKind("F'" if primed else "F", i)
+                        raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
+                    edges.append(GraphEdge(v.id, ids[out], i, primed))
+    flip = {k: eta_subword(k) for k in memo}  # E(t) = k exactly where F(eta(t)) = eta(k)
+    for k, flipped in flip.items():
+        if flipped not in memo:
+            memo[flipped] = evaluate(raising, k, eta_subword)
+    raised_sites = sum(memo[k][2] * (2 - memo[f][:2].count(None)) for k, f in flip.items())
+    agree = raised_sites == len(edges) and all(
+        t is None or memo[flip[t]][primed] == f for k, f in flip.items() for primed, t in enumerate(memo[k][:2])
+    )
+    if agree:
+        memo.clear()
+    g = CrystalGraph(n, vertices, tuple(edges))
+    if not agree:
+        word, i, primed = _disagreement(g, ids, memo)
+        kind = OpKind("E'" if primed else "E", i)
+        raise InternalInconsistency(f"{kind}({word}) inconsistent with stored edges")
     return g
 
 
-def components(g: CrystalGraph) -> list[CrystalGraph]:
-    """Partition by weak connectivity, in order of smallest vertex id."""
+def _disagreement(g: CrystalGraph, ids: dict, memo: dict) -> tuple[Word, int, bool]:
+    """The first site (word, i, primed) where E, read off the memo, disagrees
+    with the reversed edges, or else a vertex two edges of one label enter."""
+    for v in g.vertices:
+        codes = v.word.codes
+        for i in range(1, g.n):
+            sub, pos, _ = subword(codes, i)
+            for primed, up in enumerate(memo[eta_subword(sub)][:2]):
+                source = None if up is None else ids.get(write_back(codes, pos, eta_subword(up), i), -1)
+                if g.e_map[i, primed].get(v.id) != source:
+                    return v.word, i, bool(primed)
+    vid, i, primed, _ = g.label_degree_violations()[0]
+    return g.by_id[vid].word, i, primed
+
+
+def component_labels(g: CrystalGraph) -> tuple[dict[int, int], int]:
+    """Each vertex id mapped to the number of its weakly connected
+    component, numbered in order of smallest vertex id, and the count."""
     comp_of: dict[int, int] = {}
     count = 0
     for v in g.vertices:
         if v.id not in comp_of:
             comp_of.update(dict.fromkeys(g.reach(v.id), count))
             count += 1
+    return comp_of, count
+
+
+def components(g: CrystalGraph) -> list[CrystalGraph]:
+    """Partition by weak connectivity, in order of smallest vertex id."""
+    comp_of, count = component_labels(g)
     vertices: list[list[GraphVertex]] = [[] for _ in range(count)]
     edges: list[list[GraphEdge]] = [[] for _ in range(count)]
     for v in g.vertices:
@@ -359,16 +387,29 @@ def is_strict_padded(weight: tuple[int, ...]) -> bool:
     return True
 
 
+def _highest(sources: list[GraphVertex]) -> GraphVertex:
+    if len(sources) != 1:
+        raise NotUnique(f"component has {len(sources)} source vertices")
+    if not is_strict_padded(sources[0].weight):
+        raise NotStrictWeight(f"highest weight {sources[0].weight} is not strictly decreasing")
+    return sources[0]
+
+
 def highest_weight(component: CrystalGraph) -> GraphVertex:
     """The unique source vertex; its weight must be a strict partition
     padded with zeros."""
-    sources = [v for v in component.vertices if not component.in_edges[v.id]]
-    if len(sources) != 1:
-        raise NotUnique(f"component has {len(sources)} source vertices")
-    g = sources[0]
-    if not is_strict_padded(g.weight):
-        raise NotStrictWeight(f"highest weight {g.weight} is not strictly decreasing")
-    return g
+    return _highest([v for v in component.vertices if not component.in_edges[v.id]])
+
+
+def highest_weights(g: CrystalGraph) -> list[GraphVertex]:
+    """highest_weight of every component, in components() order, read off
+    one component_labels() without building the components."""
+    comp_of, count = component_labels(g)
+    sources: list[list[GraphVertex]] = [[] for _ in range(count)]
+    for v in g.vertices:
+        if not g.in_edges[v.id]:
+            sources[comp_of[v.id]].append(v)
+    return [_highest(found) for found in sources]
 
 
 def component_isomorphic(c1: CrystalGraph, c2: CrystalGraph) -> dict[int, int] | None:

@@ -27,10 +27,11 @@ one scan of the canonical subword.
 
 The subword-space result depends on the relabeled subword and the family
 alone, not on i or on the letters outside the subword.  ``subword`` (the
-scan) and ``write_back`` are public so that a caller applying many
-operators can reuse one result: build_graph for n > 2 keeps its own memo
-from the relabeled subword to the results of all four families.  There is
-no process-wide cache: every ``apply`` call computes.
+scan), ``write_back`` and ``eta_subword`` are public so that a caller
+applying many operators can reuse one result: build_graph, for every n,
+keeps its own memo from the relabeled subword to the results of F and F'
+and reads E and E' through eta.  There is no process-wide cache: every
+``apply`` call computes.
 """
 
 from __future__ import annotations
@@ -332,6 +333,13 @@ def _canonical_sub(sub: list[int]) -> tuple[int, ...]:
         if seen_1 and seen_2:
             break
     return tuple(out)
+
+
+def eta_subword(sub) -> tuple[int, ...]:
+    """A canonical relabeled subword read through eta: code c becomes 5 - c,
+    so 1' and 2 swap and so do 1 and 2', and the first letter of each family
+    is unprimed.  E_i of a subword is eta of F_i of its eta; so is E_i'."""
+    return _canonical_sub([5 - c for c in sub])
 
 
 def write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:

@@ -49,6 +49,16 @@ class TestCheckAll:
         assert r1.passed and r2.passed
         assert r1.delta_histogram == r2.delta_histogram
 
+    def test_repeated_axioms_run_once_in_first_seen_order(self, graph_cache, monkeypatch):
+        ran = []
+        check = axioms_module.check
+        monkeypatch.setattr(axioms_module, "check", lambda g, axiom: ran.append(axiom) or check(g, axiom))
+        g = graph_cache((3, 1), (), 3)
+        report = check_all(CrystalGraph(g.n, g.vertices, g.edges[:3] + g.edges[4:]), ("B1", "K", "B1"))
+        assert ran == ["B1", "K"] and report.axioms == ("B1", "K")
+        assert report.total_violations == len(report.violations["B1"]) == 1
+        assert report.render().count("B1") == 1
+
     def test_render_mentions_every_axiom(self, graph_cache):
         text = check_all(graph_cache((2, 1), (), 2)).render()
         for axiom in ALL_AXIOMS:

@@ -221,6 +221,18 @@ class TestCheckVerb:
         status, out, _ = invoke("check", "--graph-file", str(path))
         assert status == 0 and "total violations: 0" in out
 
+    def test_repeated_axiom_runs_and_prints_once(self, invoke, tmp_path, graph_cache):
+        # ShST((3,1), 3) without edge 3 breaks one {2,2'}-string
+        from shifted_crystals import CrystalGraph, export_json
+
+        g = graph_cache((3, 1), (), 3)
+        path = tmp_path / "g.json"
+        path.write_text(export_json(CrystalGraph(g.n, g.vertices, g.edges[:3] + g.edges[4:])))
+        status, out, _ = invoke("check", "--graph-file", str(path), "--axioms", "B1,B1")
+        assert status == 1
+        assert out.count("  B1     FAIL (1)") == 1 and out.count("[B1]") == 1
+        assert "total violations: 1" in out
+
     @pytest.mark.parametrize("n", [10, 11])
     def test_graph_file_round_trip_above_nine(self, invoke, tmp_path, n):
         # the one-letter words 10 and 11 are written "10 " and "11 ", so

@@ -117,6 +117,31 @@ class TestExpand:
         assert sum(expansion.values()) == len(tops)
 
 
+    def test_tops_come_from_one_labelling(self, monkeypatch):
+        # no CrystalGraph per component: highest_weights reads the sources
+        # off component_labels and agrees with highest_weight per component
+        g = graph.build_graph(make_skew_shape((4, 2), (1,)), 3)
+        tops = [graph.highest_weight(c) for c in graph.components(g)]
+        monkeypatch.setattr(graph, "CrystalGraph", None)
+        assert graph.highest_weights(g) == tops
+        assert graph.component_labels(g)[1] == len(tops)
+
+    @pytest.mark.parametrize(
+        "weights, edges, error, message",
+        [
+            ([(2, 0), (1, 1), (2, 0)], [(0, 1, 1, False), (2, 1, 1, True)], graph.NotUnique, "component has 2 source vertices"),
+            ([(1, 0), (0, 1)], [(0, 1, 1, False), (1, 0, 1, False)], graph.NotUnique, "component has 0 source vertices"),
+            ([(1, 0), (1, 1)], [], graph.NotStrictWeight, "highest weight (1, 1) is not strictly decreasing"),
+        ],
+    )
+    def test_bad_component_raises_as_highest_weight_does(self, weights, edges, error, message):
+        vertices = tuple(graph.GraphVertex(k, None, wt) for k, wt in enumerate(weights))
+        g = graph.CrystalGraph(2, vertices, tuple(graph.GraphEdge(*e) for e in edges))
+        with pytest.raises(error) as exc:
+            expansion.expansion_of_graph(g)
+        assert str(exc.value) == message
+
+
 class TestVerifyExpansion:
     def test_identity_small(self):
         report = verify_expansion(make_skew_shape((2, 1)), 2)

@@ -205,6 +205,23 @@ class TestInternalConsistency:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_f_edges_sharing_a_target_raise(self, monkeypatch):
+        # every F_1 result made equal to the first: the edges and the sites
+        # where E is defined still number alike, and only E(F(k)) = k fails
+        apply, results = graph_module.apply, []
+
+        def patched(kind, word):
+            out = apply(kind, word)
+            if kind.family == "F" and out is not None:
+                results.append(out)
+                return results[0]
+            return out
+
+        monkeypatch.setattr(graph_module, "apply", patched)
+        with pytest.raises(InternalInconsistency, match="inconsistent with stored edges"):
+            build_graph(make_skew_shape((3, 1)), 2)
+        assert len(results) > 1
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_tied_disagreement_raises_in_a_build(self, monkeypatch, n):
         # the tie-agreement check runs on every kernel evaluation of a
@@ -214,38 +231,55 @@ class TestInternalConsistency:
             build_graph(make_skew_shape((1,)), n)
 
 
+def _site_keys(g) -> set:
+    """K: the relabeled {i,i+1}-subword of every site (vertex, i)."""
+    return {ops.subword(v.word.codes, i)[0] for v in g.vertices for i in range(1, g.n)}
+
+
+def _count_kernel_keys(monkeypatch) -> tuple[list, list]:
+    """Record every apply of the build and every kernel evaluation, the
+    latter as its key in lowering space: sub, or eta(sub) for a raising one."""
+    applies, lowered_keys = [], []
+    apply, on_subword = graph_module.apply, ops._on_subword
+
+    def counted_apply(kind, word):
+        applies.append(kind)
+        return apply(kind, word)
+
+    def counted_on_subword(sub, firsts, lower, primed):
+        lowered_keys.append((sub if lower else ops.eta_subword(sub), primed))
+        return on_subword(sub, firsts, lower, primed)
+
+    monkeypatch.setattr(graph_module, "apply", counted_apply)
+    monkeypatch.setattr(ops, "_on_subword", counted_on_subword)
+    return applies, lowered_keys
+
+
 class TestOperatorMemo:
     def test_kernel_runs_once_per_distinct_key(self, monkeypatch):
-        applies, kernel_keys, seen_keys = [], [], set()
-        apply, on_subword = graph_module.apply, ops._on_subword
+        # each key of K and eta(K) is evaluated once per family pair, by F
+        # or, where no F evaluation covered it, by E read through eta
+        applies, lowered_keys = _count_kernel_keys(monkeypatch)
+        g = build_graph(make_skew_shape((4, 3, 2, 1)), 5)
+        keys = _site_keys(g)
+        keys |= set(map(ops.eta_subword, keys))
+        assert sorted(lowered_keys) == sorted((k, primed) for k in keys for primed in (False, True))
+        assert len(applies) == len(lowered_keys) == 2 * len(keys) == 608
+        assert {kind.index for kind in applies} == {1}
 
-        def counted_apply(kind, word, **kwargs):
-            applies.append(kind)
-            seen_keys.add((ops.subword(word.codes, kind.index)[0], kind.lowering, kind.primed))
-            return apply(kind, word, **kwargs)
-
-        def counted_on_subword(sub, firsts, lower, primed):
-            kernel_keys.append((sub, lower, primed))
-            return on_subword(sub, firsts, lower, primed)
-
-        monkeypatch.setattr(graph_module, "apply", counted_apply)
-        monkeypatch.setattr(ops, "_on_subword", counted_on_subword)
-        build_graph(make_skew_shape((4, 3, 2, 1)), 5)
-        assert sorted(kernel_keys) == sorted(seen_keys)
-        assert len(applies) == len(seen_keys) == len(kernel_keys) == 808
-
-    def test_two_letter_alphabet_applies_every_family_at_every_vertex(self, monkeypatch):
-        applies = []
-        apply = graph_module.apply
-
-        def counted_apply(kind, word):
-            applies.append((kind, word))
-            return apply(kind, word)
-
-        monkeypatch.setattr(graph_module, "apply", counted_apply)
-        g = build_graph(make_skew_shape((5, 3, 1)), 2)
-        expected = {(ops.OpKind(family, 1), v.word) for v in g.vertices for family in ops.FAMILIES}
-        assert len(applies) == len(expected) == 4 * len(g) and set(applies) == expected
+    @pytest.mark.parametrize(
+        "outer, inner, eta_closed", [((5, 2), (), False), ((5, 3, 1), (4, 2), True)], ids=["straight", "eta-closed"]
+    )
+    def test_two_letter_alphabet_evaluates_each_key_of_k_and_eta_k_once(self, monkeypatch, outer, inner, eta_closed):
+        # at n = 2 the subword is the whole word; on an eta-closed vertex set
+        # every F key is some other vertex's E key, so only F runs
+        applies, lowered_keys = _count_kernel_keys(monkeypatch)
+        g = build_graph(make_skew_shape(outer, inner), 2)
+        keys = _site_keys(g)
+        assert (set(map(ops.eta_subword, keys)) == keys) == eta_closed
+        keys |= set(map(ops.eta_subword, keys))
+        assert len(applies) == len(lowered_keys) == len(set(lowered_keys)) == 2 * len(keys)
+        assert all(kind.lowering for kind in applies) == eta_closed
 
 
 class TestExportDigests:

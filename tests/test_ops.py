@@ -4,7 +4,7 @@ import hashlib
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shifted_crystals import (
     InternalInconsistency,
@@ -219,7 +219,39 @@ def canonical_subwords(max_length: int):
                 yield sub, tuple(first_occurrences(sub).values())
 
 
+def _kernel_outcome(sub, lower: bool, primed: bool):
+    """The kernel's result on a canonical subword, or the type of the error
+    it raises."""
+    try:
+        return ops._on_subword(sub, ops.subword(sub, 1)[2], lower, primed)
+    except Exception as exc:
+        return type(exc)
+
+
+def _raising_is_lowering_through_eta(sub) -> None:
+    """E_1 and E_1' of sub are eta of F_1 and F_1' of eta(sub), or both
+    sides raise the same error."""
+    flipped = ops.eta_subword(sub)
+    for primed in (False, True):
+        raised = _kernel_outcome(sub, False, primed)
+        lowered = _kernel_outcome(flipped, True, primed)
+        if isinstance(lowered, tuple):
+            lowered = ops.eta_subword(lowered)
+        assert raised == lowered, (sub, primed)
+
+
 class TestSubwordKernel:
+    def test_raising_is_lowering_read_through_eta(self):
+        # the identity build_graph reads E through: every canonical subword
+        # of length <= 8 (22,101 subwords), both families
+        for sub, _ in canonical_subwords(8):
+            _raising_is_lowering_through_eta(sub)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=9, max_size=16))
+    def test_raising_is_lowering_read_through_eta_on_longer_subwords(self, codes):
+        _raising_is_lowering_through_eta(canonical_codes(tuple(codes)))
+
     def test_partial_inverse_on_every_subword(self):
         # a lowering and a raising result undo each other in subword space,
         # for the unprimed and the primed pair alike
