@@ -14,16 +14,12 @@ from .axioms import (
     Violation,
     check,
     check_all,
-    delta,
-    delta_dual,
-    first_violation,
 )
 from .errors import (
     BrokenSemistandard,
     InternalInconsistency,
     InvalidIndex,
     MalformedGraph,
-    MissingArrow,
     NotAString,
     NotContained,
     NotStrict,
@@ -48,7 +44,6 @@ from .graph import (
     StringShape,
     StringStats,
     build_graph,
-    classify_string,
     component_isomorphic,
     components,
     export_dot,
@@ -74,11 +69,9 @@ from .tableaux import (
     make_skew_shape,
     parse_tableau,
     reading_word,
-    rows_from_strings,
     strict_partitions,
 )
 from .words import (
-    Letter,
     RawWord,
     StandardWord,
     WeightVector,

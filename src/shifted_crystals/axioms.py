@@ -26,7 +26,6 @@ import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .errors import MissingArrow
 from .graph import CrystalGraph
 
 AXIOM_IDS = (
@@ -136,31 +135,6 @@ class _View:
         if None in parts:
             return None
         return parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps
-
-
-def _delta(view: _View, w: int, i: int, x_primed: bool, y_primed: bool, arrows: str) -> tuple[int, int]:
-    x = (view.fp if x_primed else view.f).get(i, {}).get(w)
-    y = (view.fp if y_primed else view.f).get(i + 1, {}).get(w)
-    if x is None or y is None:
-        raise MissingArrow(f"vertex {w} lacks an {arrows} arrow")
-    d = view.delta_at(w, i, x, y)
-    if d is None:
-        raise MissingArrow(f"strings at vertex {w} are not classifiable")
-    return d
-
-
-def delta(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> tuple[int, int]:
-    """Delta across the downward arrows toward the i-side target x and the
-    (i+1)-side target y; primed flags select f' arrows (as in the
-    half-solid-square configuration)."""
-    return _delta(_View(g), w, i, x_primed, y_primed, f"f_{i} or f_{i + 1}")
-
-
-def delta_dual(g: CrystalGraph, w: int, i: int, x_primed: bool = False, y_primed: bool = False) -> tuple[int, int]:
-    """Dual delta across the upward arrows from the e_{i+1}-side source x
-    and the e_i-side source y, that is (phi_{i+1}(w)-phi_{i+1}(y),
-    phi_i(w)-phi_i(x)): delta on the reversed graph at n-1-i."""
-    return _delta(_View(g, reverse=True), w, g.n - 1 - i, x_primed, y_primed, f"e_{i} or e_{i + 1}")
 
 
 def _alpha(i: int, n: int) -> tuple[int, ...]:
@@ -666,11 +640,3 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
         edge_count=len(g.edges),
     )
 
-
-def first_violation(g: CrystalGraph, axioms: tuple[str, ...] = ("K", "B1", "B3") + ALL_AXIOMS) -> Violation | None:
-    """Cheapest-first scan used by the mutation harness."""
-    for axiom in dict.fromkeys(axioms):
-        found = check(g, axiom)
-        if found:
-            return found[0]
-    return None

@@ -21,7 +21,7 @@ from .expansion import verify_expansion
 from .graph import build_graph, component_labels, export_dot, export_json, import_json
 from .ops import FAMILIES, OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
 from .tableaux import enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
-from .words import Letter, Word, eta, standardize
+from .words import Word, eta, letter_token, standardize
 
 
 def _integer(text: str) -> int:
@@ -130,8 +130,7 @@ def _cmd_walk(args) -> int:
     walk = lattice_walk(word, args.index)
     lines = []
     for pos, a, b, step in zip(walk.positions, walk.points, walk.points[1:], walk.steps):
-        letter = Letter.from_code(word.codes[pos])
-        lines.append(f"{letter} ({a[0]},{a[1]})->({b[0]},{b[1]}) {step}")
+        lines.append(f"{letter_token(word.codes[pos])} ({a[0]},{a[1]})->({b[0]},{b[1]}) {step}")
     lines.append(f"endpoint ({walk.endpoint[0]},{walk.endpoint[1]})")
     _emit("\n".join(lines) + "\n", args.out)
     return 0

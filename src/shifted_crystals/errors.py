@@ -16,9 +16,11 @@ class InvalidIndex(ValueError):
 class BrokenSemistandard(ValueError):
     """A filling violates the shifted semistandard or canonical-form rules.
 
-    Raised by apply_to_tableau when an operator result fails validation;
-    on reading words of actual tableaux this indicates an implementation
-    bug, since the operators are closed on each ShST(shape, n).
+    Raised for every malformed tableau input (a ShiftedTableau built from
+    codes, parse_tableau), and by apply_to_tableau and build_graph when an
+    operator result leaves ShST(shape, n); on actual tableaux that last case
+    is an implementation bug, since the operators are closed on each
+    ShST(shape, n).
     """
 
 
@@ -34,16 +36,12 @@ class NotStrictWeight(ValueError):
     """A highest weight is not a strict partition padded with zeros."""
 
 
-class MissingArrow(ValueError):
-    """A delta statistic was requested where a required arrow is absent."""
-
-
 class MalformedGraph(ValueError):
     """An imported graph does not conform to the JSON schema."""
 
 
 class InternalInconsistency(ValueError):
     """A load-bearing invariant of the implementation failed: tied operator
-    representatives disagree, E disagrees with the reversed F edges, or a
-    brute-force Schur polynomial or oracle result is malformed.  Always a
-    bug, never bad input; raised explicitly so ``python -O`` keeps it."""
+    representatives disagree, E disagrees with the reversed F edges, or the
+    branching-rule Schur P polynomial comes out asymmetric.  Always a bug,
+    never bad input; raised explicitly so ``python -O`` keeps it."""

@@ -27,22 +27,10 @@ class Polynomial:
     def zero(cls, nvars: int) -> "Polynomial":
         return cls({}, nvars)
 
-    @classmethod
-    def monomial(cls, exponents: tuple[int, ...], coeff: int = 1) -> "Polynomial":
-        return cls({tuple(exponents): coeff}, len(exponents))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return Polynomial(terms, max(self.nvars, other.nvars))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        terms: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial(terms, max(self.nvars, other.nvars))
 
     def scale(self, k: int) -> "Polynomial":
@@ -50,9 +38,6 @@ class Polynomial:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def swap_variables(self, a: int, b: int) -> "Polynomial":
         terms = {}
@@ -96,9 +81,6 @@ class Expansion:
             check_strict(sigma)
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
-
-    def as_dict(self) -> dict[StrictPartition, int]:
-        return dict(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:

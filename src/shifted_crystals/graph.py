@@ -21,17 +21,16 @@ from dataclasses import dataclass
 from .errors import (
     BrokenSemistandard,
     InternalInconsistency,
-    InvalidIndex,
     MalformedGraph,
     NotAString,
     NotStrictWeight,
     NotUnique,
 )
-from .ops import OpKind, apply, eta_subword, subword, write_back
+from .ops import OpKind, _check_index, apply, eta_subword, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
 from .words import _INT, Word, codes_to_str, parse_codes, weight_of_codes
 
-StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see strings()
+StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see table()
 StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
 
 
@@ -156,10 +155,16 @@ class CrystalGraph:
         return self.by_id[vid].weight
 
     def f(self, vid: int, i: int, primed: bool = False) -> int | None:
-        return self.f_map.get((i, primed), {}).get(vid)
+        """f_i (primed: f_i') of vid, or None when undefined; raises
+        InvalidIndex unless 1 <= i <= n-1."""
+        _check_index(i, self.n)
+        return self.f_map[i, primed].get(vid)
 
     def e(self, vid: int, i: int, primed: bool = False) -> int | None:
-        return self.e_map.get((i, primed), {}).get(vid)
+        """e_i (primed: e_i') of vid, or None when undefined; raises
+        InvalidIndex unless 1 <= i <= n-1."""
+        _check_index(i, self.n)
+        return self.e_map[i, primed].get(vid)
 
     def label_degree_violations(self) -> list[tuple[int, int, bool, str]]:
         return list(self._crowded)
@@ -182,14 +187,15 @@ class CrystalGraph:
         return frozenset(seen)
 
     def table(self, i: int) -> StringTable:
-        """The strings() table of index i, with the statistics of every
-        vertex on a legal {i,i'}-string and their duals (StringStats.dual).
-        Built on the first use of i, one walk per component in vertex
+        """Three maps of index i: every vertex to its {i,i'}-component, the
+        component's shape and the vertex's statistics, the last two None
+        when the component matches neither legal shape; every vertex on a
+        legal {i,i'}-string to its statistics; and those to their duals
+        (StringStats.dual).  Built on the first use of i, one walk per component in vertex
         order, and published whole; raises InvalidIndex unless 1 <= i <= n-1."""
         table = self._tables.get(i)
         if table is None:
-            if not 1 <= i <= self.n - 1:
-                raise InvalidIndex(f"index {i} outside 1..{self.n - 1}")
+            _check_index(i, self.n)
             entries, stats = {}, {}
             for vert in self.vertices:
                 if vert.id in entries:
@@ -204,21 +210,10 @@ class CrystalGraph:
             table = self._tables[i] = (entries, stats, {v: s.dual for v, s in stats.items()})
         return table
 
-    def strings(self, i: int) -> dict[int, StringEntry]:
-        """Every vertex mapped to its {i,i'}-component, the component's
-        shape and the vertex's statistics, the last two None when the
-        component matches neither legal shape."""
-        return self.table(i)[0]
-
-    def string_of(self, vid: int, i: int) -> StringShape | None:
-        """Classified {i,i'}-string through vid, or None when it matches
-        neither legal shape."""
-        return self.strings(i)[vid][1]
-
     def stats(self, vid: int, i: int) -> StringStats | None:
         """Statistics of vid on its {i,i'}-string, or None when that string
         matches neither legal shape."""
-        return self.strings(i)[vid][2]
+        return self.table(i)[0][vid][2]
 
 
 def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | None:
@@ -268,18 +263,13 @@ def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | No
     return StringShape("separated", (upper, lower))
 
 
-def classify_string(g: CrystalGraph, vid: int, i: int) -> StringShape:
-    """Pattern-match the {i,i'}-component of vid against the two legal
-    shapes; raises NotAString when neither fits."""
-    shape = g.string_of(vid, i)
-    if shape is None:
-        raise NotAString(f"{{{i},{i}'}}-component of vertex {vid} is not a legal string")
-    return shape
-
-
 def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
-    classify_string(g, vid, i)
-    return g.stats(vid, i)
+    """Statistics of vid on its {i,i'}-string; raises NotAString when that
+    string matches neither legal shape."""
+    stats = g.stats(vid, i)
+    if stats is None:
+        raise NotAString(f"{{{i},{i}'}}-component of vertex {vid} is not a legal string")
+    return stats
 
 
 def build_graph(shape: SkewShape, n: int) -> CrystalGraph:

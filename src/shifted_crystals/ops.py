@@ -104,10 +104,6 @@ class CriticalMatch:
     def start_index(self) -> int:
         return self.positions[0]
 
-    @property
-    def defined(self) -> bool:
-        return self.kind not in ("5F", "5E")
-
 
 def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
     """Relabeled {i,i+1}-subword, the full-word positions of its letters, and

@@ -20,7 +20,6 @@ from .errors import BrokenSemistandard, NotContained, NotStrict
 from .words import (
     _INT,
     Codes,
-    Letter,
     WeightVector,
     Word,
     is_canonical,
@@ -83,14 +82,6 @@ class SkewShape:
     def row_span(self, row: int) -> tuple[int, int]:
         """Columns (first, last+1) occupied by 1-indexed ``row``."""
         return row + self.inner_part(row), row + self.outer[row - 1]
-
-    def cells(self) -> list[tuple[int, int]]:
-        """All cells in storage order (top row first, left to right)."""
-        out = []
-        for r in range(1, self.nrows + 1):
-            lo, hi = self.row_span(r)
-            out.extend((r, c) for c in range(lo, hi))
-        return out
 
     def reading_cells(self) -> list[tuple[int, int]]:
         """Cells in reading order: rows bottom to top, left to right."""
@@ -157,15 +148,6 @@ class ShiftedTableau:
     def rows(self) -> tuple[Codes, ...]:
         return tuple(self.codes[start:end] for start, end in self.shape.reading_slices)
 
-    @property
-    def entries(self) -> dict[tuple[int, int], Letter]:
-        out = {}
-        for r, row in enumerate(self.rows, start=1):
-            lo, _ = self.shape.row_span(r)
-            for j, c in enumerate(row):
-                out[(r, lo + j)] = Letter.from_code(c)
-        return out
-
     def weight(self) -> WeightVector:
         return weight_of_codes(self.codes, self.n)
 
@@ -173,7 +155,7 @@ class ShiftedTableau:
         lines = []
         for r, row in enumerate(self.rows, start=1):
             tokens = ["."] * self.shape.inner_part(r)
-            tokens.extend(str(Letter.from_code(c)) for c in row)
+            tokens.extend(map(letter_token, row))
             lines.append(" ".join(tokens))
         return "\n".join(lines)
 
@@ -283,7 +265,3 @@ def parse_tableau(text: str, n: int) -> ShiftedTableau:
         raise NotContained(f"inner dots {inner} do not form a strict partition prefix")
     return ShiftedTableau(shape, tuple(c for row in reversed(rows) for c in row), n)
 
-
-def rows_from_strings(rows: list[str], n: int) -> ShiftedTableau:
-    """Build a straight or skew tableau from row strings like "1 1 2' / 2"."""
-    return parse_tableau("\n".join(rows), n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 from itertools import product
 
 PRIME = "'"
@@ -37,35 +36,8 @@ def is_primed(code: int) -> bool:
 
 def letter_token(code: int) -> str:
     """The value, then a prime when the code is odd; spells any int code,
-    including those below 1 that no ``Letter`` holds."""
+    including those below 1 that an error message may quote."""
     return f"{value_of(code)}{PRIME if is_primed(code) else ''}"
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Letter:
-    """A value with an optional prime; 1' < 1 < 2' < 2 < ..."""
-
-    value: int
-    primed: bool = False
-
-    def __post_init__(self) -> None:
-        if self.value < 1:
-            raise ValueError(f"letter value must be positive, got {self.value}")
-
-    @property
-    def code(self) -> int:
-        return code_of(self.value, self.primed)
-
-    @classmethod
-    def from_code(cls, code: int) -> "Letter":
-        return cls(value_of(code), is_primed(code))
-
-    def __lt__(self, other: "Letter") -> bool:
-        return self.code < other.code
-
-    def __str__(self) -> str:
-        return f"{self.value}{PRIME if self.primed else ''}"
 
 
 # Every one-digit letter token and its code, "1'" -> 1, "1" -> 2, ..., "9" -> 18.
@@ -135,14 +107,6 @@ class RawWord:
     @classmethod
     def parse(cls, text: str, n: int) -> "RawWord":
         return cls(parse_codes(text), n)
-
-    @classmethod
-    def from_letters(cls, letters, n: int) -> "RawWord":
-        return cls(tuple(l.code for l in letters), n)
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_code(c) for c in self.codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -241,8 +205,9 @@ def standardize(w: RawWord) -> StandardWord:
 
 
 def eta_codes(codes: Codes, n: int) -> Codes:
-    flipped = tuple(code_of(n + 1 - value_of(c), not is_primed(c)) for c in codes)
-    return canonical_codes(flipped)
+    """Value v goes to n+1-v and the prime toggles, which on codes is
+    c -> 2n+1-c; then the first letter of each value is unprimed."""
+    return canonical_codes(tuple(2 * n + 1 - c for c in codes))
 
 
 def eta(w: Word, n: int | None = None) -> Word:

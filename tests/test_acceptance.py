@@ -22,13 +22,11 @@ from shifted_crystals import (
     enumerate_tableaux,
     eta,
     final_critical_substring,
-    first_violation,
     genfun_weighted,
     highest_weight,
     lattice_walk,
     make_skew_shape,
     reading_word,
-    rows_from_strings,
     schur_Q,
     strict_partitions,
     string_stats,
@@ -36,6 +34,7 @@ from shifted_crystals import (
 )
 from shifted_crystals.graph import GraphEdge
 
+from helpers import first_violation, rows_from_strings
 from oracles import alternate_E2prime, primed_by_standardization
 
 

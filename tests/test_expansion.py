@@ -20,16 +20,12 @@ from shifted_crystals.tableaux import SkewShape
 
 
 def mono(*exps, c=1):
-    return Polynomial.monomial(tuple(exps), c)
+    return Polynomial({exps: c}, len(exps))
 
 
 class TestPolynomial:
     def test_add_cancels(self):
-        assert (mono(1, 0) + mono(1, 0, c=-1)).is_zero()
-
-    def test_mul(self):
-        square = (mono(1, 0) + mono(0, 1)) * (mono(1, 0) + mono(0, 1))
-        assert square == mono(2, 0) + mono(1, 1, c=2) + mono(0, 2)
+        assert mono(1, 0) + mono(1, 0, c=-1) == Polynomial.zero(2)
 
     def test_str_deterministic(self):
         p = mono(2, 1) + mono(1, 2)
@@ -46,7 +42,7 @@ class TestGenfun:
         assert poly == mono(2, 1) + mono(1, 2)
 
     def test_empty_set(self):
-        assert genfun([], 2).is_zero()
+        assert genfun([], 2) == Polynomial.zero(2)
 
     def test_single_cell(self):
         poly = genfun(enumerate_tableaux(make_skew_shape((1,)), 3), 3)
@@ -78,7 +74,7 @@ class TestSchurPQ:
 
     def test_empty_partition_and_no_letters(self):
         assert schur_P((), 3) == mono(0, 0, 0)
-        assert schur_P((), 0) == Polynomial.monomial(())
+        assert schur_P((), 0) == mono()
         assert schur_Q((2, 1), 0) == Polynomial.zero(0)
 
     def test_independent_of_the_enumerator(self, monkeypatch):
@@ -95,21 +91,21 @@ class TestSchurPQ:
 
 class TestExpand:
     def test_straight_is_itself(self):
-        assert expand(make_skew_shape((2, 1)), 2).as_dict() == {(2, 1): 1}
-        assert expand(make_skew_shape((3, 1)), 3).as_dict() == {(3, 1): 1}
+        assert expand(make_skew_shape((2, 1)), 2).terms == (((2, 1), 1),)
+        assert expand(make_skew_shape((3, 1)), 3).terms == (((3, 1), 1),)
 
     def test_empty_shape(self):
-        assert expand(make_skew_shape(()), 2).as_dict() == {(): 1}
+        assert expand(make_skew_shape(()), 2).terms == (((), 1),)
 
     def test_skew_with_multiplicities(self):
-        result = expand(make_skew_shape((3, 1), (2,)), 2).as_dict()
+        result = dict(expand(make_skew_shape((3, 1), (2,)), 2).terms)
         assert sum(result.values()) >= 2  # disconnected diagram, several components
 
     def test_multiplicity_counts_components(self):
         from shifted_crystals import build_graph, components, highest_weight
 
         shape = make_skew_shape((4, 2), (1,))
-        expansion = expand(shape, 3).as_dict()
+        expansion = dict(expand(shape, 3).terms)
         tops = [highest_weight(c) for c in components(build_graph(shape, 3))]
         for sigma, mult in expansion.items():
             with_weight = [t for t in tops if tuple(p for p in t.weight if p) == sigma]

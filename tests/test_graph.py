@@ -25,7 +25,6 @@ from shifted_crystals import (
     Word,
     build_graph,
     check_all,
-    classify_string,
     component_isomorphic,
     components,
     export_dot,
@@ -48,6 +47,12 @@ def abstract_graph(n, weights, edges):
     return CrystalGraph(n, vertices, tuple(GraphEdge(*e) for e in edges))
 
 
+def string_shape(g, vid, i):
+    """The shape of vid's {i,i'}-string as table(i) records it; None when
+    the string matches neither legal shape."""
+    return g.table(i)[0][vid][1]
+
+
 class TestBuildGraph:
     def test_two_one(self, graph_cache):
         g = graph_cache((2, 1), (), 2)
@@ -61,7 +66,7 @@ class TestBuildGraph:
     def test_one_row_collapses(self, graph_cache):
         for a in (2, 3, 4):
             g = graph_cache((a,), (), 2)
-            shape = classify_string(g, 0, 1)
+            shape = string_shape(g, 0, 1)
             assert shape.kind == "collapsed"
             assert len(shape.chains[0]) == a + 1
 
@@ -313,7 +318,7 @@ class TestStringStats:
 
     def test_collapsed_counts(self, graph_cache):
         g = graph_cache((3,), (), 2)
-        chain = classify_string(g, 0, 1).chains[0]
+        chain = string_shape(g, 0, 1).chains[0]
         for j, vid in enumerate(chain):
             s = string_stats(g, vid, 1)
             assert s == StringStats(j, 3 - j, j, 3 - j, j, 3 - j)
@@ -329,7 +334,7 @@ class TestStringStats:
         g = graph_cache((4, 2, 1), (), 3)
         for v in g.vertices:
             for i in (1, 2):
-                shape = classify_string(g, v.id, i)
+                shape = string_shape(g, v.id, i)
                 s = dict(shape.member_stats())[v.id]
                 if shape.kind == "separated":
                     assert s.eps == s.eps_prime + s.eps_hat
@@ -379,7 +384,7 @@ class TestStringTable:
 
     def test_interrupted_build_is_rebuilt_whole(self, graph_cache, monkeypatch):
         g = graph_cache((4, 2, 1), (), 3)
-        want = [(g.string_of(v.id, 1), g.stats(v.id, 1)) for v in g.vertices]
+        want = [(string_shape(g, v.id, 1), g.stats(v.id, 1)) for v in g.vertices]
         fresh = CrystalGraph(g.n, g.vertices, g.edges)
         classify = graph_module._classify
         calls = []
@@ -394,7 +399,7 @@ class TestStringTable:
         with pytest.raises(RuntimeError):
             fresh.stats(g.vertices[0].id, 1)
         assert index_component_count(g, 1) > 3
-        assert [(fresh.string_of(v.id, 1), fresh.stats(v.id, 1)) for v in g.vertices] == want
+        assert [(string_shape(fresh, v.id, 1), fresh.stats(v.id, 1)) for v in g.vertices] == want
         assert len(calls) == 3 + index_component_count(g, 1)
 
     def test_concurrent_readers_never_see_a_partial_table(self, graph_cache):
@@ -430,12 +435,11 @@ class TestIndexRange:
         g = graph_cache((3, 1), (), 3)
         fresh = CrystalGraph(g.n, g.vertices, g.edges)
         for i in (0, g.n):
+            for read in (fresh.stats, fresh.f, fresh.e):
+                with pytest.raises(InvalidIndex, match=f"^index {i} outside 1..2$"):
+                    read(0, i)
             with pytest.raises(InvalidIndex):
-                fresh.stats(0, i)
-            with pytest.raises(InvalidIndex):
-                fresh.string_of(0, i)
-            with pytest.raises(InvalidIndex):
-                fresh.strings(i)
+                fresh.table(i)
         assert fresh.stats(0, 1) == g.stats(0, 1)
 
 
@@ -443,21 +447,22 @@ class TestClassifyString:
     def test_singleton_is_collapsed(self, graph_cache):
         g = graph_cache((1,), (), 3)
         one = next(v.id for v in g.vertices if str(v.word) == "1")
-        shape = classify_string(g, one, 2)
+        shape = string_shape(g, one, 2)
         assert shape.kind == "collapsed"
         assert shape.chains == ((one,),)
 
     def test_four_vertex_separated(self, graph_cache):
         g = graph_cache((3, 1), (), 2)
-        shape = classify_string(g, 0, 1)
+        shape = string_shape(g, 0, 1)
         assert shape.kind == "separated"
         upper, lower = shape.chains
         assert len(upper) == len(lower) == 2
 
     def test_bare_solid_chain_rejected(self):
         g = abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, 1, False)])
-        with pytest.raises(NotAString):
-            classify_string(g, 0, 1)
+        assert string_shape(g, 0, 1) is None
+        with pytest.raises(NotAString, match="^\\{1,1'\\}-component of vertex 0 is not a legal string$"):
+            string_stats(g, 0, 1)
 
     def test_half_broken_collapsed_rejected(self):
         g = abstract_graph(
@@ -465,8 +470,9 @@ class TestClassifyString:
             [(2, 0), (1, 1), (0, 2)],
             [(0, 1, 1, True), (1, 2, 1, False), (1, 2, 1, True)],
         )
-        with pytest.raises(NotAString):
-            classify_string(g, 0, 1)
+        assert string_shape(g, 0, 1) is None
+        with pytest.raises(NotAString, match="^\\{1,1'\\}-component of vertex 0 is not a legal string$"):
+            string_stats(g, 0, 1)
 
 
 class TestHighestWeight:

@@ -20,14 +20,14 @@ from shifted_crystals import (
     lattice_walk,
     make_skew_shape,
     reading_word,
-    rows_from_strings,
     standardize,
     strict_partitions,
     weight,
 )
 from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
-from shifted_crystals.words import canonical_codes, first_occurrences
+from shifted_crystals.words import canonical_codes, code_of, first_occurrences
+from helpers import rows_from_strings
 from oracles import alternate_E2prime, primed_by_standardization
 from test_acceptance import strict_subpartitions
 
@@ -82,7 +82,6 @@ class TestFinalCriticalSubstring:
         t = T("1 1 1 1 1 1 3 3", "2 2 2 3", "3 3")
         match = final_critical_substring(reading_word(t), 2)
         assert match.kind == "5F"
-        assert not match.defined
         assert apply(F2, reading_word(t)) is None
 
     def test_last_east_step(self):
@@ -176,9 +175,9 @@ class TestApply:
     )
     def test_partial_inverses_on_arbitrary_words(self, pairs, i, families):
         # holds for every canonical word, not only reading words of tableaux
-        from shifted_crystals import Letter, RawWord, canonicalize
+        from shifted_crystals import RawWord, canonicalize
 
-        word = canonicalize(RawWord.from_letters([Letter(v, p) for v, p in pairs], 3))
+        word = canonicalize(RawWord(tuple(code_of(v, p) for v, p in pairs), 3))
         down, up = (OpKind(f, i) for f in families)
         lowered = apply(down, word)
         if lowered is not None:
@@ -246,6 +245,12 @@ class TestSubwordKernel:
         # of length <= 8 (22,101 subwords), both families
         for sub, _ in canonical_subwords(8):
             _raising_is_lowering_through_eta(sub)
+
+    def test_kernel_eta_is_the_word_eta(self):
+        # build_graph reads E through the kernel's eta; on every canonical
+        # subword of length <= 8 it is the public eta at n = 2
+        for sub, _ in canonical_subwords(8):
+            assert ops.eta_subword(sub) == eta(Word(sub, 2)).codes, sub
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=9, max_size=16))

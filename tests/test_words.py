@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shifted_crystals import (
-    Letter,
     RawWord,
     Word,
     canonicalize,
@@ -13,7 +12,15 @@ from shifted_crystals import (
     standardize,
     weight,
 )
-from shifted_crystals.words import canonical_codes, codes_to_str, is_primed, parse_codes, value_of
+from shifted_crystals.words import (
+    canonical_codes,
+    code_of,
+    codes_to_str,
+    is_primed,
+    letter_token,
+    parse_codes,
+    value_of,
+)
 
 
 def w(text: str, n: int = 3) -> Word:
@@ -28,26 +35,8 @@ def raw(text: str, n: int = 3) -> RawWord:
 canonical_words = st.lists(
     st.tuples(st.integers(1, 3), st.booleans()), max_size=8
 ).map(
-    lambda pairs: canonicalize(
-        RawWord.from_letters([Letter(v, p) for v, p in pairs], 3)
-    )
+    lambda pairs: canonicalize(RawWord(tuple(code_of(v, p) for v, p in pairs), 3))
 )
-
-
-class TestLetter:
-    def test_order(self):
-        assert Letter(1, True) < Letter(1) < Letter(2, True) < Letter(2) < Letter(3, True)
-
-    def test_str_and_code_round_trip(self):
-        for v in range(1, 11):
-            for p in (False, True):
-                letter = Letter(v, p)
-                assert Letter.from_code(letter.code) == letter
-        assert str(Letter(2, True)) == "2'"
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            Letter(0)
 
 
 class TestParsing:
@@ -56,7 +45,7 @@ class TestParsing:
 
     def test_multidigit_needs_spaces(self):
         word = Word.parse("10 2 10'", 10)
-        assert [str(l) for l in word.letters] == ["10", "2", "10'"]
+        assert [letter_token(c) for c in word.codes] == ["10", "2", "10'"]
         assert str(word) == "10 2 10'"
 
     def test_round_trip(self):
