@@ -69,18 +69,14 @@ from .tableaux import (
     make_skew_shape,
     parse_tableau,
     reading_word,
-    strict_partitions,
 )
 from .words import (
     RawWord,
     StandardWord,
     WeightVector,
     Word,
-    canonicalize,
     eta,
-    representatives,
     standardize,
-    weight,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from operator import sub
 
 from .graph import CrystalGraph
 
@@ -103,7 +104,8 @@ class _View:
     j.  The reversed view binds at j the e maps, the dual statistics and the
     string table of index n-j, so a dual axiom at i is its axiom at n-1-i
     on it.  ``indices`` lists the site indices i <= n-2 in the original
-    order: ascending here, and n-2 down to 1 on the reversed view."""
+    order: ascending here, and n-2 down to 1 on the reversed view, and
+    ``site_vertices`` the vertices, or none when there is no site index."""
 
     def __init__(self, g: CrystalGraph, reverse: bool = False):
         self.g, self.n = g, g.n
@@ -115,12 +117,13 @@ class _View:
             self.f[j], self.fp[j] = arrows[k, False], arrows[k, True]
             self.stats[j] = dual if reverse else stats
         self.indices = range(g.n - 2, 0, -1) if reverse else range(1, g.n - 1)
+        self.site_vertices = g.vertices if self.indices else ()
 
     def pair_sites(self):
         """Every site (w, i, x, y) with x = f_i(w) and y = f_{i+1}(w) both
         defined, in vertex order, then in ``indices`` order."""
         f = self.f
-        for vert in self.g.vertices:
+        for vert in self.site_vertices:
             w = vert.id
             for i in self.indices:
                 x, y = f[i].get(w), f[i + 1].get(w)
@@ -135,13 +138,6 @@ class _View:
         if None in parts:
             return None
         return parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps
-
-
-def _alpha(i: int, n: int) -> tuple[int, ...]:
-    root = [0] * n
-    root[i - 1] = 1
-    root[i] = -1
-    return tuple(root)
 
 
 def _check_B1(view: _View) -> list[Violation]:
@@ -240,9 +236,9 @@ def _check_B3(view: _View) -> list[Violation]:
 def _check_K(view: _View) -> list[Violation]:
     g = view.g
     out = []
+    alphas = {i: (0,) * (i - 1) + (1, -1) + (0,) * (view.n - 1 - i) for i in range(1, view.n)}
     for e in g.edges:
-        want = tuple(a - b for a, b in zip(g.weight(e.src), _alpha(e.index, view.n)))
-        if g.weight(e.dst) != want:
+        if g.weight(e.dst) != tuple(map(sub, g.weight(e.src), alphas[e.index])):
             out.append(
                 Violation(
                     "K",
@@ -253,25 +249,22 @@ def _check_K(view: _View) -> list[Violation]:
                 )
             )
         su, sv = view.stats[e.index].get(e.src), view.stats[e.index].get(e.dst)
-        if su is not None and sv is not None:
-            if (sv.eps, sv.phi) != (su.eps + 1, su.phi - 1):
-                out.append(
-                    Violation(
-                        "K",
-                        (e.src, e.dst),
-                        e.index,
-                        f"(eps, phi) step along {e.label} edge is "
-                        f"({sv.eps - su.eps}, {sv.phi - su.phi}), want (1, -1)",
-                        _context(g, (e.src, e.dst)),
-                    )
+        if su is not None and sv is not None and (sv.eps, sv.phi) != (su.eps + 1, su.phi - 1):
+            out.append(
+                Violation(
+                    "K",
+                    (e.src, e.dst),
+                    e.index,
+                    f"(eps, phi) step along {e.label} edge is "
+                    f"({sv.eps - su.eps}, {sv.phi - su.phi}), want (1, -1)",
+                    _context(g, (e.src, e.dst)),
                 )
+            )
     for vert in g.vertices:
         wt = vert.weight
         for i in range(1, view.n):
             s = view.stats[i].get(vert.id)
-            if s is None:
-                continue
-            if s.phi - s.eps != wt[i - 1] - wt[i]:
+            if s is not None and s.phi - s.eps != wt[i - 1] - wt[i]:
                 out.append(
                     Violation(
                         "K",
@@ -507,7 +500,7 @@ def _every_site(fn):
 
     def run(view: _View) -> list[Violation]:
         out: list[Violation] = []
-        for vert in view.g.vertices:
+        for vert in view.site_vertices:
             for i in view.indices:
                 fn(view, vert.id, i, out)
         return out

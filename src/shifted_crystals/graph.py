@@ -15,8 +15,9 @@ published whole together with the vertex->statistics map and its dual.
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (
     BrokenSemistandard,
@@ -34,19 +35,13 @@ StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"] 
 StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    id: int
-    word: Word | None
-    weight: tuple[int, ...]
+GraphVertex = namedtuple("GraphVertex", "id word weight")  # int, Word or None (a graph file may omit it), tuple of ints
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    src: int
-    dst: int
-    index: int
-    primed: bool
+class GraphEdge(namedtuple("GraphEdge", "src dst index primed")):
+    """An f-edge src -> dst (vertex ids) labeled by the int index and the bool primed."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -117,7 +112,7 @@ class CrystalGraph:
     ):
         self.n = n
         self.vertices = tuple(vertices)
-        self.edges = tuple(sorted(edges, key=lambda e: (e.src, e.index, e.primed, e.dst)))
+        self.edges = tuple(sorted(edges, key=attrgetter("src", "index", "primed", "dst")))
         self.by_id = {v.id: v for v in self.vertices}
         if len(self.by_id) != len(self.vertices):
             raise MalformedGraph("duplicate vertex ids")
@@ -127,11 +122,12 @@ class CrystalGraph:
         e_map: dict[tuple[int, bool], dict[int, int]] = {(i, p): {} for i in range(1, n) for p in (False, True)}
         by_id, crowded = self.by_id, set()
         for e in self.edges:
-            src, dst, label = e.src, e.dst, (e.index, e.primed)
+            src, dst, index, primed = e
+            label = index, primed
             if src not in by_id or dst not in by_id:
                 raise MalformedGraph(f"edge {e} references a missing vertex")
             if label not in f_map:
-                raise MalformedGraph(f"edge index {e.index} outside 1..{n - 1}")
+                raise MalformedGraph(f"edge index {index} outside 1..{n - 1}")
             down, up = f_map[label], e_map[label]
             if src in down:
                 crowded.add((src, *label, "out"))
@@ -145,7 +141,7 @@ class CrystalGraph:
             del (f_map if side == "out" else e_map)[i, p][v]
         self.out_edges, self.in_edges, self.f_map, self.e_map = out_edges, in_edges, f_map, e_map
         self._crowded = sorted(crowded)
-        self._crowded_at = {(v, i) for v, i, _, _ in crowded}
+        self._crowded_at = {i: {v for v, j, _, _ in crowded if j == i} for i in range(1, n)}
         self._tables: dict[int, StringTable] = {}
 
     def __len__(self) -> int:
@@ -170,12 +166,27 @@ class CrystalGraph:
         return list(self._crowded)
 
     def reach(self, vid: int, i: int | None = None) -> frozenset[int]:
-        """Vertices weakly connected to vid, along every edge or, given i,
-        along the edges of index i only."""
+        """Vertices weakly connected to vid, along every edge or, given i
+        (InvalidIndex unless 1 <= i <= n-1), along the edges of index i only,
+        read off the four label maps of i except at a vertex with several
+        edges of one label of i.  Neighbours are met in edge order."""
         seen = {vid}
         stack = [vid]
+        if i is not None:
+            _check_index(i, self.n)
+            down, down_p, up, up_p = self.f_map[i, False], self.f_map[i, True], self.e_map[i, False], self.e_map[i, True]
+            crowded = self._crowded_at[i]
         while stack:
             v = stack.pop()
+            if i is not None and v not in crowded:
+                a, b = up.get(v), up_p.get(v)
+                if a is not None and b is not None and b < a:  # in-edges are met by source
+                    a, b = b, a
+                for u in (down.get(v), down_p.get(v), a, b):
+                    if u is not None and u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+                continue
             for e in self.out_edges[v]:
                 if (i is None or e.index == i) and e.dst not in seen:
                     seen.add(e.dst)
@@ -191,23 +202,32 @@ class CrystalGraph:
         component's shape and the vertex's statistics, the last two None
         when the component matches neither legal shape; every vertex on a
         legal {i,i'}-string to its statistics; and those to their duals
-        (StringStats.dual).  Built on the first use of i, one walk per component in vertex
-        order, and published whole; raises InvalidIndex unless 1 <= i <= n-1."""
+        (StringStats.dual).  Built on the first use of i, one ``reach`` per
+        component in vertex order, and published whole; strings of one
+        kind and chain length share one list of statistics and one of
+        duals.  Raises InvalidIndex unless 1 <= i <= n-1."""
         table = self._tables.get(i)
         if table is None:
             _check_index(i, self.n)
-            entries, stats = {}, {}
+            entries, stats, duals, shared = {}, {}, {}, {}  # shared: (kind, chain length) -> statistics, duals
             for vert in self.vertices:
                 if vert.id in entries:
                     continue
                 comp = self.reach(vert.id, i)
                 shape = _classify(self, comp, i)
-                found = dict.fromkeys(comp) if shape is None else dict(shape.member_stats())
-                for v in comp:
-                    entries[v] = (comp, shape, found[v])
-                if shape is not None:
-                    stats.update(found)
-            table = self._tables[i] = (entries, stats, {v: s.dual for v, s in stats.items()})
+                if shape is None:
+                    entries.update(dict.fromkeys(comp, (comp, None, None)))
+                    continue
+                key = shape.kind, len(shape.chains[0])
+                if key not in shared:
+                    found = [s for _, s in shape.member_stats()]
+                    shared[key] = found, [s.dual for s in found]
+                found, dual = shared[key]
+                members = sum(shape.chains, ())
+                entries.update(zip(members, [(comp, shape, s) for s in found]))
+                stats.update(zip(members, found))
+                duals.update(zip(members, dual))
+            table = self._tables[i] = (entries, stats, duals)
         return table
 
     def stats(self, vid: int, i: int) -> StringStats | None:
@@ -217,7 +237,7 @@ class CrystalGraph:
 
 
 def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | None:
-    if any((v, i) in g._crowded_at for v in comp):
+    if not g._crowded_at[i].isdisjoint(comp):
         return None
     solid_out, primed_out = g.f_map[i, False], g.f_map[i, True]
     solid_in, primed_in = g.e_map[i, False], g.e_map[i, True]
@@ -503,7 +523,7 @@ def import_json(text: str) -> CrystalGraph:
         raise MalformedGraph("graph JSON needs 'vertices' and 'edges'")
     raw_vertices, raw_edges = data["vertices"], data["edges"]
     for key, items in (("vertices", raw_vertices), ("edges", raw_edges)):
-        if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        if not isinstance(items, list) or not {dict}.issuperset(map(type, items)):  # json.loads makes no dict subclass
             raise MalformedGraph(f"'{key}' must be a list of objects")
     n = data.get("n")
     try:

@@ -44,20 +44,6 @@ def check_strict(parts) -> StrictPartition:
     return parts
 
 
-def strict_partitions(total: int) -> list[StrictPartition]:
-    """All strict partitions of ``total`` (descending parts)."""
-
-    def gen(remaining: int, maximum: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, maximum), 0, -1):
-            for rest in gen(remaining - first, first - 1):
-                yield (first,) + rest
-
-    return list(gen(total, total))
-
-
 @dataclass(frozen=True)
 class SkewShape:
     outer: StrictPartition

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 PRIME = "'"
 
@@ -146,44 +145,11 @@ def canonical_codes(codes: Codes) -> Codes:
     return tuple(out)
 
 
-def canonicalize(w: RawWord) -> Word:
-    """Unprime the first occurrence of each value; all other letters untouched."""
-    return Word(canonical_codes(w.codes), w.n)
-
-
-def first_occurrences(codes: Codes) -> dict[int, int]:
-    """Position of the first letter of each value, in value order."""
-    firsts: dict[int, int] = {}
-    for i, c in enumerate(codes):
-        v = value_of(c)
-        if v not in firsts:
-            firsts[v] = i
-    return dict(sorted(firsts.items()))
-
-
-def representatives(w: Word) -> list[RawWord]:
-    """All 2^k re-primings of the first occurrence of each of the k values."""
-    firsts = list(first_occurrences(w.codes).values())
-    reps = []
-    for mask in product((False, True), repeat=len(firsts)):
-        codes = list(w.codes)
-        for pos, toggle in zip(firsts, mask):
-            if toggle:
-                codes[pos] -= 1
-        reps.append(RawWord(tuple(codes), w.n))
-    return reps
-
-
 def weight_of_codes(codes: Codes, n: int) -> WeightVector:
     counts = [0] * n
     for c in codes:
-        counts[value_of(c) - 1] += 1
+        counts[(c - 1) // 2] += 1  # value_of(c) - 1
     return tuple(counts)
-
-
-def weight(w: RawWord) -> WeightVector:
-    """Counts of i and i' together, per value 1..n."""
-    return weight_of_codes(w.codes, w.n)
 
 
 def standardize_codes(codes: Codes) -> StandardWord:

@@ -28,13 +28,12 @@ from shifted_crystals import (
     make_skew_shape,
     reading_word,
     schur_Q,
-    strict_partitions,
     string_stats,
     verify_expansion,
 )
 from shifted_crystals.graph import GraphEdge
 
-from helpers import first_violation, rows_from_strings
+from helpers import first_violation, rows_from_strings, strict_partitions
 from oracles import alternate_E2prime, primed_by_standardization
 
 

@@ -116,7 +116,8 @@ class TestDualSymmetry:
         assert mapping is not None
 
     def test_self_duality_sweep(self, graph_cache):
-        from shifted_crystals import component_isomorphic, components, strict_partitions
+        from helpers import strict_partitions
+        from shifted_crystals import component_isomorphic, components
 
         checked = 0
         for size in range(1, 6):

@@ -12,11 +12,11 @@ from shifted_crystals import (
     make_skew_shape,
     schur_P,
     schur_Q,
-    strict_partitions,
     verify_expansion,
 )
 from shifted_crystals import expansion, graph, tableaux
 from shifted_crystals.tableaux import SkewShape
+from helpers import strict_partitions
 
 
 def mono(*exps, c=1):

@@ -33,11 +33,11 @@ from shifted_crystals import (
     import_json,
     make_skew_shape,
     string_stats,
-    strict_partitions,
 )
 from shifted_crystals import graph as graph_module
 from shifted_crystals import ops
 from shifted_crystals.graph import GraphEdge, GraphVertex, StringStats
+from helpers import strict_partitions
 
 EXPORT_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "export_json.sha256"
 
@@ -360,7 +360,63 @@ def index_component_count(g, i):
     return len({find(v.id) for v in g.vertices})
 
 
+def edge_list_component(g, vid, i):
+    """The {i,i'}-component of vid, walked along every out- and in-edge of
+    each vertex and filtered on the index, as reach walked before it read
+    the label maps."""
+    seen = {vid}
+    stack = [vid]
+    while stack:
+        v = stack.pop()
+        for e in g.out_edges[v]:
+            if e.index == i and e.dst not in seen:
+                seen.add(e.dst)
+                stack.append(e.dst)
+        for e in g.in_edges[v]:
+            if e.index == i and e.src not in seen:
+                seen.add(e.src)
+                stack.append(e.src)
+    return frozenset(seen)
+
+
 class TestStringTable:
+    def test_components_match_the_edge_list_walk(self, graph_cache):
+        # mutants delete, reprime, retarget and duplicate edges, so vertices
+        # with several edges of one label occur.  table(i) walks each
+        # component once, from its first vertex; walked from there, the
+        # members come in the same iteration order, the order B1 reports in
+        from test_axioms import edge_mutants
+
+        graphs = edge_mutants(graph_cache((3, 1), (), 3)) + edge_mutants(graph_cache((2, 1), (), 4))
+        assert any(g.label_degree_violations() for g in graphs)
+        for g in graphs:
+            for i in range(1, g.n):
+                entries, order = g.table(i)[0], {}
+                for v in g.vertices:
+                    comp = entries[v.id][0]
+                    assert comp == edge_list_component(g, v.id, i)
+                    if comp not in order:
+                        order[comp] = list(edge_list_component(g, v.id, i))
+                    assert list(comp) == order[comp]
+
+    def test_crowded_vertex_joins_the_strings_it_leads_into(self):
+        # vertex 0 has two out-edges labeled 1, into the strings 1 -1'-> 3
+        # and 2 -1'-> 4; only its edge lists join them
+        g = abstract_graph(
+            2,
+            [(1, 1)] * 5,
+            [(0, 1, 1, False), (0, 2, 1, False), (1, 3, 1, True), (2, 4, 1, True)],
+        )
+        assert g.f(0, 1) is None and g.e(1, 1) == 0 and g.e(2, 1) == 0
+        for v in range(5):
+            assert g.table(1)[0][v][0] == edge_list_component(g, v, 1) == frozenset(range(5))
+
+    def test_in_edges_are_met_by_source(self):
+        # 0, 8 and 16 share a hash slot of a small set, so the order they are
+        # met in, 8' before 16 as in_edges lists them, sets the iteration order
+        g = abstract_graph(2, [(1, 1)] * 17, [(16, 0, 1, False), (8, 0, 1, True)])
+        assert list(g.table(1)[0][0][0]) == list(edge_list_component(g, 0, 1)) == [0, 8, 16]
+
     def test_each_string_walked_and_classified_once(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)
         k = len(g.edges) // 2

@@ -21,13 +21,11 @@ from shifted_crystals import (
     make_skew_shape,
     reading_word,
     standardize,
-    strict_partitions,
-    weight,
 )
 from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
-from shifted_crystals.words import canonical_codes, code_of, first_occurrences
-from helpers import rows_from_strings
+from shifted_crystals.words import canonical_codes, code_of
+from helpers import first_occurrences, rows_from_strings, strict_partitions, weight
 from oracles import alternate_E2prime, primed_by_standardization
 from test_acceptance import strict_subpartitions
 
@@ -175,7 +173,8 @@ class TestApply:
     )
     def test_partial_inverses_on_arbitrary_words(self, pairs, i, families):
         # holds for every canonical word, not only reading words of tableaux
-        from shifted_crystals import RawWord, canonicalize
+        from helpers import canonicalize
+        from shifted_crystals import RawWord
 
         word = canonicalize(RawWord(tuple(code_of(v, p) for v, p in pairs), 3))
         down, up = (OpKind(f, i) for f in families)

@@ -18,11 +18,10 @@ from shifted_crystals import (
     reading_word,
     schur_P,
     schur_Q,
-    strict_partitions,
 )
 from shifted_crystals.words import canonical_codes, is_primed, letter_token, value_of
 
-from helpers import rows_from_strings
+from helpers import rows_from_strings, strict_partitions
 from oracles import is_special
 
 

@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 from shifted_crystals import (
     RawWord,
     Word,
-    canonicalize,
     eta,
-    representatives,
     standardize,
-    weight,
 )
 from shifted_crystals.words import (
     canonical_codes,
@@ -21,6 +18,7 @@ from shifted_crystals.words import (
     parse_codes,
     value_of,
 )
+from helpers import canonicalize, representatives, weight
 
 
 def w(text: str, n: int = 3) -> Word:
