@@ -298,8 +298,8 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     Each site (vertex, i) is scanned once for its relabeled {i,i+1}-subword.
     A memo local to the build maps each such subword k, and eta(k) as
     ``eta_subword`` reads it, to (F(k), F'(k)): ``apply`` of F_1 and F_1' to
-    ``Word(k, 2)``, which validates the results, or, for an eta(k) that no F
-    evaluation covers, eta of E_1 and E_1' of k, as E is F read through eta.
+    ``Word(k, 2)``, which validates the results.  E is F read through eta,
+    so the build applies no E.
     A result written back into the vertex's codes must be a vertex, or
     BrokenSemistandard is raised.  E agrees with the reversed edges when
     every site subword k with F(k) = t has E(t) = k and E is defined at as
@@ -312,19 +312,19 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     )
     ids = {v.word.codes: v.id for v in vertices}
     memo: dict[tuple[int, ...], list] = {}  # subword k -> [F(k), F'(k), number of sites with subword k]
-    lowering, raising = (OpKind("F", 1), OpKind("F'", 1)), (OpKind("E", 1), OpKind("E'", 1))
+    lowering = (OpKind("F", 1), OpKind("F'", 1))
 
-    def evaluate(kinds: tuple[OpKind, OpKind], k: tuple[int, ...], read) -> list:
+    def evaluate(k: tuple[int, ...]) -> list:
         word = Word(k, 2)
-        outs = [apply(kind, word) for kind in kinds]
-        return [None if out is None else read(out.codes) for out in outs] + [0]
+        outs = [apply(kind, word) for kind in lowering]
+        return [None if out is None else out.codes for out in outs] + [0]
 
     edges = []
     for v in vertices:
         codes = v.word.codes
         for i in range(1, n):
             sub, pos, _ = subword(codes, i)
-            outs = memo.get(sub) or memo.setdefault(sub, evaluate(lowering, sub, tuple))
+            outs = memo.get(sub) or memo.setdefault(sub, evaluate(sub))
             outs[2] += 1
             for primed in (False, True):
                 if outs[primed] is not None:
@@ -334,9 +334,9 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
                         raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
                     edges.append(GraphEdge(v.id, ids[out], i, primed))
     flip = {k: eta_subword(k) for k in memo}  # E(t) = k exactly where F(eta(t)) = eta(k)
-    for k, flipped in flip.items():
+    for flipped in flip.values():
         if flipped not in memo:
-            memo[flipped] = evaluate(raising, k, eta_subword)
+            memo[flipped] = evaluate(flipped)
     raised_sites = sum(memo[k][2] * (2 - memo[f][:2].count(None)) for k, f in flip.items())
     agree = raised_sites == len(edges) and all(
         t is None or memo[flip[t]][primed] == f for k, f in flip.items() for primed, t in enumerate(memo[k][:2])
@@ -346,8 +346,8 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     g = CrystalGraph(n, vertices, tuple(edges))
     if not agree:
         word, i, primed = _disagreement(g, ids, memo)
-        kind = OpKind("E'" if primed else "E", i)
-        raise InternalInconsistency(f"{kind}({word}) inconsistent with stored edges")
+        family = "E'" if primed else "E"
+        raise InternalInconsistency(f"{family}_{i}({word}) inconsistent with stored edges")
     return g
 
 

@@ -9,29 +9,29 @@ south, 1' east, 2 north, 2' west.
 One kernel computes every operator in subword space.  It scans the word
 once for the subword and its first i and first i+1; the representatives
 that matter are the <= 4 subwords with those two letters primed or not.
-There is one rule set, the lowering one: F_i takes the final critical
-substring over them (highest start, longest on a tie) and transforms it
-per the type table, and F_i' re-primes the last i when it sits right of
-the last (i+1)'.  A raising operator reads the subword through eta, which
-on the {i, i+1}-letters swaps 1 with 2' and 1' with 2 and swaps the axes
-of the walk, so E_i meets type kE where the flipped subword meets kF.
-Each result re-canonicalises only the two moved value families, every
-qualifying representative must agree (InternalInconsistency otherwise),
-and the word is rewritten once.
+There is one rule set, the lowering one, on the letters 1', 1, 2', 2:
+F_i takes the final critical substring over them (highest start, longest
+on a tie) and transforms it per the type table, and F_i' re-primes the
+last i when it sits right of the last (i+1)'.  E_i is eta F_i eta: eta
+flips each letter code c of a representative to 5 - c, which swaps 1
+with 2' and 1' with 2 and the axes of the walk, the lowering rules run on
+the flipped representatives, so E_i meets type kE where they meet kF, and
+each result comes back through eta.  Each result re-canonicalises only
+the two moved value families, every qualifying representative must agree
+(InternalInconsistency otherwise), and the word is rewritten once.
 
 The representatives differ only at the <= 2 first occurrences, so the
 backward search for the final critical substring runs once over the
 letters right of the last of them, and per representative only at or
-left of it; F_i' reads every representative's last i and last (i+1)' off
-one scan of the canonical subword.
+left of it.
 
 The subword-space result depends on the relabeled subword and the family
 alone, not on i or on the letters outside the subword.  ``subword`` (the
 scan), ``write_back`` and ``eta_subword`` are public so that a caller
 applying many operators can reuse one result: build_graph, for every n,
-keeps its own memo from the relabeled subword to the results of F and F'
-and reads E and E' through eta.  There is no process-wide cache: every
-``apply`` call computes.
+keeps its own memo from the relabeled subword to the results of F and F',
+reads E and E' through eta and runs only F and F'.  There is no
+process-wide cache: every ``apply`` call computes.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ FAMILIES = ("F", "E", "F'", "E'")
 # Relabeled letter codes inside a subword.
 _1P, _1, _2P, _2 = 1, 2, 3, 4
 
-# The codes that play 1', 1, 2', 2 in the rules; eta flips code c to 5 - c.
-_LOWER_ROLES = (_1P, _1, _2P, _2)
-_RAISE_ROLES = tuple(5 - c for c in _LOWER_ROLES)
-
 
 @dataclass(frozen=True)
 class OpKind:
@@ -60,8 +56,8 @@ class OpKind:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown operator family {self.family!r}")
-        if self.index < 1:
-            raise InvalidIndex(f"index must be >= 1, got {self.index}")
+        if type(self.index) is not int or self.index < 1:
+            raise InvalidIndex(f"index must be an int >= 1, got {self.index!r}")
 
     @property
     def primed(self) -> bool:
@@ -128,21 +124,19 @@ def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int
     return tuple(sub), pos, firsts
 
 
-def _walk_points(sub, roles=_LOWER_ROLES) -> tuple[tuple[int, int], ...]:
-    """The walk of ``sub`` with its letters read in ``roles``; in the raising
-    roles each point is the lattice walk's point with its axes swapped."""
-    one_p, one, _, two = roles
+def _walk_points(sub) -> tuple[tuple[int, int], ...]:
+    """The points of the lattice walk of the relabeled subword ``sub``."""
     x = y = 0
     points = [(0, 0)]
     for c in sub:
-        if c == one:
+        if c == _1:
             if x == 0 or y == 0:
                 x += 1
             else:
                 y -= 1
-        elif c == one_p:
+        elif c == _1P:
             x += 1
-        elif c == two:
+        elif c == _2:
             y += 1
         else:  # 2'
             if x == 0 or y == 0:
@@ -168,18 +162,15 @@ def lattice_walk(w: RawWord, i: int) -> Walk:
     return Walk(i, tuple(pos), points, steps)
 
 
-def _matches_at(sub, points, j: int, roles) -> list[tuple[int, int]]:
+def _matches_at(sub, points, j: int) -> list[tuple[int, int]]:
     """Critical substrings of one representative that start at subword
-    index j, as (length, type) pairs in type-table order.  The table is the
-    lowering one, types 1-5, on the letters in ``roles`` and the walk read
-    in the same roles."""
-    one_p, one, two_p, two = roles
+    index j, as (length, type) pairs in the order of the F type table."""
     c = sub[j]
     x, y = points[j]
-    if c != one:  # only types 4 and 5 start elsewhere
-        if c == one_p and x == 0:
+    if c != _1:  # only types 4 and 5 start elsewhere
+        if c == _1P and x == 0:
             return [(1, 4)]
-        if c == two_p and x == 1 and y >= 1:
+        if c == _2P and x == 1 and y >= 1:
             return [(1, 5)]
         return []
     m = len(sub)
@@ -190,29 +181,28 @@ def _matches_at(sub, points, j: int, roles) -> list[tuple[int, int]]:
         out.append((1, 5))
     if y == 0 or (y == 1 and x >= 1):
         k = j + 1
-        while k < m and sub[k] == one_p:
+        while k < m and sub[k] == _1P:
             k += 1
-        if k < m and sub[k] == two_p:
+        if k < m and sub[k] == _2P:
             out.append((k - j + 1, 1))
     if x == 0 or (x == 1 and y >= 1):
         k = j + 1
-        while k < m and sub[k] == two:
+        while k < m and sub[k] == _2:
             k += 1
-        if k < m and sub[k] == one_p:
+        if k < m and sub[k] == _1P:
             out.append((k - j + 1, 2))
     return out
 
 
-def _transform(kind: int, piece: tuple[int, ...], roles) -> tuple[int, ...]:
-    _, one, two_p, two = roles
+def _transform(kind: int, piece: list[int]) -> list[int]:
     if kind == 1:  # 1 (1')* 2'  ->  2' (1')* 2
-        return (two_p,) + piece[1:-1] + (two,)
+        return [_2P, *piece[1:-1], _2]
     if kind == 2:  # 1 (2)* 1'  ->  2' (2)* 1
-        return (two_p,) + piece[1:-1] + (one,)
+        return [_2P, *piece[1:-1], _1]
     if kind == 3:
-        return (two,)
+        return [_2]
     if kind == 4:
-        return (two_p,)
+        return [_2P]
     raise ValueError(f"type {kind} has no transformation")
 
 
@@ -221,28 +211,31 @@ def _check_index(i: int, n: int) -> None:
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 
 
-def _variants(sub: tuple[int, ...], firsts: tuple[int, ...]) -> list[list[int]]:
-    """The representative subwords: each first-occurrence letter, unprimed
-    in the canonical word, either kept or primed, the first of ``firsts``
-    changing slowest.  Re-priming any other value never touches the
-    subword, so these cover every representative."""
-    kept = list(sub)
+def _variants(sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool) -> list[list[int]]:
+    """The representative subwords, as the lowering rules read them: each
+    first-occurrence letter, unprimed in the canonical word, either kept or
+    primed, the first of ``firsts`` changing slowest.  Re-priming any other
+    value never touches the subword, so these cover every representative.
+    For a raising operator each representative is flipped letter by letter
+    through eta (c -> 5 - c): a first occurrence flips to a primed code,
+    and priming it in the word adds 1 to that code."""
+    kept, step = (list(sub), -1) if lower else ([5 - c for c in sub], 1)
     if not firsts:
         return [kept]
     first = kept.copy()
-    first[firsts[0]] -= 1
+    first[firsts[0]] += step
     if len(firsts) == 1:
         return [kept, first]
     second, both = kept.copy(), first.copy()
-    second[firsts[1]] -= 1
-    both[firsts[1]] -= 1
+    second[firsts[1]] += step
+    both[firsts[1]] += step
     return [kept, second, first, both]
 
 
-def _final_matches(variants: list[list[int]], firsts: tuple[int, ...], roles):
-    """Final critical substrings over all representatives, read in
-    ``roles``: every match tied at the highest (start, length), as (variant,
-    walk points, start, length, type) in representative order.
+def _final_matches(variants: list[list[int]], firsts: tuple[int, ...]):
+    """Final critical substrings over all representatives: every match tied
+    at the highest (start, length), as (variant, walk points, start, length,
+    type) in representative order.
 
     All representatives share one walk: each first-occurrence letter is
     stepped on an axis, where primed and unprimed letters move alike.  A
@@ -251,11 +244,11 @@ def _final_matches(variants: list[list[int]], firsts: tuple[int, ...], roles):
     search runs once, and a match it finds is every representative's
     final one.
     """
-    points = _walk_points(variants[0], roles)
+    points = _walk_points(variants[0])
     split = max(firsts, default=-1)
     shared = variants[0]
     for j in range(len(shared) - 1, split, -1):
-        found = _matches_at(shared, points, j, roles)
+        found = _matches_at(shared, points, j)
         if found:
             length = max(found)[0]
             return [(v, points, j, size, kind) for v in variants for size, kind in found if size == length]
@@ -265,7 +258,7 @@ def _final_matches(variants: list[list[int]], firsts: tuple[int, ...], roles):
         for j in range(split, -1, -1):
             if best_key is not None and j < best_key[0]:
                 break
-            found = _matches_at(variant, points, j, roles)
+            found = _matches_at(variant, points, j)
             if not found:
                 continue
             length = max(found)[0]
@@ -279,37 +272,21 @@ def _final_matches(variants: list[list[int]], firsts: tuple[int, ...], roles):
     return best
 
 
-def _last(sub, c) -> int:
-    """Index of the last ``c`` in ``sub``, -1 when there is none."""
-    return len(sub) - 1 - sub[::-1].index(c) if c in sub else -1
-
-
-def _reprimes(sub: tuple[int, ...], firsts: tuple[int, ...], variants: list[list[int]], roles) -> list[list[int]]:
+def _reprimes(variants: list[list[int]]) -> list[list[int]]:
     """Each representative whose last 1 lies right of its last 2', with
-    that 1 made 2', in ``roles``: for F' the last i becomes (i+1)', for E'
-    the last (i+1)' becomes i.  Both positions are read off the canonical
-    subword once; priming a first occurrence only removes the letter there
-    (it has no like letter to its left) or adds one."""
-    _, one, two_p, _ = roles
-    last_1, last_2p = _last(sub, one), _last(sub, two_p)
+    that 1 made 2': the last i becomes (i+1)'.  Read from the right, the
+    first 1 or 2' met decides."""
     out = []
     for variant in variants:
-        l1, l2p = last_1, last_2p
-        for k in firsts:
-            was, now = sub[k], variant[k]
-            if was != now:
-                if was == one and l1 == k:
-                    l1 = -1
-                if now == one:
-                    l1 = max(l1, k)
-                if was == two_p and l2p == k:
-                    l2p = -1
-                if now == two_p:
-                    l2p = max(l2p, k)
-        if l1 >= 0 and l1 > l2p:
-            variant = variant.copy()
-            variant[l1] = two_p
-            out.append(variant)
+        for k in range(len(variant) - 1, -1, -1):
+            c = variant[k]
+            if c == _1:
+                variant = variant.copy()
+                variant[k] = _2P
+                out.append(variant)
+                break
+            if c == _2P:
+                break
     return out
 
 
@@ -347,33 +324,31 @@ def write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
     return tuple(out)
 
 
-def _on_subword(
-    sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool, primed: bool
-) -> tuple[int, ...] | None:
+def _on_subword(sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool, primed: bool) -> tuple[int, ...] | None:
     """One operator in subword space: the canonical result subword, or None
     when undefined.  Every qualifying representative must give the same
-    canonical subword."""
+    canonical subword.  A raising operator runs the lowering rules on the
+    flipped representatives and reads each result back through eta."""
     if not sub:
         return None
-    roles = _LOWER_ROLES if lower else _RAISE_ROLES
-    variants = _variants(sub, firsts)
-    results: set[tuple[int, ...] | None] = set()
+    variants = _variants(sub, firsts, lower)
+    canonical = _canonical_sub if lower else eta_subword
     if primed:
-        for out in _reprimes(sub, firsts, variants, roles):
-            results.add(_canonical_sub(out))
+        results = set(map(canonical, _reprimes(variants)))
         if not results:
             return None
     else:
-        best = _final_matches(variants, firsts, roles)
+        best = _final_matches(variants, firsts)
         if not best:
             return None
+        results = set()
         for variant, _, j, length, kind in best:
             if kind == 5:
                 results.add(None)
                 continue
-            out = list(variant)
-            out[j : j + length] = _transform(kind, tuple(variant[j : j + length]), roles)
-            results.add(_canonical_sub(out))
+            out = variant.copy()
+            out[j : j + length] = _transform(kind, variant[j : j + length])
+            results.add(canonical(out))
     if len(results) != 1:
         raise InternalInconsistency(
             f"representatives disagree on relabeled subword {codes_to_str(sub)}"
@@ -386,18 +361,20 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     """The final F_i- (or E_i-) critical substring over all representatives:
     highest start index, longest on a tie.  Type 5 matches are returned as
     values; ``None`` means no representative has any critical substring.
-    An E_i match is found in the raising roles and reported in the word's
-    own letters and walk."""
+    An E_i match is found by the F_i rules on the flipped representatives
+    and reported in the word's own letters and walk."""
+    if not isinstance(w, Word):  # Word raises for a RawWord that is not canonical
+        w = Word(w.codes, w.n)
     _check_index(i, w.n)
     sub, pos, firsts = subword(w.codes, i)
-    best = _final_matches(_variants(sub, firsts), firsts, _LOWER_ROLES if lower else _RAISE_ROLES)
+    best = _final_matches(_variants(sub, firsts, lower), firsts)
     if not best:
         return None
     variant, points, j, length, kind = best[0]
     x, y = points[j]
     return CriticalMatch(
         kind=f"{kind}{'F' if lower else 'E'}",
-        representative=RawWord(write_back(w.codes, pos, variant, i), w.n),
+        representative=RawWord(write_back(w.codes, pos, variant if lower else [5 - c for c in variant], i), w.n),
         positions=tuple(pos[j : j + length]),
         location=(x, y) if lower else (y, x),
     )
@@ -411,6 +388,8 @@ def apply(kind: OpKind, w: Word) -> Word | None:
     kernel, and writes the result back into a validated ``Word``.
     """
     i = kind.index
+    if not isinstance(w, Word):  # Word raises for a RawWord that is not canonical
+        w = Word(w.codes, w.n)
     _check_index(i, w.n)
     sub, pos, firsts = subword(w.codes, i)
     out = _on_subword(sub, firsts, kind.lowering, kind.primed)

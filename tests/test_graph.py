@@ -102,12 +102,15 @@ class TestComponents:
 
 
 def _break_first_E(apply):
-    """An apply that answers None for the first defined E_i result."""
+    """An apply that answers None for the first defined F result on a
+    subword that no site of ShST((3,1), 3) has: the build evaluates such a
+    subword only to read E through eta, so the first E it reads breaks."""
+    sites = _site_keys(build_graph(make_skew_shape((3, 1)), 3))
     broken = []
 
     def patched(kind, word, **kwargs):
         out = apply(kind, word, **kwargs)
-        if kind.family == "E" and out is not None and not broken:
+        if out is not None and word.codes not in sites and not broken:
             broken.append(word)
             return None
         return out
@@ -262,8 +265,8 @@ def _count_kernel_keys(monkeypatch) -> tuple[list, list]:
 
 class TestOperatorMemo:
     def test_kernel_runs_once_per_distinct_key(self, monkeypatch):
-        # each key of K and eta(K) is evaluated once per family pair, by F
-        # or, where no F evaluation covered it, by E read through eta
+        # each key of K and eta(K) is evaluated once by F and once by F';
+        # E is read through eta, so no E runs
         applies, lowered_keys = _count_kernel_keys(monkeypatch)
         g = build_graph(make_skew_shape((4, 3, 2, 1)), 5)
         keys = _site_keys(g)
@@ -277,14 +280,15 @@ class TestOperatorMemo:
     )
     def test_two_letter_alphabet_evaluates_each_key_of_k_and_eta_k_once(self, monkeypatch, outer, inner, eta_closed):
         # at n = 2 the subword is the whole word; on an eta-closed vertex set
-        # every F key is some other vertex's E key, so only F runs
+        # every F key is some other vertex's E key, and on any vertex set
+        # only F runs
         applies, lowered_keys = _count_kernel_keys(monkeypatch)
         g = build_graph(make_skew_shape(outer, inner), 2)
         keys = _site_keys(g)
         assert (set(map(ops.eta_subword, keys)) == keys) == eta_closed
         keys |= set(map(ops.eta_subword, keys))
         assert len(applies) == len(lowered_keys) == len(set(lowered_keys)) == 2 * len(keys)
-        assert all(kind.lowering for kind in applies) == eta_closed
+        assert all(kind.lowering for kind in applies)
 
 
 class TestExportDigests:

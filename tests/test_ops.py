@@ -10,6 +10,7 @@ from shifted_crystals import (
     InternalInconsistency,
     InvalidIndex,
     OpKind,
+    RawWord,
     Word,
     apply,
     apply_to_tableau,
@@ -155,6 +156,31 @@ class TestApply:
         with pytest.raises(InvalidIndex):
             apply(OpKind("F", 2), Word.parse("11", 2))
 
+    @pytest.mark.parametrize("index", [True, 1.0])
+    def test_index_must_be_an_int(self, index):
+        # True would act as index 1, and 1.0 would fail later inside Word
+        with pytest.raises(InvalidIndex, match="index must be an int >= 1"):
+            OpKind("F", index)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_non_canonical_raw_word_is_rejected(self, family):
+        # 33332' primes the first 2; as canonical 33332 its F_2' is 33333'
+        with pytest.raises(ValueError, match="^word 33332' is not in canonical form$"):
+            apply(OpKind(family, 2), RawWord.parse("33332'", 3))
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_non_canonical_raw_word_has_no_final_critical_substring(self, lower):
+        with pytest.raises(ValueError, match="^word 33332' is not in canonical form$"):
+            final_critical_substring(RawWord.parse("33332'", 3), 2, lower)
+
+    def test_canonical_raw_word_acts_as_its_word(self):
+        raw, word = RawWord.parse("33332", 3), Word.parse("33332", 3)
+        assert str(apply(F2p, raw)) == "33333'"
+        for kind in (F2, E2, F2p, E2p):
+            assert apply(kind, raw) == apply(kind, word)
+        for lower in (True, False):
+            assert final_critical_substring(raw, 2, lower) == final_critical_substring(word, 2, lower)
+
     def test_partial_inverses_on_sweep(self):
         for word in straight_words(5, 3):
             for i in (1, 2):
@@ -286,6 +312,29 @@ class TestSubwordKernel:
                 record.append(match)
             digest.update(f"{sub} {record}\n".encode())
         assert digest.hexdigest() == "f99227fd9387134773653c6653f5b92ff9782bd7fbdad45b028090eede23ec47"
+
+    def test_word_outputs_are_pinned(self):
+        # one digest over the 4,386 reading words of strict |lam| <= 8 at
+        # n = 4 and i = 1..3, where the subword sits among other letters
+        # and i >= 2 shifts it: each family's result or the name of the
+        # error it raises, and the final critical substring on both sides
+        digest = hashlib.sha256()
+        for word in straight_words(8, 4):
+            for i in (1, 2, 3):
+                record = []
+                for family in FAMILIES:
+                    try:
+                        out = apply(OpKind(family, i), word)
+                        record.append(None if out is None else out.codes)
+                    except Exception as exc:
+                        record.append(type(exc).__name__)
+                for lower in (True, False):
+                    match = final_critical_substring(word, i, lower)
+                    if match is not None:
+                        match = (match.kind, match.positions, match.representative.codes, match.location)
+                    record.append(match)
+                digest.update(f"{word.codes} {i} {record}\n".encode())
+        assert digest.hexdigest() == "84ee14b8b14d88a81368a6fe5928fc461f316127593272f162c75c6aa3fe3d7c"
 
 
 class TestOperatorMemo:
