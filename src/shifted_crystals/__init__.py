@@ -9,7 +9,6 @@ of skew crystals via highest-weight enumeration.
 
 from .axioms import (
     ALL_AXIOMS,
-    AXIOM_IDS,
     CheckReport,
     Violation,
     check,

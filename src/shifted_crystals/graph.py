@@ -323,7 +323,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     for v in vertices:
         codes = v.word.codes
         for i in range(1, n):
-            sub, pos, _ = subword(codes, i)
+            sub, pos = subword(codes, i)
             outs = memo.get(sub) or memo.setdefault(sub, evaluate(sub))
             outs[2] += 1
             for primed in (False, True):
@@ -357,7 +357,7 @@ def _disagreement(g: CrystalGraph, ids: dict, memo: dict) -> tuple[Word, int, bo
     for v in g.vertices:
         codes = v.word.codes
         for i in range(1, g.n):
-            sub, pos, _ = subword(codes, i)
+            sub, pos = subword(codes, i)
             for primed, up in enumerate(memo[eta_subword(sub)][:2]):
                 source = None if up is None else ids.get(write_back(codes, pos, eta_subword(up), i), -1)
                 if g.e_map[i, primed].get(v.id) != source:

@@ -6,9 +6,10 @@ subword letter into a unit step: on the axes primed and unprimed letters
 behave alike (1-family east, 2-family north); in the open quadrant 1 goes
 south, 1' east, 2 north, 2' west.
 
-One kernel computes every operator in subword space.  It scans the word
-once for the subword and its first i and first i+1; the representatives
-that matter are the <= 4 subwords with those two letters primed or not.
+One kernel computes every operator from the relabeled subword alone.
+Its first 1 and first 2 are the word's first i and first i+1, and the
+representatives that matter are the <= 4 subwords with those two letters
+primed or not.
 There is one rule set, the lowering one, on the letters 1', 1, 2', 2:
 F_i takes the final critical substring over them (highest start, longest
 on a tie) and transforms it per the type table, and F_i' re-primes the
@@ -25,9 +26,9 @@ backward search for the final critical substring runs once over the
 letters right of the last of them, and per representative only at or
 left of it.
 
-The subword-space result depends on the relabeled subword and the family
-alone, not on i or on the letters outside the subword.  ``subword`` (the
-scan), ``write_back`` and ``eta_subword`` are public so that a caller
+The subword-space result is a function of the relabeled subword and the
+family alone, not of i or of the letters outside the subword.  ``subword``
+(the scan), ``write_back`` and ``eta_subword`` are public so that a caller
 applying many operators can reuse one result: build_graph, for every n,
 keeps its own memo from the relabeled subword to the results of F and F',
 reads E and E' through eta and runs only F and F'.  There is no
@@ -101,27 +102,23 @@ class CriticalMatch:
         return self.positions[0]
 
 
-def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int], tuple[int, ...]]:
-    """Relabeled {i,i+1}-subword, the full-word positions of its letters, and
-    the subword indices of the first i-family and first (i+1)-family letter
-    (those present, in that order)."""
-    shift = 2 * (i - 1)
+def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int]]:
+    """Relabeled {i,i+1}-subword and the full-word positions of its letters."""
     lo, hi = 2 * i - 1, 2 * (i + 1)
-    sub: list[int] = []
-    pos: list[int] = []
-    first1 = first2 = None
-    for p, c in enumerate(codes):
-        if lo <= c <= hi:
-            c -= shift
-            if c <= _1:
-                if first1 is None:
-                    first1 = len(sub)
-            elif first2 is None:
-                first2 = len(sub)
-            sub.append(c)
-            pos.append(p)
-    firsts = tuple(k for k in (first1, first2) if k is not None)
-    return tuple(sub), pos, firsts
+    pos = [p for p, c in enumerate(codes) if lo <= c <= hi]
+    shift = 2 * (i - 1)
+    return tuple([codes[p] - shift for p in pos]), pos
+
+
+def _firsts(sub: tuple[int, ...]) -> list[int]:
+    """Indices of the first 1 and the first 2, those present, in a canonical
+    subword: the first letter of each family."""
+    firsts = []
+    if _1 in sub:
+        firsts.append(sub.index(_1))
+    if _2 in sub:
+        firsts.append(sub.index(_2))
+    return firsts
 
 
 def _walk_points(sub) -> tuple[tuple[int, int], ...]:
@@ -154,7 +151,7 @@ def lattice_walk(w: RawWord, i: int) -> Walk:
     """Walk of the given representative (a canonical Word walks its canonical
     representative)."""
     _check_index(i, w.n)
-    sub, pos, _ = subword(w.codes, i)
+    sub, pos = subword(w.codes, i)
     points = _walk_points(sub)
     steps = tuple(
         _STEP_NAME[(b[0] - a[0], b[1] - a[1])] for a, b in zip(points, points[1:])
@@ -211,7 +208,7 @@ def _check_index(i: int, n: int) -> None:
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 
 
-def _variants(sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool) -> list[list[int]]:
+def _variants(sub: tuple[int, ...], firsts: list[int], lower: bool) -> list[list[int]]:
     """The representative subwords, as the lowering rules read them: each
     first-occurrence letter, unprimed in the canonical word, either kept or
     primed, the first of ``firsts`` changing slowest.  Re-priming any other
@@ -232,7 +229,7 @@ def _variants(sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool) -> lis
     return [kept, second, first, both]
 
 
-def _final_matches(variants: list[list[int]], firsts: tuple[int, ...]):
+def _final_matches(variants: list[list[int]], firsts: list[int]):
     """Final critical substrings over all representatives: every match tied
     at the highest (start, length), as (variant, walk points, start, length,
     type) in representative order.
@@ -324,13 +321,14 @@ def write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
     return tuple(out)
 
 
-def _on_subword(sub: tuple[int, ...], firsts: tuple[int, ...], lower: bool, primed: bool) -> tuple[int, ...] | None:
+def _on_subword(sub: tuple[int, ...], lower: bool, primed: bool) -> tuple[int, ...] | None:
     """One operator in subword space: the canonical result subword, or None
     when undefined.  Every qualifying representative must give the same
     canonical subword.  A raising operator runs the lowering rules on the
     flipped representatives and reads each result back through eta."""
     if not sub:
         return None
+    firsts = _firsts(sub)
     variants = _variants(sub, firsts, lower)
     canonical = _canonical_sub if lower else eta_subword
     if primed:
@@ -366,7 +364,8 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     if not isinstance(w, Word):  # Word raises for a RawWord that is not canonical
         w = Word(w.codes, w.n)
     _check_index(i, w.n)
-    sub, pos, firsts = subword(w.codes, i)
+    sub, pos = subword(w.codes, i)
+    firsts = _firsts(sub)
     best = _final_matches(_variants(sub, firsts, lower), firsts)
     if not best:
         return None
@@ -391,8 +390,8 @@ def apply(kind: OpKind, w: Word) -> Word | None:
     if not isinstance(w, Word):  # Word raises for a RawWord that is not canonical
         w = Word(w.codes, w.n)
     _check_index(i, w.n)
-    sub, pos, firsts = subword(w.codes, i)
-    out = _on_subword(sub, firsts, kind.lowering, kind.primed)
+    sub, pos = subword(w.codes, i)
+    out = _on_subword(sub, kind.lowering, kind.primed)
     return None if out is None else Word(write_back(w.codes, pos, out, i), w.n)
 
 

@@ -176,9 +176,6 @@ def eta_codes(codes: Codes, n: int) -> Codes:
     return canonical_codes(tuple(2 * n + 1 - c for c in codes))
 
 
-def eta(w: Word, n: int | None = None) -> Word:
+def eta(w: Word) -> Word:
     """The weight-reversing involution: i -> (n+1-i)' and vice versa, recanonicalized."""
-    bound = w.n if n is None else n
-    if any(value_of(c) > bound for c in w.codes):
-        raise ValueError("letters exceed the requested alphabet bound")
-    return Word(eta_codes(w.codes, bound), bound)
+    return Word(eta_codes(w.codes, w.n), w.n)

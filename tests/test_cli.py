@@ -209,6 +209,14 @@ class TestCheckVerb:
         assert status == 0
         assert "B1" in out and "A5" not in out
 
+    def test_all_is_the_default(self, invoke):
+        # every line but check's runtime
+        reports = [invoke("check", "--outer", "3,1", "--n", "3", *extra) for extra in ((), ("--axioms", "all"))]
+        (status, default, _), (status_all, chosen, _) = reports
+        assert status == status_all == 0
+        assert default.split("runtime:")[0] == chosen.split("runtime:")[0]
+        assert default.count(" pass\n") == 25
+
     def test_unknown_axiom(self, invoke):
         status, _, err = invoke("check", "--outer", "2,1", "--n", "2", "--axioms", "B9")
         assert status == 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from shifted_crystals import (
+    Expansion,
     InternalInconsistency,
     Polynomial,
     enumerate_tableaux,
@@ -34,6 +35,10 @@ class TestPolynomial:
     def test_symmetry_detection(self):
         assert (mono(1, 0) + mono(0, 1)).is_symmetric()
         assert not mono(1, 0).is_symmetric()
+
+    def test_exponent_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^exponent \(1,\) has wrong length for 2 variables$"):
+            Polynomial({(1,): 1}, 2)
 
 
 class TestGenfun:
@@ -90,6 +95,10 @@ class TestSchurPQ:
 
 
 class TestExpand:
+    def test_multiplicity_must_be_positive(self):
+        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+            Expansion((((1,), 0),))
+
     def test_straight_is_itself(self):
         assert expand(make_skew_shape((2, 1)), 2).terms == (((2, 1), 1),)
         assert expand(make_skew_shape((3, 1)), 3).terms == (((3, 1), 1),)

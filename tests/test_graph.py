@@ -167,9 +167,9 @@ class TestInternalConsistency:
             current[:] = [word]
             return apply(kind, word)
 
-        def traced_on_subword(sub, firsts, lower, primed):
+        def traced_on_subword(sub, lower, primed):
             evaluated.append((current[0], (sub, lower, primed)))
-            return on_subword(sub, firsts, lower, primed)
+            return on_subword(sub, lower, primed)
 
         monkeypatch.setattr(graph_module, "apply", traced_apply)
         monkeypatch.setattr(ops, "_on_subword", traced_on_subword)
@@ -254,9 +254,9 @@ def _count_kernel_keys(monkeypatch) -> tuple[list, list]:
         applies.append(kind)
         return apply(kind, word)
 
-    def counted_on_subword(sub, firsts, lower, primed):
+    def counted_on_subword(sub, lower, primed):
         lowered_keys.append((sub if lower else ops.eta_subword(sub), primed))
-        return on_subword(sub, firsts, lower, primed)
+        return on_subword(sub, lower, primed)
 
     monkeypatch.setattr(graph_module, "apply", counted_apply)
     monkeypatch.setattr(ops, "_on_subword", counted_on_subword)
@@ -579,6 +579,52 @@ class TestIsomorphism:
             sigma = tuple(p for p in highest_weight(comp).weight if p > 0)
             ref = graph_cache(sigma, (), 2)
             assert component_isomorphic(comp, ref) is not None
+
+    def test_relabelled_copy_returns_its_mapping(self, graph_cache):
+        g = graph_cache((2, 1), (), 3)
+        new_id = {v.id: len(g) - 1 - v.id for v in g.vertices}
+        copy = CrystalGraph(
+            g.n,
+            tuple(GraphVertex(new_id[v.id], None, v.weight) for v in reversed(g.vertices)),
+            tuple(GraphEdge(new_id[e.src], new_id[e.dst], e.index, e.primed) for e in g.edges),
+        )
+        assert component_isomorphic(g, copy) == new_id
+
+    def test_different_size_or_n(self, graph_cache):
+        point = abstract_graph(2, [(1, 0)], [])
+        assert component_isomorphic(point, graph_cache((1,), (), 2)) is None
+        assert component_isomorphic(point, abstract_graph(3, [(1, 0, 0)], [])) is None
+
+    def test_two_sources(self):
+        g = abstract_graph(2, [(1, 0), (1, 0)], [])
+        assert component_isomorphic(g, g) is None
+
+    def test_different_highest_weight(self):
+        assert component_isomorphic(abstract_graph(2, [(1, 0)], []), abstract_graph(2, [(2, 0)], [])) is None
+
+    def test_equal_weights_different_statistics(self, graph_cache):
+        # ShST((1), 2) is a collapsed {1,1'}-string; the same two weights
+        # joined by a primed edge alone form a separated one
+        collapsed = graph_cache((1,), (), 2)
+        separated = abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, 1, True)])
+        assert string_shape(collapsed, 0, 1) == graph_module.StringShape("collapsed", ((0, 1),))
+        assert string_shape(separated, 0, 1) == graph_module.StringShape("separated", ((0,), (1,)))
+        assert component_isomorphic(collapsed, separated) is None
+
+    def test_out_labels_differ_below_the_top(self, graph_cache):
+        # vertex 4 of ShST((2,1), 3) loses its primed 1-edge; the descent
+        # reaches it only after mapping the top and its neighbours
+        g = graph_cache((2, 1), (), 3)
+        mutant = CrystalGraph(g.n, g.vertices, tuple(e for e in g.edges if e != (4, 6, 1, True)))
+        assert len(mutant.edges) == len(g.edges) - 1
+        assert {(e.index, e.primed) for e in mutant.out_edges[4]} != {(e.index, e.primed) for e in g.out_edges[4]}
+        assert component_isomorphic(g, mutant) is None
+        assert component_isomorphic(mutant, g) is None
+
+    def test_weight_differs_below_the_top(self, graph_cache):
+        g = graph_cache((2, 1), (), 3)
+        vertices = tuple(v._replace(weight=(9, 9, 9)) if v.id == 6 else v for v in g.vertices)
+        assert component_isomorphic(g, CrystalGraph(g.n, vertices, g.edges)) is None
 
 
 class TestSerialization:

@@ -26,7 +26,7 @@ from shifted_crystals import (
 from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
 from shifted_crystals.words import canonical_codes, code_of
-from helpers import first_occurrences, rows_from_strings, strict_partitions, weight
+from helpers import rows_from_strings, strict_partitions, weight
 from oracles import alternate_E2prime, primed_by_standardization
 from test_acceptance import strict_subpartitions
 
@@ -156,6 +156,10 @@ class TestApply:
         with pytest.raises(InvalidIndex):
             apply(OpKind("F", 2), Word.parse("11", 2))
 
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="^unknown operator family 'G'$"):
+            OpKind("G", 1)
+
     @pytest.mark.parametrize("index", [True, 1.0])
     def test_index_must_be_an_int(self, index):
         # True would act as index 1, and 1.0 would fail later inside Word
@@ -233,21 +237,21 @@ class TestApply:
 
 
 def canonical_subwords(max_length: int):
-    """Every canonical relabeled subword of length <= max_length with its
-    firsts: codes 1', 1, 2', 2 = 1..4, the first letter of each family
-    unprimed.  Such a subword is a canonical word at n = 2, so it is found
-    and its firsts are read without the kernel."""
+    """Every canonical relabeled subword of length <= max_length: codes 1',
+    1, 2', 2 = 1..4, the first letter of each family unprimed.  Such a
+    subword is a canonical word at n = 2, so it is found without the
+    kernel."""
     for length in range(max_length + 1):
         for sub in product((1, 2, 3, 4), repeat=length):
             if canonical_codes(sub) == sub:
-                yield sub, tuple(first_occurrences(sub).values())
+                yield sub
 
 
 def _kernel_outcome(sub, lower: bool, primed: bool):
     """The kernel's result on a canonical subword, or the type of the error
     it raises."""
     try:
-        return ops._on_subword(sub, ops.subword(sub, 1)[2], lower, primed)
+        return ops._on_subword(sub, lower, primed)
     except Exception as exc:
         return type(exc)
 
@@ -268,13 +272,13 @@ class TestSubwordKernel:
     def test_raising_is_lowering_read_through_eta(self):
         # the identity build_graph reads E through: every canonical subword
         # of length <= 8 (22,101 subwords), both families
-        for sub, _ in canonical_subwords(8):
+        for sub in canonical_subwords(8):
             _raising_is_lowering_through_eta(sub)
 
     def test_kernel_eta_is_the_word_eta(self):
         # build_graph reads E through the kernel's eta; on every canonical
         # subword of length <= 8 it is the public eta at n = 2
-        for sub, _ in canonical_subwords(8):
+        for sub in canonical_subwords(8):
             assert ops.eta_subword(sub) == eta(Word(sub, 2)).codes, sub
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -285,11 +289,11 @@ class TestSubwordKernel:
     def test_partial_inverse_on_every_subword(self):
         # a lowering and a raising result undo each other in subword space,
         # for the unprimed and the primed pair alike
-        for sub, firsts in canonical_subwords(7):
+        for sub in canonical_subwords(7):
             for lower, primed in product((True, False), repeat=2):
-                out = ops._on_subword(sub, firsts, lower, primed)
+                out = ops._on_subword(sub, lower, primed)
                 if out is not None:
-                    back = ops._on_subword(out, ops.subword(out, 1)[2], not lower, primed)
+                    back = ops._on_subword(out, not lower, primed)
                     assert back == sub, (sub, lower, primed, out)
 
     def test_outputs_are_pinned(self):
@@ -298,11 +302,11 @@ class TestSubwordKernel:
         # of the error it raises, and the final critical substring on both
         # sides with its kind, positions, representative and location
         digest = hashlib.sha256()
-        for sub, firsts in canonical_subwords(8):
+        for sub in canonical_subwords(8):
             record = []
             for lower, primed in product((True, False), repeat=2):
                 try:
-                    record.append(ops._on_subword(sub, firsts, lower, primed))
+                    record.append(ops._on_subword(sub, lower, primed))
                 except Exception as exc:
                     record.append(type(exc).__name__)
             for lower in (True, False):

@@ -5,6 +5,7 @@ block, so no shown output goes stale."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -25,14 +26,13 @@ def library_example() -> str:
 
 def cli_examples() -> list[tuple[list[str], list[str]]]:
     """(argv, shown output lines) of each example in the first block of the
-    README's ``## CLI`` section: a command line, then its output.  Only
-    double quotes group; a prime, as in ``--op F'``, is a letter."""
+    README's ``## CLI`` section: a command line, split as a POSIX shell
+    splits it, then its output."""
     block = re.search(r"```\n(.*?)```", _section("CLI"), re.DOTALL)[1]
     examples = []
     for example in block.strip().split("\n\n"):
         command, *shown = example.splitlines()
-        argv = [quoted or bare for quoted, bare in re.findall(r'"([^"]*)"|(\S+)', command)]
-        examples.append((argv[1:], shown))
+        examples.append((shlex.split(command)[1:], shown))
     return examples
 
 

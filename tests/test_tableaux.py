@@ -34,6 +34,10 @@ class TestSkewShape:
         with pytest.raises(NotStrict):
             make_skew_shape((5, 3, 3))
 
+    def test_zero_part(self):
+        with pytest.raises(NotStrict, match=r"^parts must be positive: \(2, 0\)$"):
+            make_skew_shape((2, 0))
+
     def test_skew_cells(self):
         shape = make_skew_shape((3, 1), (2,))
         assert shape.reading_cells() == [(2, 2), (1, 3)]
@@ -264,6 +268,10 @@ class TestValidation:
         with pytest.raises(BrokenSemistandard, match="^codes must be a tuple of ints: "):
             ShiftedTableau(make_skew_shape((1,)), codes, 1)
 
+    def test_codes_must_fill_the_shape(self):
+        with pytest.raises(BrokenSemistandard, match="^word length does not match shape size$"):
+            ShiftedTableau(make_skew_shape((2, 1)), (2, 2), 2)
+
     @pytest.mark.parametrize("code,letter", [(0, "0"), (-1, "0'")])
     def test_letter_below_one_is_spelled_out(self, code, letter):
         with pytest.raises(BrokenSemistandard, match=f"^letter {letter} exceeds bound 1$"):
@@ -276,6 +284,14 @@ class TestTableauText:
         t = parse_tableau(text, 3)
         assert str(t) == text
         assert t.shape.outer == (4, 3, 1) and t.shape.inner == (2, 1)
+
+    def test_inner_dot_after_an_entry(self):
+        with pytest.raises(BrokenSemistandard, match="^inner cells must precede all entries in a row$"):
+            parse_tableau("1 . 1\n", 2)
+
+    def test_inner_dots_not_a_prefix(self):
+        with pytest.raises(NotContained, match=r"^inner dots \[0, 1\] do not form a strict partition prefix$"):
+            parse_tableau("1 1 1\n. 1\n", 2)
 
     def test_entries_are_ascii_digits(self):
         with pytest.raises(ValueError, match="^bad letter token '\u0662'$"):
