@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from operator import sub
 
-from .graph import CrystalGraph
+from .graph import CrystalGraph, edge_label
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,7 @@ def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
     seen = set(ids)
     frontier = set(ids)
     for _ in range(3):  # the radius of the neighbourhood
-        nxt = set()
-        for v in frontier:
-            for e in g.out_edges.get(v, ()):
-                nxt.add(e.dst)
-            for e in g.in_edges.get(v, ()):
-                nxt.add(e.src)
+        nxt = {edge[3] for edge in g._edges(frontier)} | {edge[0] for edge in g._edges(frontier, into=True)}
         frontier = nxt - seen
         seen |= nxt
     ordered = sorted(seen)
@@ -61,10 +56,11 @@ def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
         vert = g.by_id[v]
         word = "" if vert.word is None else f" {vert.word}"
         lines.append(f"  {v}{word} wt={vert.weight}")
-    for v in ordered:
-        for e in g.out_edges[v]:
-            if e.dst in seen:
-                lines.append(f"  {e.src} -{e.label}-> {e.dst}")
+    for src, i, primed, dst in g._edges(ordered):
+        if len(lines) > 60:  # cut below, so no more edges need reading
+            break
+        if dst in seen:
+            lines.append(f"  {src} -{edge_label(i, primed)}-> {dst}")
     if len(lines) > 60:
         lines = lines[:60] + ["  ..."]
     return "\n".join(lines)
@@ -117,9 +113,8 @@ def _check_B1(view: _View) -> list[Violation]:
     g = view.g
     out = []
     for v, i, primed, side in g.label_degree_violations():
-        label = f"{i}'" if primed else str(i)
         out.append(
-            Violation("B1", (v,), i, f"several {side} edges labeled {label}", _context(g, (v,)))
+            Violation("B1", (v,), i, f"several {side} edges labeled {edge_label(i, primed)}", _context(g, (v,)))
         )
     for i in range(1, view.n):
         table = view.strings[i]
@@ -127,7 +122,7 @@ def _check_B1(view: _View) -> list[Violation]:
         for vert in g.vertices:
             if vert.id in seen:
                 continue
-            comp, shape, _ = table[vert.id]
+            comp, shape = table[vert.id]
             seen |= comp
             if shape is None:
                 ids = tuple(sorted(comp))
@@ -156,26 +151,26 @@ def _check_B1(view: _View) -> list[Violation]:
 def _check_B2(view: _View) -> list[Violation]:
     g = view.g
     out = []
-    for vert in g.vertices:
+    for vert in g.vertices if g.n > 3 else ():  # below n = 4 no two indices differ by 2 or more
         w = vert.id
         directions = (
-            ("downward", g.out_edges[w], lambda e: e.dst, g.f_map),
-            ("upward", g.in_edges[w], lambda e: e.src, g.e_map),
+            ("downward", [(i, p, dst) for _, i, p, dst in g._edges((w,))], g.f_map),
+            ("upward", [(i, p, src) for src, i, p, _ in g._edges((w,), into=True)], g.e_map),
         )
-        for side, edges, far, arrows in directions:
-            for a in edges:
-                for b in edges:
-                    if b.index - a.index <= 1:
+        for side, edges, arrows in directions:
+            for i, p, x in edges:
+                for j, q, y in edges:
+                    if j - i <= 1:
                         continue
-                    z1 = arrows[b.index, b.primed].get(far(a))
-                    z2 = arrows[a.index, a.primed].get(far(b))
+                    z1 = arrows[j, q].get(x)
+                    z2 = arrows[i, p].get(y)
                     if z1 is None or z1 != z2:
                         out.append(
                             Violation(
                                 "B2",
-                                (w, far(a), far(b)),
-                                a.index,
-                                f"{side} {a.label} and {b.label} edges do not close a square",
+                                (w, x, y),
+                                i,
+                                f"{side} {edge_label(i, p)} and {edge_label(j, q)} edges do not close a square",
                                 _context(g, (w,)),
                             )
                         )
@@ -185,11 +180,11 @@ def _check_B2(view: _View) -> list[Violation]:
 def _check_B3(view: _View) -> list[Violation]:
     g = view.g
     out = []
-    for e in g.edges:
-        for i in (e.index - 1, e.index + 1):
+    for src, index, primed, dst in g._edges():
+        for i in (index - 1, index + 1):
             if not 1 <= i <= view.n - 1:
                 continue
-            sz, sw = view.stats[i].get(e.src), view.stats[i].get(e.dst)
+            sz, sw = view.stats[i].get(src), view.stats[i].get(dst)
             if sz is None or sw is None:
                 continue
             change = (sw.eps - sz.eps, sw.phi - sz.phi)
@@ -197,10 +192,10 @@ def _check_B3(view: _View) -> list[Violation]:
                 out.append(
                     Violation(
                         "B3",
-                        (e.src, e.dst),
+                        (src, dst),
                         i,
-                        f"(eps_{i}, phi_{i}) changed by {change} along a {e.label} edge",
-                        _context(g, (e.src, e.dst)),
+                        f"(eps_{i}, phi_{i}) changed by {change} along a {edge_label(index, primed)} edge",
+                        _context(g, (src, dst)),
                     )
                 )
     return out
@@ -210,27 +205,27 @@ def _check_K(view: _View) -> list[Violation]:
     g = view.g
     out = []
     alphas = {i: (0,) * (i - 1) + (1, -1) + (0,) * (view.n - 1 - i) for i in range(1, view.n)}
-    for e in g.edges:
-        if g.weight(e.dst) != tuple(map(sub, g.weight(e.src), alphas[e.index])):
+    for src, i, primed, dst in g._edges():
+        if g.weight(dst) != tuple(map(sub, g.weight(src), alphas[i])):
             out.append(
                 Violation(
                     "K",
-                    (e.src, e.dst),
-                    e.index,
-                    f"weight {g.weight(e.dst)} != {g.weight(e.src)} - alpha_{e.index}",
-                    _context(g, (e.src, e.dst)),
+                    (src, dst),
+                    i,
+                    f"weight {g.weight(dst)} != {g.weight(src)} - alpha_{i}",
+                    _context(g, (src, dst)),
                 )
             )
-        su, sv = view.stats[e.index].get(e.src), view.stats[e.index].get(e.dst)
+        su, sv = view.stats[i].get(src), view.stats[i].get(dst)
         if su is not None and sv is not None and (sv.eps, sv.phi) != (su.eps + 1, su.phi - 1):
             out.append(
                 Violation(
                     "K",
-                    (e.src, e.dst),
-                    e.index,
-                    f"(eps, phi) step along {e.label} edge is "
+                    (src, dst),
+                    i,
+                    f"(eps, phi) step along {edge_label(i, primed)} edge is "
                     f"({sv.eps - su.eps}, {sv.phi - su.phi}), want (1, -1)",
-                    _context(g, (e.src, e.dst)),
+                    _context(g, (src, dst)),
                 )
             )
     for vert in g.vertices:
@@ -359,12 +354,7 @@ def _check_XL(view: _View, w: int, i: int, out: list) -> None:
     if s_i is None or s_i1 is None:
         return
     if s_i.eps_hat == 0 and s_i.phi_prime == 0 and s_i1.phi_hat == 0 and s_i1.eps_prime == 0:
-        g = view.g
-        incident = [
-            e
-            for e in g.out_edges[w] + g.in_edges[w]
-            if e.index in (i, i + 1)
-        ]
+        incident = [e for e in (*view.g._edges((w,)), *view.g._edges((w,), True)) if e[1] in (i, i + 1)]
         if incident:
             out.append(
                 Violation(
@@ -394,15 +384,15 @@ def _check_SA(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None
 def _check_L_CAS(view: _View) -> list[Violation]:
     g = view.g
     out = []
-    for e in g.edges:
-        for j in (e.index + 1, e.index - 1):
+    for src, index, _, dst in g._edges():
+        for j in (index + 1, index - 1):
             if not 1 <= j <= view.n - 1:
                 continue
-            (_, shape_w, sw), (_, shape_z, sz) = view.strings[j][e.src], view.strings[j][e.dst]
+            sw, sz = view.stats[j].get(src), view.stats[j].get(dst)
             if sw is None or sz is None:
                 continue
-            cw, cz = shape_w.kind == "collapsed", shape_z.kind == "collapsed"
-            if j > e.index:
+            cw, cz = view.strings[j][src][1].kind == "collapsed", view.strings[j][dst][1].kind == "collapsed"
+            if j > index:
                 found = (
                     (sz.phi == sw.phi + 1 and cw != cz, "collapsedness not preserved along an edge incrementing phi"),
                     (sz.phi == sw.phi and cz, "target string collapsed although phi was copied"),
@@ -411,28 +401,27 @@ def _check_L_CAS(view: _View) -> list[Violation]:
                 found = ((cw != (cz and sz.phi == sw.phi), "collapsedness/phi not copied along an adjacent-string edge"),)
             for bad, message in found:
                 if bad:
-                    out.append(Violation("L_CAS", (e.src, e.dst), j, message, _context(g, (e.src, e.dst))))
+                    out.append(Violation("L_CAS", (src, dst), j, message, _context(g, (src, dst))))
     return out
 
 
 def _check_L_CF1(view: _View) -> list[Violation]:
     g = view.g
     out = []
-    for e in g.edges:
-        if not e.primed or e.index > view.n - 2:
+    for src, i, primed, dst in g._edges():
+        if not primed or i > view.n - 2:
             continue
-        i = e.index
-        sw, sz = view.stats[i + 1].get(e.src), view.stats[i + 1].get(e.dst)
+        sw, sz = view.stats[i + 1].get(src), view.stats[i + 1].get(dst)
         if sw is None or sz is None:
             continue
         if sw.phi == sz.phi and sz.phi_hat != 0:
             out.append(
                 Violation(
                     "L_CF1",
-                    (e.src, e.dst),
+                    (src, dst),
                     i,
                     f"phi_{i + 1} copied along {i}' edge but phi_hat_{i + 1}(target) = {sz.phi_hat}",
-                    _context(g, (e.src, e.dst)),
+                    _context(g, (src, dst)),
                 )
             )
     return out
@@ -604,6 +593,6 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
         delta_histogram=hist,
         runtime_seconds=time.perf_counter() - start,
         vertex_count=len(g),
-        edge_count=len(g.edges),
+        edge_count=sum(1 for _ in g._edges()),
     )
 

@@ -18,7 +18,7 @@ import sys
 from .axioms import ALL_AXIOMS, check_all
 from .errors import MalformedGraph
 from .expansion import verify_expansion
-from .graph import build_graph, component_labels, export_dot, export_json, import_json
+from .graph import build_graph, component_labels, edge_label, export_dot, export_json, import_json
 from .ops import FAMILIES, OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
 from .tableaux import enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
 from .words import Word, eta, letter_token, standardize
@@ -155,12 +155,12 @@ def _cmd_graph(args) -> int:
     elif args.format == "dot":
         _emit(export_dot(g), args.out)
     else:
-        lines = [f"vertices {len(g)} edges {len(g.edges)} components {component_labels(g)[1]}"]
+        edges = [f"{src} -{edge_label(i, primed)}-> {dst}" for src, i, primed, dst in g._edges()]
+        lines = [f"vertices {len(g)} edges {len(edges)} components {component_labels(g)[1]}"]
         for v in g.vertices:
             wt = ",".join(map(str, v.weight))
             lines.append(f"{v.id} {v.word} ({wt})")
-        for e in g.edges:
-            lines.append(f"{e.src} -{e.label}-> {e.dst}")
+        lines += edges
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

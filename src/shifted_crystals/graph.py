@@ -4,20 +4,20 @@ Vertices are reading words (ids dense in enumeration order); each vertex
 carries its weight vector.  Only F-edges are stored: E operators follow
 the reversed edges, and build_graph checks that E, read through eta,
 agrees with the stored reversals, raising InternalInconsistency when it
-does not.  Per label (i, primed) the graph keeps one map from a vertex to
-its f target and one to its e source.  {i,i'}-components are classified
-into the two legal string shapes once per index: the first use of index i
-walks each component once, classifies it, and reads all six length
-statistics of every member off its shape, into one table that is
-published whole together with the vertex->statistics map and its dual.
+does not.  The edges live only in one map per label (i, primed) from a
+vertex to its f target and one to its e source.  {i,i'}-components are
+classified into the two legal string shapes once per index: the first
+use of index i walks each component once, classifies it, and reads all
+six length statistics of every member off its shape, into one table
+published whole with the vertex->statistics map and its dual.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .errors import (
     BrokenSemistandard,
@@ -31,21 +31,17 @@ from .ops import OpKind, _check_index, apply, eta_subword, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
 from .words import _INT, Word, codes_to_str, parse_codes, weight_of_codes
 
-StringEntry = tuple[frozenset[int], "StringShape | None", "StringStats | None"]  # see table()
+StringEntry = tuple[frozenset[int], "StringShape | None"]  # see table()
 StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
 
 
 GraphVertex = namedtuple("GraphVertex", "id word weight")  # int, Word or None (a graph file may omit it), tuple of ints
+GraphEdge = namedtuple("GraphEdge", "src dst index primed")  # an f-edge src -> dst: ids, int index, bool primed
 
 
-class GraphEdge(namedtuple("GraphEdge", "src dst index primed")):
-    """An f-edge src -> dst (vertex ids) labeled by the int index and the bool primed."""
-
-    __slots__ = ()
-
-    @property
-    def label(self) -> str:
-        return f"{self.index}'" if self.primed else str(self.index)
+def edge_label(index: int, primed: bool) -> str:
+    """The label of an edge: i, or i' when primed."""
+    return f"{index}'" if primed else str(index)
 
 
 @dataclass(frozen=True)
@@ -95,128 +91,140 @@ class StringShape:
 
 
 class CrystalGraph:
-    """Immutable but for the memoised per-index string tables; adjacency is precomputed.
+    """Immutable but for the memoised per-index string tables.
 
-    ``f_map[i, primed]`` and ``e_map[i, primed]`` send a vertex to its only
-    f target and e source along that label.  A vertex with several edges
-    of one label on one side is left out of that map; its site is recorded
-    once, in ``label_degree_violations()``, and ``out_edges``, ``in_edges``
-    and ``edges`` still hold every edge.
+    The label maps, filled in one pass over the (src, dst, index, primed)
+    tuples given, are the one store of edges: ``f_map[i, primed]`` sends a
+    vertex to its only f target along that label, ``e_map[i, primed]`` to
+    its only e source.  A site with several edges of one label on one side
+    is left out of that map; the side record ``_side`` holds it with the
+    sorted other ends of its edges, and ``label_degree_violations()`` lists
+    it.  ``edges`` and the edges at a vertex are read off both on demand.
     """
 
-    def __init__(
-        self,
-        n: int,
-        vertices: tuple[GraphVertex, ...],
-        edges: tuple[GraphEdge, ...],
-    ):
+    def __init__(self, n: int, vertices: tuple[GraphVertex, ...], edges: Iterable[tuple[int, int, int, bool]]):
         self.n = n
         self.vertices = tuple(vertices)
-        self.edges = tuple(sorted(edges, key=attrgetter("src", "index", "primed", "dst")))
-        self.by_id = {v.id: v for v in self.vertices}
-        if len(self.by_id) != len(self.vertices):
+        self.by_id = by_id = {v.id: v for v in self.vertices}
+        if len(by_id) != len(self.vertices):
             raise MalformedGraph("duplicate vertex ids")
-        out_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
-        in_edges: dict[int, list[GraphEdge]] = {v.id: [] for v in self.vertices}
-        f_map: dict[tuple[int, bool], dict[int, int]] = {(i, p): {} for i in range(1, n) for p in (False, True)}
-        e_map: dict[tuple[int, bool], dict[int, int]] = {(i, p): {} for i in range(1, n) for p in (False, True)}
-        by_id, crowded = self.by_id, set()
-        for e in self.edges:
-            src, dst, index, primed = e
-            label = index, primed
+        self.f_map = f_map = {(i, p): {} for i in range(1, n) for p in (False, True)}
+        self.e_map = e_map = {label: {} for label in f_map}
+        side, bad = {}, []  # side: (vertex, i, primed, "out" or "in") -> other ends
+        for edge in edges:
+            src, dst, index, primed = edge
+            down = f_map.get((index, primed))
+            if down is None or src not in by_id or dst not in by_id:
+                bad.append(edge)
+                continue
+            up = e_map[index, primed]
+            if src in down or side and (src, index, primed, "out") in side:  # a crowded site moves to the side record
+                side.setdefault((src, index, primed, "out"), [down.pop(src)] if src in down else []).append(dst)
+            else:
+                down[src] = dst
+            if dst in up or side and (dst, index, primed, "in") in side:
+                side.setdefault((dst, index, primed, "in"), [up.pop(dst)] if dst in up else []).append(src)
+            else:
+                up[dst] = src
+        if bad:  # name the first in the order of ``edges``
+            src, dst, index, primed = min(bad, key=lambda e: (e[0], e[2], e[3], e[1]))
             if src not in by_id or dst not in by_id:
-                raise MalformedGraph(f"edge {e} references a missing vertex")
-            if label not in f_map:
-                raise MalformedGraph(f"edge index {index} outside 1..{n - 1}")
-            down, up = f_map[label], e_map[label]
-            if src in down:
-                crowded.add((src, *label, "out"))
-            if dst in up:
-                crowded.add((dst, *label, "in"))
-            down[src] = dst
-            up[dst] = src
-            out_edges[src].append(e)
-            in_edges[dst].append(e)
-        for v, i, p, side in crowded:
-            del (f_map if side == "out" else e_map)[i, p][v]
-        self.out_edges, self.in_edges, self.f_map, self.e_map = out_edges, in_edges, f_map, e_map
-        self._crowded = sorted(crowded)
-        self._crowded_at = {i: {v for v, j, _, _ in crowded if j == i} for i in range(1, n)}
+                raise MalformedGraph(f"edge {GraphEdge(src, dst, index, primed)} references a missing vertex")
+            raise MalformedGraph(f"edge index {index} outside 1..{n - 1}")
+        for ends in side.values():
+            ends.sort()
+        self._side = side
+        self._crowded_at = {i: {v for v, j, _, _ in side if j == i} for i in range(1, n)}
+        self._crowded = {v for v, *_ in side}
+        self._labels = [[(*label, arrows[label]) for label in arrows] for arrows in (f_map, e_map)]
         self._tables: dict[int, StringTable] = {}
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @property
+    def edges(self) -> tuple[GraphEdge, ...]:
+        """Every edge by (src, index, primed, dst), duplicates kept; built on each read."""
+        return tuple(GraphEdge(src, dst, i, p) for src, i, p, dst in self._edges())
+
+    def _edges(self, vids: Iterable[int] | None = None, into: bool = False) -> Iterator[tuple[int, int, bool, int]]:
+        """Edges as (src, index, primed, dst) off the label maps and the side
+        record, out of (into: into) each of vids in turn, or every vertex by id;
+        each vertex's edges sorted, duplicates kept, so all out-edges are ``edges``."""
+        labels, side, end, crowded = self._labels[into], self._side, "in" if into else "out", self._crowded
+        for v in sorted(self.by_id) if vids is None else vids:
+            if v in crowded:
+                ends = [(i, p, side.get((v, i, p, end), [arrow[v]] if v in arrow else ())) for i, p, arrow in labels]
+                yield from sorted((u, i, p, v) if into else (v, i, p, u) for i, p, us in ends for u in us)
+            elif into:  # at most one edge per label: in-edges sort by source
+                yield from sorted([(arrow[v], i, p, v) for i, p, arrow in labels if v in arrow])
+            else:  # at most one edge per label, met in order
+                for i, p, arrow in labels:
+                    if v in arrow:
+                        yield v, i, p, arrow[v]
 
     def weight(self, vid: int) -> tuple[int, ...]:
         return self.by_id[vid].weight
 
     def f(self, vid: int, i: int, primed: bool = False) -> int | None:
         """f_i (primed: f_i') of vid, or None when undefined; raises
-        InvalidIndex unless 1 <= i <= n-1."""
+        InvalidIndex unless i is an int with 1 <= i <= n-1."""
         _check_index(i, self.n)
         return self.f_map[i, primed].get(vid)
 
     def e(self, vid: int, i: int, primed: bool = False) -> int | None:
         """e_i (primed: e_i') of vid, or None when undefined; raises
-        InvalidIndex unless 1 <= i <= n-1."""
+        InvalidIndex unless i is an int with 1 <= i <= n-1."""
         _check_index(i, self.n)
         return self.e_map[i, primed].get(vid)
 
     def label_degree_violations(self) -> list[tuple[int, int, bool, str]]:
-        return list(self._crowded)
+        return sorted(self._side)
 
     def reach(self, vid: int, i: int | None = None) -> frozenset[int]:
         """Vertices weakly connected to vid, along every edge or, given i
-        (InvalidIndex unless 1 <= i <= n-1), along the edges of index i only,
-        read off the four label maps of i except at a vertex with several
-        edges of one label of i.  Neighbours are met in edge order."""
-        seen = {vid}
-        stack = [vid]
+        (InvalidIndex unless an int with 1 <= i <= n-1), along the edges of
+        index i only.  A vertex's neighbours are met in the order of its
+        out-edges, then of its in-edges."""
         if i is not None:
             _check_index(i, self.n)
-            down, down_p, up, up_p = self.f_map[i, False], self.f_map[i, True], self.e_map[i, False], self.e_map[i, True]
-            crowded = self._crowded_at[i]
+        indices, labels = (range(1, self.n), self.f_map) if i is None else ((i,), ((i, False), (i, True)))
+        downs, ups = [self.f_map[label] for label in labels], [self.e_map[label] for label in labels]
+        crowded = self._crowded if i is None else self._crowded_at[i]
+        seen = {vid}
+        stack = [vid]
         while stack:
             v = stack.pop()
-            if i is not None and v not in crowded:
-                a, b = up.get(v), up_p.get(v)
-                if a is not None and b is not None and b < a:  # in-edges are met by source
-                    a, b = b, a
-                for u in (down.get(v), down_p.get(v), a, b):
-                    if u is not None and u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-                continue
-            for e in self.out_edges[v]:
-                if (i is None or e.index == i) and e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-            for e in self.in_edges[v]:
-                if (i is None or e.index == i) and e.src not in seen:
-                    seen.add(e.src)
-                    stack.append(e.src)
+            if v in crowded:
+                ends = [dst for _, j, _, dst in self._edges((v,)) if j in indices]
+                ends += [src for src, j, _, _ in self._edges((v,), True) if j in indices]
+            else:  # one edge at most per label and side; in-edges are met by source
+                ends = [arrow[v] for arrow in downs if v in arrow] + sorted([arrow[v] for arrow in ups if v in arrow])
+            for u in ends:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
         return frozenset(seen)
 
     def table(self, i: int) -> StringTable:
-        """Three maps of index i: every vertex to its {i,i'}-component, the
-        component's shape and the vertex's statistics, the last two None
-        when the component matches neither legal shape; every vertex on a
-        legal {i,i'}-string to its statistics; and those to their duals
-        (StringStats.dual).  Built on the first use of i, one ``reach`` per
-        component in vertex order, and published whole; strings of one
-        kind and chain length share one list of statistics and one of
-        duals.  Raises InvalidIndex unless 1 <= i <= n-1."""
+        """Three maps of index i: every vertex to the one (component, shape)
+        record of its {i,i'}-component, shape None when it matches neither
+        legal shape; every vertex on a legal {i,i'}-string to its statistics;
+        and those to their duals (StringStats.dual).  Built on the first use
+        of i, one ``reach`` per component in vertex order, and published
+        whole; strings of one kind and chain length share one list of
+        statistics and one of duals.  InvalidIndex unless i is an int in 1..n-1."""
+        _check_index(i, self.n)
         table = self._tables.get(i)
         if table is None:
-            _check_index(i, self.n)
             entries, stats, duals, shared = {}, {}, {}, {}  # shared: (kind, chain length) -> statistics, duals
             for vert in self.vertices:
                 if vert.id in entries:
                     continue
                 comp = self.reach(vert.id, i)
                 shape = _classify(self, comp, i)
+                entries.update(dict.fromkeys(comp, (comp, shape)))
                 if shape is None:
-                    entries.update(dict.fromkeys(comp, (comp, None, None)))
                     continue
                 key = shape.kind, len(shape.chains[0])
                 if key not in shared:
@@ -224,7 +232,6 @@ class CrystalGraph:
                     shared[key] = found, [s.dual for s in found]
                 found, dual = shared[key]
                 members = sum(shape.chains, ())
-                entries.update(zip(members, [(comp, shape, s) for s in found]))
                 stats.update(zip(members, found))
                 duals.update(zip(members, dual))
             table = self._tables[i] = (entries, stats, duals)
@@ -233,7 +240,8 @@ class CrystalGraph:
     def stats(self, vid: int, i: int) -> StringStats | None:
         """Statistics of vid on its {i,i'}-string, or None when that string
         matches neither legal shape."""
-        return self.table(i)[0][vid][2]
+        entries, stats, _ = self.table(i)
+        return None if entries[vid][1] is None else stats[vid]
 
 
 def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | None:
@@ -319,31 +327,31 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
         outs = [apply(kind, word) for kind in lowering]
         return [None if out is None else out.codes for out in outs] + [0]
 
-    edges = []
-    for v in vertices:
-        codes = v.word.codes
-        for i in range(1, n):
-            sub, pos = subword(codes, i)
-            outs = memo.get(sub) or memo.setdefault(sub, evaluate(sub))
-            outs[2] += 1
-            for primed in (False, True):
-                if outs[primed] is not None:
-                    out = write_back(codes, pos, outs[primed], i)
-                    if out not in ids:
-                        kind = OpKind("F'" if primed else "F", i)
-                        raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
-                    edges.append(GraphEdge(v.id, ids[out], i, primed))
+    def lowered():
+        for v in vertices:
+            codes = v.word.codes
+            for i in range(1, n):
+                sub, pos = subword(codes, i)
+                outs = memo.get(sub) or memo.setdefault(sub, evaluate(sub))
+                outs[2] += 1
+                for primed in (False, True):
+                    if outs[primed] is not None:
+                        out = write_back(codes, pos, outs[primed], i)
+                        if out not in ids:
+                            kind = OpKind("F'" if primed else "F", i)
+                            raise BrokenSemistandard(f"{kind}({v.word}) = {codes_to_str(out)} left ShST({shape}, {n})")
+                        yield v.id, ids[out], i, primed
+
+    g = CrystalGraph(n, vertices, lowered())
     flip = {k: eta_subword(k) for k in memo}  # E(t) = k exactly where F(eta(t)) = eta(k)
     for flipped in flip.values():
         if flipped not in memo:
             memo[flipped] = evaluate(flipped)
+    edges = sum(memo[k][2] * (2 - memo[k][:2].count(None)) for k in flip)
     raised_sites = sum(memo[k][2] * (2 - memo[f][:2].count(None)) for k, f in flip.items())
-    agree = raised_sites == len(edges) and all(
+    agree = raised_sites == edges and all(
         t is None or memo[flip[t]][primed] == f for k, f in flip.items() for primed, t in enumerate(memo[k][:2])
     )
-    if agree:
-        memo.clear()
-    g = CrystalGraph(n, vertices, tuple(edges))
     if not agree:
         word, i, primed = _disagreement(g, ids, memo)
         family = "E'" if primed else "E"
@@ -382,11 +390,11 @@ def components(g: CrystalGraph) -> list[CrystalGraph]:
     """Partition by weak connectivity, in order of smallest vertex id."""
     comp_of, count = component_labels(g)
     vertices: list[list[GraphVertex]] = [[] for _ in range(count)]
-    edges: list[list[GraphEdge]] = [[] for _ in range(count)]
+    edges: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(count)]
     for v in g.vertices:
         vertices[comp_of[v.id]].append(v)
-    for e in g.edges:
-        edges[comp_of[e.src]].append(e)
+    for src, i, primed, dst in g._edges():
+        edges[comp_of[src]].append((src, dst, i, primed))
     return [CrystalGraph(g.n, tuple(vs), tuple(es)) for vs, es in zip(vertices, edges)]
 
 
@@ -395,6 +403,12 @@ def is_strict_padded(weight: tuple[int, ...]) -> bool:
         if a < b or (a > 0 and a == b):
             return False
     return True
+
+
+def _sources(g: CrystalGraph) -> list[GraphVertex]:
+    """The vertices no edge enters, in vertex order."""
+    entered = {dst for *_, dst in g._edges()}
+    return [v for v in g.vertices if v.id not in entered]
 
 
 def _highest(sources: list[GraphVertex]) -> GraphVertex:
@@ -408,7 +422,7 @@ def _highest(sources: list[GraphVertex]) -> GraphVertex:
 def highest_weight(component: CrystalGraph) -> GraphVertex:
     """The unique source vertex; its weight must be a strict partition
     padded with zeros."""
-    return _highest([v for v in component.vertices if not component.in_edges[v.id]])
+    return _highest(_sources(component))
 
 
 def highest_weights(g: CrystalGraph) -> list[GraphVertex]:
@@ -416,9 +430,8 @@ def highest_weights(g: CrystalGraph) -> list[GraphVertex]:
     one component_labels() without building the components."""
     comp_of, count = component_labels(g)
     sources: list[list[GraphVertex]] = [[] for _ in range(count)]
-    for v in g.vertices:
-        if not g.in_edges[v.id]:
-            sources[comp_of[v.id]].append(v)
+    for v in _sources(g):
+        sources[comp_of[v.id]].append(v)
     return [_highest(found) for found in sources]
 
 
@@ -451,15 +464,11 @@ def component_isomorphic(c1: CrystalGraph, c2: CrystalGraph) -> dict[int, int] |
     while queue:
         v1 = queue.popleft()
         v2 = mapping[v1]
-        labels1 = {(e.index, e.primed) for e in c1.out_edges[v1]}
-        labels2 = {(e.index, e.primed) for e in c2.out_edges[v2]}
-        if labels1 != labels2:
-            return None
-        for i, primed in sorted(labels1):
-            t1 = c1.f(v1, i, primed)
-            t2 = c2.f(v2, i, primed)
-            if t1 is None or t2 is None:
-                return None
+        for label, down in c1.f_map.items():  # v1 and v2 agree, so they have the same out-labels
+            t1 = down.get(v1)
+            if t1 is None:
+                continue
+            t2 = c2.f_map[label][v2]
             if t1 in mapping:
                 if mapping[t1] != t2:
                     return None
@@ -497,7 +506,7 @@ def export_json(g: CrystalGraph) -> str:
     for v in g.vertices:
         word = "null" if v.word is None else json.dumps(str(v.word))
         vertices.append(_VERTEX % (v.id, word, _array(list(map(str, v.weight)), "      ")))
-    edges = [_EDGE % (e.src, e.dst, e.index, "true" if e.primed else "false") for e in g.edges]
+    edges = [_EDGE % (src, dst, i, "true" if primed else "false") for src, i, primed, dst in g._edges()]
     return _DOCUMENT % (g.n, _array(vertices, "  "), _array(edges, "  "))
 
 
@@ -557,12 +566,12 @@ def import_json(text: str) -> CrystalGraph:
             if tuple(map(type, fields)) != _EDGE_TYPES:
                 for key, kind in zip(_EDGE_KEYS, _EDGE_TYPES):
                     _exact(e[key], kind, f"edge {key}")
-            edges.append(GraphEdge(*fields))
+            edges.append(fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedGraph(f"bad graph JSON: {exc}") from exc
     if not {n}.issuperset(map(len, weights)):
         raise MalformedGraph("weight vectors must all have length n")
-    g = CrystalGraph(n, tuple(vertices), tuple(edges))
+    g = CrystalGraph(n, tuple(vertices), edges)
     for v in g.vertices:
         if v.weight and min(v.weight) < 0:
             raise MalformedGraph(f"vertex {v.id} has a negative weight entry: {list(v.weight)}")
@@ -579,8 +588,8 @@ def export_dot(g: CrystalGraph) -> str:
         wt = ",".join(map(str, v.weight))
         label = f"{word}\\n({wt})" if word else f"({wt})"
         lines.append(f'  v{v.id} [label="{label}"];')
-    for e in g.edges:
-        style = "dashed" if e.primed else "solid"
-        lines.append(f'  v{e.src} -> v{e.dst} [label="{e.label}", style={style}];')
+    for src, i, primed, dst in g._edges():
+        style = "dashed" if primed else "solid"
+        lines.append(f'  v{src} -> v{dst} [label="{edge_label(i, primed)}", style={style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -204,6 +204,8 @@ def _transform(kind: int, piece: list[int]) -> list[int]:
 
 
 def _check_index(i: int, n: int) -> None:
+    if type(i) is not int:
+        raise InvalidIndex(f"index must be an int, got {i!r}")
     if not 1 <= i < n:
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 

@@ -310,16 +310,17 @@ def test_criterion_8_mutation_sensitivity():
     reported violation."""
     g = build_graph(make_skew_shape((3, 1)), 3)
     mutants = 0
-    for k in range(len(g.edges)):
-        mutated = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :])
-        assert first_violation(mutated) is not None, f"deletion of {g.edges[k]} undetected"
+    edges = g.edges
+    for k in range(len(edges)):
+        mutated = CrystalGraph(g.n, g.vertices, edges[:k] + edges[k + 1 :])
+        assert first_violation(mutated) is not None, f"deletion of {edges[k]} undetected"
         mutants += 1
-    for k, e in enumerate(g.edges):
+    for k, e in enumerate(edges):
         for v in g.vertices:
             if v.id == e.dst:
                 continue
-            edges = g.edges[:k] + (GraphEdge(e.src, v.id, e.index, e.primed),) + g.edges[k + 1 :]
-            mutated = CrystalGraph(g.n, g.vertices, edges)
+            retargeted = edges[:k] + (GraphEdge(e.src, v.id, e.index, e.primed),) + edges[k + 1 :]
+            mutated = CrystalGraph(g.n, g.vertices, retargeted)
             assert first_violation(mutated) is not None, f"retarget {e} -> {v.id} undetected"
             mutants += 1
     _report(8, f"{mutants} single-edge mutations all detected")

@@ -166,8 +166,9 @@ class TestDualSymmetry:
         # and prime flip.
         g = graph_cache(lam, (), n)
         mutants = []
-        for k, e in enumerate(g.edges):
-            rest = g.edges[:k] + g.edges[k + 1 :]
+        edges = g.edges
+        for k, e in enumerate(edges):
+            rest = edges[:k] + edges[k + 1 :]
             mutants.append(rest)
             mutants.append(rest + (GraphEdge(e.src, e.dst, e.index, not e.primed),))
         fired = 0
@@ -233,7 +234,7 @@ class TestStructuralCoverage:
         g = graph_cache((4, 2, 1), (), 4)
         pairs = 0
         for v in g.vertices:
-            down_indices = {e.index for e in g.out_edges[v.id]}
+            down_indices = {i for (i, _), arrow in g.f_map.items() if v.id in arrow}
             if 1 in down_indices and 3 in down_indices:
                 pairs += 1
         assert pairs > 0
@@ -322,18 +323,24 @@ class TestAbstractGraphs:
         assert not check_all(loop).passed
 
 
-def edge_mutants(g: CrystalGraph) -> list[CrystalGraph]:
-    """Every single-edge deletion, prime flip, retarget to (dst + 1) % V and
-    reversed duplicate of g."""
+def mutant_edges(g: CrystalGraph) -> list[tuple[GraphEdge, ...]]:
+    """The edge tuples of every single-edge deletion, prime flip, retarget
+    to (dst + 1) % V and reversed duplicate of g."""
     size = len(g)
+    edges = g.edges
     out = []
-    for k, e in enumerate(g.edges):
-        rest = g.edges[:k] + g.edges[k + 1 :]
+    for k, e in enumerate(edges):
+        rest = edges[:k] + edges[k + 1 :]
         out.append(rest)
         out.append(rest + (GraphEdge(e.src, e.dst, e.index, not e.primed),))
         out.append(rest + (GraphEdge(e.src, (e.dst + 1) % size, e.index, e.primed),))
-        out.append(g.edges + (GraphEdge(e.dst, e.src, e.index, e.primed),))
-    return [CrystalGraph(g.n, g.vertices, edges) for edges in out]
+        out.append(edges + (GraphEdge(e.dst, e.src, e.index, e.primed),))
+    return out
+
+
+def edge_mutants(g: CrystalGraph) -> list[CrystalGraph]:
+    """The graphs of mutant_edges(g)."""
+    return [CrystalGraph(g.n, g.vertices, edges) for edges in mutant_edges(g)]
 
 
 def random_graphs(count: int, seed: int) -> list[CrystalGraph]:
@@ -415,8 +422,9 @@ class TestSeveralEdgesOfOneLabel:
 class TestReadsBindMaps:
     def test_no_graph_accessor_runs_per_read(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)
-        k = len(g.edges) // 2
-        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :])
+        edges = g.edges
+        k = len(edges) // 2
+        mutant = CrystalGraph(g.n, g.vertices, edges[:k] + edges[k + 1 :])
         calls = []
         running = [None]
         check = axioms_module.check

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -91,13 +92,14 @@ class TestComponents:
         # reachable from it and every edge between them, in graph order
         g = graph_cache((4, 2), (2,), 3)
         comps = components(g)
+        edges = g.edges
         assert [c.vertices[0].id for c in comps] == sorted(c.vertices[0].id for c in comps)
         assert sorted(v.id for c in comps for v in c.vertices) == [v.id for v in g.vertices]
-        assert sum(len(c.edges) for c in comps) == len(g.edges)
+        assert sum(len(c.edges) for c in comps) == len(edges)
         for c in comps:
             ids = {v.id for v in c.vertices}
             assert c.vertices == tuple(v for v in g.vertices if v.id in ids)
-            assert c.edges == tuple(e for e in g.edges if e.src in ids)
+            assert c.edges == tuple(e for e in edges if e.src in ids)
             assert all(e.dst in ids for e in c.edges)
 
 
@@ -364,22 +366,21 @@ def index_component_count(g, i):
     return len({find(v.id) for v in g.vertices})
 
 
-def edge_list_component(g, vid, i):
-    """The {i,i'}-component of vid, walked along every out- and in-edge of
-    each vertex and filtered on the index, as reach walked before it read
-    the label maps."""
+def edge_list_component(edges, vid, i):
+    """The {i,i'}-component of vid, walked along the (src, dst, index,
+    primed) tuples edges that built the graph, not along anything the graph
+    stores: at each vertex its out-edges of index i by (primed, dst), then
+    its in-edges by (src, primed)."""
     seen = {vid}
     stack = [vid]
     while stack:
         v = stack.pop()
-        for e in g.out_edges[v]:
-            if e.index == i and e.dst not in seen:
-                seen.add(e.dst)
-                stack.append(e.dst)
-        for e in g.in_edges[v]:
-            if e.index == i and e.src not in seen:
-                seen.add(e.src)
-                stack.append(e.src)
+        outs = sorted((primed, dst) for src, dst, index, primed in edges if index == i and src == v)
+        ins = sorted((src, primed) for src, dst, index, primed in edges if index == i and dst == v)
+        for u in [dst for _, dst in outs] + [src for src, _ in ins]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
     return frozenset(seen)
 
 
@@ -389,42 +390,43 @@ class TestStringTable:
         # with several edges of one label occur.  table(i) walks each
         # component once, from its first vertex; walked from there, the
         # members come in the same iteration order, the order B1 reports in
-        from test_axioms import edge_mutants
+        from test_axioms import mutant_edges
 
-        graphs = edge_mutants(graph_cache((3, 1), (), 3)) + edge_mutants(graph_cache((2, 1), (), 4))
-        assert any(g.label_degree_violations() for g in graphs)
-        for g in graphs:
+        bases = (graph_cache((3, 1), (), 3), graph_cache((2, 1), (), 4))
+        graphs = [(CrystalGraph(g.n, g.vertices, edges), edges) for g in bases for edges in mutant_edges(g)]
+        assert any(g.label_degree_violations() for g, _ in graphs)
+        for g, edges in graphs:
             for i in range(1, g.n):
                 entries, order = g.table(i)[0], {}
                 for v in g.vertices:
                     comp = entries[v.id][0]
-                    assert comp == edge_list_component(g, v.id, i)
+                    assert comp == edge_list_component(edges, v.id, i)
                     if comp not in order:
-                        order[comp] = list(edge_list_component(g, v.id, i))
+                        order[comp] = list(edge_list_component(edges, v.id, i))
                     assert list(comp) == order[comp]
 
     def test_crowded_vertex_joins_the_strings_it_leads_into(self):
         # vertex 0 has two out-edges labeled 1, into the strings 1 -1'-> 3
         # and 2 -1'-> 4; only its edge lists join them
-        g = abstract_graph(
-            2,
-            [(1, 1)] * 5,
-            [(0, 1, 1, False), (0, 2, 1, False), (1, 3, 1, True), (2, 4, 1, True)],
-        )
+        edges = [(0, 1, 1, False), (0, 2, 1, False), (1, 3, 1, True), (2, 4, 1, True)]
+        g = abstract_graph(2, [(1, 1)] * 5, edges)
         assert g.f(0, 1) is None and g.e(1, 1) == 0 and g.e(2, 1) == 0
         for v in range(5):
-            assert g.table(1)[0][v][0] == edge_list_component(g, v, 1) == frozenset(range(5))
+            assert g.table(1)[0][v][0] == edge_list_component(edges, v, 1) == frozenset(range(5))
 
     def test_in_edges_are_met_by_source(self):
         # 0, 8 and 16 share a hash slot of a small set, so the order they are
-        # met in, 8' before 16 as in_edges lists them, sets the iteration order
-        g = abstract_graph(2, [(1, 1)] * 17, [(16, 0, 1, False), (8, 0, 1, True)])
-        assert list(g.table(1)[0][0][0]) == list(edge_list_component(g, 0, 1)) == [0, 8, 16]
+        # met in, 8' before 16 as the in-edges of 0 come by source, sets the
+        # iteration order
+        edges = [(16, 0, 1, False), (8, 0, 1, True)]
+        g = abstract_graph(2, [(1, 1)] * 17, edges)
+        assert list(g.table(1)[0][0][0]) == list(edge_list_component(edges, 0, 1)) == [0, 8, 16]
 
     def test_each_string_walked_and_classified_once(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)
-        k = len(g.edges) // 2
-        mutant = CrystalGraph(g.n, g.vertices, g.edges[:k] + g.edges[k + 1 :])
+        edges = g.edges
+        k = len(edges) // 2
+        mutant = CrystalGraph(g.n, g.vertices, edges[:k] + edges[k + 1 :])
         calls = {"reach": 0, "classify": 0}
         reach, classify = CrystalGraph.reach, graph_module._classify
 
@@ -501,6 +503,22 @@ class TestIndexRange:
             with pytest.raises(InvalidIndex):
                 fresh.table(i)
         assert fresh.stats(0, 1) == g.stats(0, 1)
+
+    @pytest.mark.parametrize("index", [True, 1.0])
+    @pytest.mark.parametrize("read", ["f", "e", "table", "stats", "reach", "lattice_walk"])
+    def test_index_must_be_exactly_an_int(self, graph_cache, read, index):
+        g = graph_cache((3, 1), (), 3)
+        g.table(1)  # a memoised table answers to neither True nor 1.0
+        reads = {
+            "f": lambda: g.f(0, index),
+            "e": lambda: g.e(0, index),
+            "table": lambda: g.table(index),
+            "stats": lambda: g.stats(0, index),
+            "reach": lambda: g.reach(0, index),
+            "lattice_walk": lambda: ops.lattice_walk(g.by_id[0].word, index),
+        }
+        with pytest.raises(InvalidIndex, match=f"^index must be an int, got {index!r}$"):
+            reads[read]()
 
 
 class TestClassifyString:
@@ -617,7 +635,9 @@ class TestIsomorphism:
         g = graph_cache((2, 1), (), 3)
         mutant = CrystalGraph(g.n, g.vertices, tuple(e for e in g.edges if e != (4, 6, 1, True)))
         assert len(mutant.edges) == len(g.edges) - 1
-        assert {(e.index, e.primed) for e in mutant.out_edges[4]} != {(e.index, e.primed) for e in g.out_edges[4]}
+        assert {label for label, arrow in mutant.f_map.items() if 4 in arrow} != {
+            label for label, arrow in g.f_map.items() if 4 in arrow
+        }
         assert component_isomorphic(g, mutant) is None
         assert component_isomorphic(mutant, g) is None
 
@@ -625,6 +645,91 @@ class TestIsomorphism:
         g = graph_cache((2, 1), (), 3)
         vertices = tuple(v._replace(weight=(9, 9, 9)) if v.id == 6 else v for v in g.vertices)
         assert component_isomorphic(g, CrystalGraph(g.n, vertices, g.edges)) is None
+
+    def test_paths_that_converge_on_one_side_only(self):
+        # every string is a collapsed pair.  In c1, 0 -1-> 1 -2-> 3 and
+        # 0 -2-> 2 -1-> 3 meet at 3; in c2, 2 -1-> 4 instead, and 3 gets its
+        # 1-edge from 5.  3 agrees on both sides, so the descent maps it and
+        # then finds f_1(2) sent to 3 in c1 but to 4 in c2.  4 and 5 of c1
+        # are a 1-cycle, so c1 has one source and the sizes match
+        weights = [(2, 1, 0)] + [(1, 1, 1)] * 5
+
+        def pairs(*edges):
+            return [(src, dst, i, primed) for src, dst, i in edges for primed in (False, True)]
+
+        both = pairs((0, 1, 1), (0, 2, 2), (1, 3, 2))
+        c1 = abstract_graph(3, weights, both + pairs((2, 3, 1)) + [(4, 5, 1, False), (5, 4, 1, False)])
+        c2 = abstract_graph(3, weights, both + pairs((2, 4, 1), (5, 3, 1), (4, 5, 2)))
+        assert [c1.stats(3, i) for i in (1, 2)] == [c2.stats(3, i) for i in (1, 2)]
+        assert component_isomorphic(c1, c2) is None
+
+    def test_descent_misses_a_vertex(self):
+        # the top is a lone vertex and the rest a 1-cycle no edge leads into
+        g = abstract_graph(2, [(1, 0), (1, 1), (1, 1)], [(1, 2, 1, False), (2, 1, 1, False)])
+        assert highest_weight(g).id == 0
+        assert component_isomorphic(g, g) is None
+
+
+CROWDED_GRAPHS = {
+    # (src, dst, index, primed) in no particular order, on four vertices at n = 3
+    "duplicated edge": [(1, 2, 2, False), (0, 1, 1, True), (0, 1, 1, True), (0, 1, 1, False)],
+    "out-crowded site": [(0, 3, 1, False), (2, 3, 2, True), (0, 1, 1, False), (0, 2, 1, False)],
+    "in-crowded site": [(3, 2, 1, True), (1, 2, 2, False), (0, 2, 1, True), (1, 2, 1, True)],
+    # 0 -1-> 3 leaves the crowded out-site (0, 1) and enters the crowded in-site (3, 1)
+    "edge at two crowded sites": [(1, 3, 1, False), (0, 3, 1, False), (0, 2, 1, False), (2, 3, 1, True)],
+}
+
+
+class TestEdgeStore:
+    @pytest.mark.parametrize("name", list(CROWDED_GRAPHS))
+    def test_every_reader_sees_the_input_edges(self, name):
+        edges = CROWDED_GRAPHS[name]
+        g = abstract_graph(3, [(1, 1, 1)] * 4, edges)
+        assert g.label_degree_violations()
+        assert g.edges == tuple(GraphEdge(*e) for e in sorted(edges, key=lambda e: (e[0], e[2], e[3], e[1])))
+        for v in range(4):
+            # out-edges by (index, primed, dst), in-edges by (src, index, primed)
+            assert list(g._edges((v,))) == sorted((s, i, p, d) for s, d, i, p in edges if s == v)
+            assert list(g._edges((v,), into=True)) == sorted((s, i, p, d) for s, d, i, p in edges if d == v)
+        doc = export_json(g)
+        assert export_json(import_json(doc)) == doc
+        parts = [e for c in components(g) for e in c.edges]
+        assert sorted(parts) == sorted(GraphEdge(*e) for e in edges)
+
+    def test_edges_at_two_crowded_sites_are_kept(self):
+        g = abstract_graph(3, [(1, 1, 1)] * 4, CROWDED_GRAPHS["edge at two crowded sites"])
+        assert (0, 1, False, "out") in g.label_degree_violations()
+        assert (3, 1, False, "in") in g.label_degree_violations()
+        assert 0 not in g.f_map[1, False] and 3 not in g.e_map[1, False]
+        assert GraphEdge(0, 3, 1, False) in g.edges
+
+    def test_build_and_import_make_no_edge_objects(self, monkeypatch):
+        made = []
+
+        class Counted(GraphEdge):
+            def __new__(cls, *fields):
+                made.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(graph_module, "GraphEdge", Counted)
+        g = build_graph(make_skew_shape((3, 1)), 3)
+        imported = import_json(export_json(g))
+        assert made == []
+        for graph in (g, imported):
+            # every container the graph holds: nothing is a GraphEdge, and
+            # the only lists are the per-label ones of ``_labels``
+            held, stack, lists = set(), [vars(graph)], []
+            while stack:
+                obj = stack.pop()
+                if id(obj) in held or not isinstance(obj, (dict, list, tuple, set, frozenset)):
+                    continue
+                held.add(id(obj))
+                assert not isinstance(obj, GraphEdge)
+                if type(obj) is list:
+                    lists.append(obj)
+                stack.extend(gc.get_referents(obj))
+            assert sorted(map(id, lists)) == sorted(map(id, [graph._labels, *graph._labels]))
+        assert len(g.edges) == len(made) > 0
 
 
 class TestSerialization:
