@@ -343,6 +343,58 @@ def edge_mutants(g: CrystalGraph) -> list[CrystalGraph]:
     return [CrystalGraph(g.n, g.vertices, edges) for edges in mutant_edges(g)]
 
 
+def cross_wires(g: CrystalGraph) -> list[CrystalGraph]:
+    """For each index i and each two vertices with equal weight, equal
+    i-statistics and the same i/i' out-labels, g with their f_i and f_i'
+    targets swapped: every string keeps its shape, so the merge axioms
+    A5-A8 must catch what the string axioms cannot."""
+    out = []
+    for i in range(1, g.n):
+        labels = [(i, p) for p in (False, True)]
+        groups: dict = {}
+        for v in g.vertices:
+            out_labels = tuple(p for _, p in labels if v.id in g.f_map[i, p])
+            if out_labels:
+                groups.setdefault((v.weight, g.stats(v.id, i), out_labels), []).append(v.id)
+        for group in groups.values():
+            for k, a in enumerate(group):
+                for b in group[k + 1 :]:
+                    swap = {a: b, b: a}
+                    edges = tuple(
+                        GraphEdge(e.src, g.f_map[e.index, e.primed][swap[e.src]], e.index, e.primed)
+                        if e.index == i and e.src in swap
+                        else e
+                        for e in g.edges
+                    )
+                    out.append(CrystalGraph(g.n, g.vertices, edges))
+    return out
+
+
+def crowded(g: CrystalGraph, rng: random.Random) -> list[CrystalGraph]:
+    """For each label with an edge, g with one of its edges doubled, with a
+    second out-edge at its source and with a second in-edge at its target,
+    and g with all of these at once: several edges of one label on both
+    sides, at every index."""
+    ids = [v.id for v in g.vertices]
+    added = []
+    for i in range(1, g.n):
+        for primed in (False, True):
+            edges = [e for e in g.edges if (e.index, e.primed) == (i, primed)]
+            if edges:
+                e = rng.choice(edges)
+                added.append(
+                    (e, GraphEdge(e.src, rng.choice(ids), i, primed), GraphEdge(rng.choice(ids), e.dst, i, primed))
+                )
+    graphs = [CrystalGraph(g.n, g.vertices, g.edges + (extra,)) for found in added for extra in found]
+    return graphs + [CrystalGraph(g.n, g.vertices, g.edges + sum(added, ()))]
+
+
+def shuffled(g: CrystalGraph, rng: random.Random) -> CrystalGraph:
+    """g read back from a graph file whose vertex list is out of id order."""
+    vertices = tuple(rng.sample(g.vertices, len(g)))
+    return import_json(export_json(CrystalGraph(g.n, vertices, g.edges)))
+
+
 def random_graphs(count: int, seed: int) -> list[CrystalGraph]:
     """Small abstract graphs with ids 3k+1; self-loops and several edges of
     one label at a vertex occur."""
@@ -397,6 +449,23 @@ class TestGoldenDigest:
             775,
             11973,
             "a0458f8111de04c43b8d77e7aba2770903f795841ff997b2f2631083f6a740fa",
+        )
+
+    def test_reports_are_unchanged_where_vertex_and_edge_order_show(self, graph_cache):
+        # vertex lists out of id order, duplicated edges and crowded sites at
+        # every index, and mutants at n = 5 and 6 on which B2, A1-A8 and
+        # their duals fire, so the order of every kind of violation is pinned
+        rng = random.Random(2)
+        straight5, straight6 = graph_cache((3, 1), (), 5), graph_cache((2, 1), (), 6)
+        graphs = [CrystalGraph(5, straight5.vertices, edges) for edges in mutant_edges(straight5)[::16]]
+        graphs += [CrystalGraph(6, straight6.vertices, edges) for edges in mutant_edges(straight6)[3::7]]
+        graphs += cross_wires(straight5)
+        graphs += crowded(straight5, rng) + crowded(straight6, rng) + crowded(graph_cache((3, 1), (1,), 5), rng)
+        graphs = [shuffled(g, rng) for g in graphs]
+        assert report_digest(graphs) == (
+            370,
+            5820,
+            "b1a3b14899dd93bdc4b5e0f3518a8aac69630fb3a9a5bfb59e5ed618992ba4e6",
         )
 
 
