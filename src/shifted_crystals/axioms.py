@@ -9,7 +9,20 @@ them), so the checker stays total on arbitrary imported graphs.
 
 Checkers read the graph through a view that binds, once per index j, the
 graph's maps for f_j, f_j' and the statistics at j, so every read is one
-dict.get and a missing arrow (None) passes through a chain of reads.
+dict.get and a missing arrow (None) passes through a chain of reads.  The
+edge axioms B2, B3, K, L_CAS and L_CF1 make one pass per label over its
+map's items (B2 one key intersection per pair of labels), plus the side
+record's edges at sites with several edges of one label.  A per-site axiom
+visits only the sites that meet its premise: A1-A4 a key intersection of
+two maps per index, A5-A8, SA and L_TD the pair sites (f_i and f_{i+1} both
+defined), which each view lists once with their Delta, split by whether
+f_i' is defined; the Delta histogram reads the same lists.  check_all
+shares one forward view, and its reversed view, across all its axioms.
+Violations are found in no particular order, so each checker sorts what it
+found, and only then, into the order of a walk over the vertex list (the
+edges of each vertex for B2, the site indices in ``indices`` order for the
+per-site axioms), or, for the other edge axioms, over the edges by (src,
+index, primed, dst), a duplicated edge counted by its occurrence.
 
 The dual axioms A1D-A8D are not written out: each is its axiom A1-A8 read
 on the crystal with every arrow reversed.  That view is a different
@@ -25,7 +38,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from operator import sub
+from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter, sub
 
 from .graph import CrystalGraph, edge_label
 
@@ -44,15 +59,23 @@ class Violation:
 
 
 def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
+    """The ball of radius 3 about ids: its 60 smallest ids, so it is walked
+    whole, ring by ring off the label maps, then the edges inside it."""
     seen = set(ids)
     frontier = set(ids)
-    for _ in range(3):  # the radius of the neighbourhood
-        nxt = {edge[3] for edge in g._edges(frontier)} | {edge[0] for edge in g._edges(frontier, into=True)}
+    arrows = [*g.f_map.values(), *g.e_map.values()]
+    for _ in range(3):
+        nxt = set()
+        for arrow in arrows:
+            nxt.update(map(arrow.__getitem__, frontier & arrow.keys()))
+        for v in frontier & g._crowded:  # several edges of one label: the side record holds them
+            nxt.update(edge[3] for edge in g._edges((v,)))
+            nxt.update(edge[0] for edge in g._edges((v,), True))
         frontier = nxt - seen
         seen |= nxt
     ordered = sorted(seen)
     lines = []
-    for v in ordered:
+    for v in ordered[:61]:  # past 60 lines the text is cut
         vert = g.by_id[v]
         word = "" if vert.word is None else f" {vert.word}"
         lines.append(f"  {v}{word} wt={vert.weight}")
@@ -66,6 +89,24 @@ def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
     return "\n".join(lines)
 
 
+def _edges_by_label(g: CrystalGraph):
+    """Each label (i, primed) with an iterator over its edges as (src, dst,
+    k): the f map's with k = 0, then the side record's, k counting the edges
+    at one crowded out-site, so (src, i, primed, dst, k) orders the edges
+    as ``g._edges()`` lists them, duplicates too."""
+    crowded: dict = {}
+    for (v, i, primed, end), ends in g._side.items():
+        if end == "out":
+            crowded.setdefault((i, primed), []).extend((v, u, k) for k, u in enumerate(ends))
+    for (i, primed), arrow in g.f_map.items():
+        yield i, primed, chain(zip(arrow, arrow.values(), repeat(0)), crowded.get((i, primed), ()))
+
+
+def _in_order(found: list) -> list[Violation]:
+    """The violations of (sort key, violation) pairs, in key order."""
+    return [v for _, v in sorted(found, key=itemgetter(0))]
+
+
 class _View:
     """The graph's maps bound once per index 1 <= j <= n-1: f[j] and fp[j]
     send a vertex to its f_j and f_j' target, stats[j] a vertex on a legal
@@ -73,8 +114,7 @@ class _View:
     j.  The reversed view binds at j the e maps, the dual statistics and the
     string table of index n-j, so a dual axiom at i is its axiom at n-1-i
     on it.  ``indices`` lists the site indices i <= n-2 in the original
-    order: ascending here, and n-2 down to 1 on the reversed view, and
-    ``site_vertices`` the vertices, or none when there is no site index."""
+    order: ascending here, and n-2 down to 1 on the reversed view."""
 
     def __init__(self, g: CrystalGraph, reverse: bool = False):
         self.g, self.n = g, g.n
@@ -86,36 +126,59 @@ class _View:
             self.f[j], self.fp[j] = arrows[k, False], arrows[k, True]
             self.stats[j] = dual if reverse else stats
         self.indices = range(g.n - 2, 0, -1) if reverse else range(1, g.n - 1)
-        self.site_vertices = g.vertices if self.indices else ()
+        self._sites: dict[bool, dict] = {}
 
-    def pair_sites(self):
-        """Every site (w, i, x, y) with x = f_i(w) and y = f_{i+1}(w) both
-        defined, in vertex order, then in ``indices`` order."""
-        f = self.f
-        for vert in self.site_vertices:
-            w = vert.id
+    @cached_property
+    def dual(self) -> _View:
+        """The reversed view of this forward view."""
+        return _View(self.g, reverse=True)
+
+    @cached_property
+    def position(self) -> dict[int, int]:
+        """Each vertex id to its place in the vertex list."""
+        return {v.id: k for k, v in enumerate(self.g.vertices)}
+
+    def pair_sites(self, primed: bool) -> dict[int, dict[int, tuple]]:
+        """Per site index i, every w where x = f_i(w) and y = f_{i+1}(w) are
+        both defined and f_i'(w) is (primed) or is not (the hypothesis of
+        A5-A8 and SA), mapped to (x, y, Delta); built once per view."""
+        found = self._sites.get(primed)
+        if found is None:
+            found = self._sites[primed] = {}
             for i in self.indices:
-                x, y = f[i].get(w), f[i + 1].get(w)
-                if x is not None and y is not None:
-                    yield w, i, x, y
+                first, second, fp = self.f[i], self.f[i + 1], self.fp[i].keys()
+                keys = first.keys() & second.keys()
+                at = found[i] = {}
+                for w in keys & fp if primed else keys - fp:
+                    x, y = first[w], second[w]
+                    at[w] = x, y, self.delta_at(w, i, x, y)
+        return found
 
     def delta_at(self, w: int, i: int, x: int, y: int) -> tuple[int, int] | None:
         """(eps_i(w)-eps_i(y), eps_{i+1}(w)-eps_{i+1}(x)) for an i-side
         target x and an (i+1)-side target y."""
         s, t = self.stats[i], self.stats[i + 1]
-        parts = (s.get(w), s.get(y), t.get(w), t.get(x))
-        if None in parts:
+        sw, sy, tw, tx = s.get(w), s.get(y), t.get(w), t.get(x)
+        if sw is None or sy is None or tw is None or tx is None:
             return None
-        return parts[0].eps - parts[1].eps, parts[2].eps - parts[3].eps
+        return sw.eps - sy.eps, tw.eps - tx.eps
+
+
+def _in_site_order(view: _View, out: list[Violation]) -> list[Violation]:
+    """Violations found at sites (w, i), at most one per site, in vertex
+    list order of w, then ``indices`` order of i."""
+    if out:
+        position, indices = view.position, view.indices
+        out.sort(key=lambda v: (position[v.vertices[0]], indices.index(v.index)))
+    return out
 
 
 def _check_B1(view: _View) -> list[Violation]:
     g = view.g
-    out = []
-    for v, i, primed, side in g.label_degree_violations():
-        out.append(
-            Violation("B1", (v,), i, f"several {side} edges labeled {edge_label(i, primed)}", _context(g, (v,)))
-        )
+    out = [
+        Violation("B1", (v,), i, f"several {side} edges labeled {edge_label(i, primed)}", _context(g, (v,)))
+        for v, i, primed, side in g.label_degree_violations()
+    ]
     for i in range(1, view.n):
         table = view.strings[i]
         seen: set[int] = set()
@@ -126,123 +189,94 @@ def _check_B1(view: _View) -> list[Violation]:
             seen |= comp
             if shape is None:
                 ids = tuple(sorted(comp))
-                out.append(
-                    Violation("B1", ids, i, "component matches neither string shape", _context(g, ids[:2]))
-                )
+                out.append(Violation("B1", ids, i, "component matches neither string shape", _context(g, ids[:2])))
                 continue
             collapsed = shape.kind == "collapsed"
-            chain = shape.chains[0]
+            top, bottom = shape.chains[0][0], shape.chains[0][-1]
             for v in comp:
                 wt = g.weight(v)
-                for k, end, side in ((i, chain[0], "top"), (i - 1, chain[-1], "bottom")):
+                for k, end, side in ((i, top, "top"), (i - 1, bottom, "bottom")):
                     if (wt[k] == 0) != (collapsed and v == end):
-                        out.append(
-                            Violation(
-                                "B1",
-                                (v,),
-                                i,
-                                f"wt_{k + 1}=0 iff {side} of collapsed string fails (wt={wt})",
-                                _context(g, (v,)),
-                            )
-                        )
+                        message = f"wt_{k + 1}=0 iff {side} of collapsed string fails (wt={wt})"
+                        out.append(Violation("B1", (v,), i, message, _context(g, (v,))))
     return out
 
 
 def _check_B2(view: _View) -> list[Violation]:
     g = view.g
-    out = []
-    for vert in g.vertices if g.n > 3 else ():  # below n = 4 no two indices differ by 2 or more
-        w = vert.id
-        directions = (
-            ("downward", [(i, p, dst) for _, i, p, dst in g._edges((w,))], g.f_map),
-            ("upward", [(i, p, src) for src, i, p, _ in g._edges((w,), into=True)], g.e_map),
-        )
-        for side, edges, arrows in directions:
-            for i, p, x in edges:
-                for j, q, y in edges:
-                    if j - i <= 1:
-                        continue
-                    z1 = arrows[j, q].get(x)
-                    z2 = arrows[i, p].get(y)
-                    if z1 is None or z1 != z2:
-                        out.append(
-                            Violation(
-                                "B2",
-                                (w, x, y),
-                                i,
-                                f"{side} {edge_label(i, p)} and {edge_label(j, q)} edges do not close a square",
-                                _context(g, (w,)),
-                            )
-                        )
-    return out
+    found = []  # (w's place, side, the places of the two edges in the edge list at w), violation
+
+    def fail(side, w, i, p, x, j, q, y, places):
+        message = f"{side} {edge_label(i, p)} and {edge_label(j, q)} edges do not close a square"
+        found.append(((view.position[w], side, *places), Violation("B2", (w, x, y), i, message, _context(g, (w,)))))
+
+    for side, arrows in (("downward", g.f_map), ("upward", g.e_map)) if g.n > 3 else ():  # no indices 2 apart below
+        for (i, p), first in arrows.items():
+            for (j, q), second in arrows.items():
+                for w in first.keys() & second.keys() if j - i > 1 else ():
+                    x, y = first[w], second[w]
+                    z = second.get(x)
+                    if (z is None or z != first.get(y)) and w not in g._crowded:
+                        # out-edges are listed by label, in-edges by source
+                        places = ((i, p), (j, q)) if side == "downward" else ((x, i, p), (y, j, q))
+                        fail(side, w, i, p, x, j, q, y, places)
+        for w in g._crowded:  # several edges of one label: read the edge list
+            into = side == "upward"
+            ends = [(e[1], e[2], e[0] if into else e[3]) for e in g._edges((w,), into)]
+            for a, (i, p, x) in enumerate(ends):
+                for b, (j, q, y) in enumerate(ends):
+                    z = arrows[j, q].get(x)
+                    if j - i > 1 and (z is None or z != arrows[i, p].get(y)):
+                        fail(side, w, i, p, x, j, q, y, (a, b))
+    return _in_order(found)
 
 
 def _check_B3(view: _View) -> list[Violation]:
     g = view.g
-    out = []
-    for src, index, primed, dst in g._edges():
-        for i in (index - 1, index + 1):
-            if not 1 <= i <= view.n - 1:
-                continue
-            sz, sw = view.stats[i].get(src), view.stats[i].get(dst)
-            if sz is None or sw is None:
-                continue
-            change = (sw.eps - sz.eps, sw.phi - sz.phi)
-            if change not in ((0, 1), (-1, 0)):
-                out.append(
-                    Violation(
-                        "B3",
-                        (src, dst),
-                        i,
-                        f"(eps_{i}, phi_{i}) changed by {change} along a {edge_label(index, primed)} edge",
-                        _context(g, (src, dst)),
-                    )
-                )
-    return out
+    found = []  # (src, index, primed, dst, k, which neighbour index), violation
+    for index, primed, edges in _edges_by_label(g):
+        near = [(k, i, view.stats[i]) for k, i in enumerate((index - 1, index + 1)) if 1 <= i <= view.n - 1]
+        for src, dst, k in edges:
+            for nearby, i, stats in near:
+                sz, sw = stats.get(src), stats.get(dst)
+                if sz is None or sw is None:
+                    continue
+                change = (sw.eps - sz.eps, sw.phi - sz.phi)
+                if change not in ((0, 1), (-1, 0)):
+                    message = f"(eps_{i}, phi_{i}) changed by {change} along a {edge_label(index, primed)} edge"
+                    violation = Violation("B3", (src, dst), i, message, _context(g, (src, dst)))
+                    found.append(((src, index, primed, dst, k, nearby), violation))
+    return _in_order(found)
 
 
 def _check_K(view: _View) -> list[Violation]:
     g = view.g
-    out = []
-    alphas = {i: (0,) * (i - 1) + (1, -1) + (0,) * (view.n - 1 - i) for i in range(1, view.n)}
-    for src, i, primed, dst in g._edges():
-        if g.weight(dst) != tuple(map(sub, g.weight(src), alphas[i])):
-            out.append(
-                Violation(
-                    "K",
-                    (src, dst),
-                    i,
-                    f"weight {g.weight(dst)} != {g.weight(src)} - alpha_{i}",
-                    _context(g, (src, dst)),
-                )
-            )
-        su, sv = view.stats[i].get(src), view.stats[i].get(dst)
-        if su is not None and sv is not None and (sv.eps, sv.phi) != (su.eps + 1, su.phi - 1):
-            out.append(
-                Violation(
-                    "K",
-                    (src, dst),
-                    i,
-                    f"(eps, phi) step along {edge_label(i, primed)} edge is "
-                    f"({sv.eps - su.eps}, {sv.phi - su.phi}), want (1, -1)",
-                    _context(g, (src, dst)),
-                )
-            )
-    for vert in g.vertices:
-        wt = vert.weight
-        for i in range(1, view.n):
-            s = view.stats[i].get(vert.id)
-            if s is not None and s.phi - s.eps != wt[i - 1] - wt[i]:
-                out.append(
-                    Violation(
-                        "K",
-                        (vert.id,),
-                        i,
-                        f"phi_{i} - eps_{i} = {s.phi - s.eps} != wt_{i} - wt_{i + 1} = {wt[i - 1] - wt[i]}",
-                        _context(g, (vert.id,)),
-                    )
-                )
-    return out
+    found = []  # (0, src, i, primed, dst, k, clause) or (1, v's place, i), violation
+    weight = {v.id: v.weight for v in g.vertices}
+    distinct = set(weight.values())
+
+    def fail(key, i, message, ids):
+        found.append((key, Violation("K", ids, i, message, _context(g, ids))))
+
+    for i, primed, edges in _edges_by_label(g):
+        alpha = (0,) * (i - 1) + (1, -1) + (0,) * (view.n - 1 - i)
+        lowered = {wt: tuple(map(sub, wt, alpha)) for wt in distinct}
+        stats = view.stats[i]
+        for src, dst, k in edges:
+            if weight[dst] != lowered[weight[src]]:
+                fail((0, src, i, primed, dst, k, 0), i, f"weight {weight[dst]} != {weight[src]} - alpha_{i}", (src, dst))
+            su, sv = stats.get(src), stats.get(dst)
+            if su is not None and sv is not None and (sv.eps, sv.phi) != (su.eps + 1, su.phi - 1):
+                step = f"({sv.eps - su.eps}, {sv.phi - su.phi})"
+                message = f"(eps, phi) step along {edge_label(i, primed)} edge is {step}, want (1, -1)"
+                fail((0, src, i, primed, dst, k, 1), i, message, (src, dst))
+    for i in range(1, view.n):
+        for v, s in view.stats[i].items():
+            wt = weight[v]
+            if s.phi - s.eps != wt[i - 1] - wt[i]:
+                message = f"phi_{i} - eps_{i} = {s.phi - s.eps} != wt_{i} - wt_{i + 1} = {wt[i - 1] - wt[i]}"
+                fail((1, view.position[v], i), i, message, (v,))
+    return _in_order(found)
 
 
 def _iff(axiom: str, view: _View, w: int, i: int, structural: bool, numeric, out: list) -> None:
@@ -251,29 +285,18 @@ def _iff(axiom: str, view: _View, w: int, i: int, structural: bool, numeric, out
     ``numeric`` is None when the needed statistics are unavailable (broken
     strings elsewhere); such vertices are skipped, B1 reports the cause.
     """
-    if numeric is None:
-        return
-    if structural != numeric:
+    if numeric is not None and structural != numeric:
         side = "structural holds, numeric fails" if structural else "numeric holds, structural fails"
-        out.append(
-            Violation(axiom, (w,), i, side, _context(view.g, (w,)))
-        )
+        out.append(Violation(axiom, (w,), i, side, _context(view.g, (w,))))
 
 
-def _check_A1(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.fp[i].get(w), view.fp[i + 1].get(w)
-    if x is None or y is None:
-        return
+def _check_A1(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
     lhs = view.fp[i].get(y)
-    rhs = view.fp[i + 1].get(x)
-    if lhs is None or lhs != rhs:
+    if lhs is None or lhs != view.fp[i + 1].get(x):
         out.append(Violation("A1", (w, x, y), i, "primed square does not close", _context(view.g, (w,))))
 
 
-def _check_A2(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.fp[i].get(w), view.fp[i + 1].get(w)
-    if x is None or y is None:
-        return
+def _check_A2(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
     bottom = view.f[i].get(y)
     structural = bottom is not None and bottom == view.f[i + 1].get(x) and view.fp[i].get(y) != bottom
     d = view.delta_at(w, i, x, y)
@@ -284,24 +307,15 @@ def _check_A2(view: _View, w: int, i: int, out: list) -> None:
     _iff("A2", view, w, i, structural, numeric, out)
 
 
-def _check_A3(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.fp[i].get(w), view.f[i + 1].get(w)
-    if x is None or y is None:
-        return
+def _check_A3(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
     if view.fp[i + 1].get(w) == y and view.f[i].get(w) == x:
         return
     lhs = view.fp[i].get(y)
-    rhs = view.f[i + 1].get(x)
-    if lhs is None or lhs != rhs:
-        out.append(
-            Violation("A3", (w, x, y), i, "{f_i', f_{i+1}} square does not close", _context(view.g, (w,)))
-        )
+    if lhs is None or lhs != view.f[i + 1].get(x):
+        out.append(Violation("A3", (w, x, y), i, "{f_i', f_{i+1}} square does not close", _context(view.g, (w,))))
 
 
-def _check_A4(view: _View, w: int, i: int, out: list) -> None:
-    x, y = view.f[i].get(w), view.fp[i + 1].get(w)
-    if x is None or y is None:
-        return
+def _check_A4(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
     lhs = view.f[i].get(y)
     structural = lhs is not None and lhs == view.fp[i + 1].get(x)
     s = view.stats[i].get(w)
@@ -349,22 +363,20 @@ def _check_A8(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None
     _iff("A8", view, w, i, structural, numeric, out)
 
 
-def _check_XL(view: _View, w: int, i: int, out: list) -> None:
-    s_i, s_i1 = view.stats[i].get(w), view.stats[i + 1].get(w)
-    if s_i is None or s_i1 is None:
-        return
-    if s_i.eps_hat == 0 and s_i.phi_prime == 0 and s_i1.phi_hat == 0 and s_i1.eps_prime == 0:
-        incident = [e for e in (*view.g._edges((w,)), *view.g._edges((w,), True)) if e[1] in (i, i + 1)]
-        if incident:
-            out.append(
-                Violation(
-                    "XL",
-                    (w,),
-                    i,
-                    f"excluded lengths hold yet {len(incident)} {i}/{i + 1}-edges touch the vertex",
-                    _context(view.g, (w,)),
-                )
-            )
+def _check_XL(view: _View) -> list[Violation]:
+    g = view.g
+    out = []
+    for i in view.indices:
+        later = view.stats[i + 1]
+        for w, s_i in view.stats[i].items():
+            s_i1 = later.get(w)
+            if s_i1 is None or s_i.eps_hat or s_i.phi_prime or s_i1.phi_hat or s_i1.eps_prime:
+                continue
+            incident = [e for e in (*g._edges((w,)), *g._edges((w,), True)) if e[1] in (i, i + 1)]
+            if incident:
+                message = f"excluded lengths hold yet {len(incident)} {i}/{i + 1}-edges touch the vertex"
+                out.append(Violation("XL", (w,), i, message, _context(g, (w,))))
+    return _in_site_order(view, out)
 
 
 def _check_SA(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None:
@@ -376,96 +388,78 @@ def _check_SA(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None
     a7 = sw.eps_hat - sy.eps_hat == -1
     a8 = sy.phi_hat >= 2
     if not (a7 or a8):
-        out.append(
-            Violation("SA", (w,), i, "neither octagon side-condition applies at Delta=(0,0)", _context(view.g, (w,)))
-        )
+        message = "neither octagon side-condition applies at Delta=(0,0)"
+        out.append(Violation("SA", (w,), i, message, _context(view.g, (w,))))
 
 
 def _check_L_CAS(view: _View) -> list[Violation]:
     g = view.g
-    out = []
-    for src, index, _, dst in g._edges():
-        for j in (index + 1, index - 1):
-            if not 1 <= j <= view.n - 1:
-                continue
-            sw, sz = view.stats[j].get(src), view.stats[j].get(dst)
-            if sw is None or sz is None:
-                continue
-            cw, cz = view.strings[j][src][1].kind == "collapsed", view.strings[j][dst][1].kind == "collapsed"
-            if j > index:
-                found = (
-                    (sz.phi == sw.phi + 1 and cw != cz, "collapsedness not preserved along an edge incrementing phi"),
-                    (sz.phi == sw.phi and cz, "target string collapsed although phi was copied"),
-                )
-            else:
-                found = ((cw != (cz and sz.phi == sw.phi), "collapsedness/phi not copied along an adjacent-string edge"),)
-            for bad, message in found:
-                if bad:
-                    out.append(Violation("L_CAS", (src, dst), j, message, _context(g, (src, dst))))
-    return out
+    found = []  # (src, index, primed, dst, k, which neighbour index), violation
+    for index, primed, edges in _edges_by_label(g):
+        near = [(k, j, view.stats[j], view.strings[j]) for k, j in enumerate((index + 1, index - 1)) if 0 < j < view.n]
+        for src, dst, k in edges:
+            for nearby, j, stats, strings in near:
+                sw, sz = stats.get(src), stats.get(dst)
+                if sw is None or sz is None:
+                    continue
+                cw, cz = strings[src][1].kind == "collapsed", strings[dst][1].kind == "collapsed"
+                if j > index and sz.phi == sw.phi + 1 and cw != cz:
+                    message = "collapsedness not preserved along an edge incrementing phi"
+                elif j > index and sz.phi == sw.phi and cz:
+                    message = "target string collapsed although phi was copied"
+                elif j < index and cw != (cz and sz.phi == sw.phi):
+                    message = "collapsedness/phi not copied along an adjacent-string edge"
+                else:
+                    continue
+                violation = Violation("L_CAS", (src, dst), j, message, _context(g, (src, dst)))
+                found.append(((src, index, primed, dst, k, nearby), violation))
+    return _in_order(found)
 
 
 def _check_L_CF1(view: _View) -> list[Violation]:
     g = view.g
-    out = []
-    for src, i, primed, dst in g._edges():
-        if not primed or i > view.n - 2:
-            continue
-        sw, sz = view.stats[i + 1].get(src), view.stats[i + 1].get(dst)
-        if sw is None or sz is None:
-            continue
-        if sw.phi == sz.phi and sz.phi_hat != 0:
-            out.append(
-                Violation(
-                    "L_CF1",
-                    (src, dst),
-                    i,
-                    f"phi_{i + 1} copied along {i}' edge but phi_hat_{i + 1}(target) = {sz.phi_hat}",
-                    _context(g, (src, dst)),
-                )
-            )
-    return out
+    found = []  # (src, i, dst, k), violation
+    for i, primed, edges in _edges_by_label(g):
+        stats = view.stats.get(i + 1) if primed else None
+        for src, dst, k in edges if stats is not None else ():
+            sw, sz = stats.get(src), stats.get(dst)
+            if sw is not None and sz is not None and sw.phi == sz.phi and sz.phi_hat != 0:
+                message = f"phi_{i + 1} copied along {i}' edge but phi_hat_{i + 1}(target) = {sz.phi_hat}"
+                found.append(((src, i, dst, k), Violation("L_CF1", (src, dst), i, message, _context(g, (src, dst)))))
+    return _in_order(found)
 
 
 def _check_L_TD(view: _View) -> list[Violation]:
     g = view.g
     out = []
-    f = view.f
-    for z, i, x, y in view.pair_sites():
-        t = view.fp[i].get(z)
-        if t is None or t == x:
-            continue
-        if t not in f[i] or t not in f[i + 1]:
-            out.append(
-                Violation("L_TD", (z, t), i, "f_i or f_{i+1} undefined at the primed target", _context(g, (z, t)))
-            )
-            continue
-        dz = view.delta_at(z, i, x, y)
-        dt = view.delta_at(t, i, f[i][t], f[i + 1][t])
-        if dz is None or dt is None:
-            continue
-        if dz != dt:
-            out.append(
-                Violation(
-                    "L_TD",
-                    (z, t),
-                    i,
-                    f"Delta changes along the primed edge: {dz} vs {dt}",
-                    _context(g, (z, t)),
-                )
-            )
-    return out
+    solid = view.pair_sites(False)
+    for i, at in view.pair_sites(True).items():
+        for z, (x, _, dz) in at.items():
+            t = view.fp[i][z]
+            if t == x:
+                continue
+            site = at.get(t) or solid[i].get(t)
+            if site is None:
+                message = "f_i or f_{i+1} undefined at the primed target"
+                out.append(Violation("L_TD", (z, t), i, message, _context(g, (z, t))))
+            elif dz is not None and site[2] is not None and dz != site[2]:
+                message = f"Delta changes along the primed edge: {dz} vs {site[2]}"
+                out.append(Violation("L_TD", (z, t), i, message, _context(g, (z, t))))
+    return _in_site_order(view, out)
 
 
-def _every_site(fn):
-    """Run a per-(vertex, i) check at every vertex and every site index."""
+def _premise_sites(fn, primes: tuple[bool, bool]):
+    """Run a check at the sites (w, i) where x = f_i(w) and y = f_{i+1}(w),
+    each primed when its flag in primes is set, are both defined, passing
+    x and y: one key intersection of two maps per index."""
 
     def run(view: _View) -> list[Violation]:
         out: list[Violation] = []
-        for vert in view.site_vertices:
-            for i in view.indices:
-                fn(view, vert.id, i, out)
-        return out
+        for i in view.indices:
+            first, second = (view.fp[k] if primed else view.f[k] for k, primed in zip((i, i + 1), primes))
+            for w in first.keys() & second.keys():
+                fn(view, w, i, first[w], second[w], out)
+        return _in_site_order(view, out)
 
     return run
 
@@ -476,10 +470,10 @@ def _solid_sites(fn):
 
     def run(view: _View) -> list[Violation]:
         out: list[Violation] = []
-        for w, i, x, y in view.pair_sites():
-            if w not in view.fp[i]:
-                fn(view, w, i, x, y, view.delta_at(w, i, x, y), out)
-        return out
+        for i, at in view.pair_sites(False).items():
+            for w, (x, y, d) in at.items():
+                fn(view, w, i, x, y, d, out)
+        return _in_site_order(view, out)
 
     return run
 
@@ -500,17 +494,17 @@ def _dual(axiom: str, run):
         message = _DUAL_MESSAGES.get(axiom)
         return [
             replace(v, axiom=f"{axiom}D", index=top - v.index, message=message or v.message)
-            for v in run(_View(view.g, reverse=True))
+            for v in run(view.dual)
         ]
 
     return dual_run
 
 
 _MERGE = {
-    "A1": _every_site(_check_A1),
-    "A2": _every_site(_check_A2),
-    "A3": _every_site(_check_A3),
-    "A4": _every_site(_check_A4),
+    "A1": _premise_sites(_check_A1, (True, True)),
+    "A2": _premise_sites(_check_A2, (True, True)),
+    "A3": _premise_sites(_check_A3, (True, False)),
+    "A4": _premise_sites(_check_A4, (False, True)),
     "A5": _solid_sites(_check_A5),
     "A6": _solid_sites(_check_A6),
     "A7": _solid_sites(_check_A7),
@@ -524,7 +518,7 @@ _CHECKS = {
     "K": _check_K,
     **_MERGE,
     **{f"{axiom}D": _dual(axiom, run) for axiom, run in _MERGE.items()},
-    "XL": _every_site(_check_XL),
+    "XL": _check_XL,
     "SA": _solid_sites(_check_SA),
     "L_CAS": _check_L_CAS,
     "L_CF1": _check_L_CF1,
@@ -533,11 +527,12 @@ _CHECKS = {
 ALL_AXIOMS = tuple(_CHECKS)
 
 
-def check(g: CrystalGraph, axiom: str) -> list[Violation]:
-    """All counterexamples to one axiom; empty list = certified."""
+def check(g: CrystalGraph, axiom: str, *, _view: _View | None = None) -> list[Violation]:
+    """All counterexamples to one axiom; empty list = certified.  check_all
+    passes its view of g as ``_view``, so that its calls share one."""
     if axiom not in _CHECKS:
         raise ValueError(f"unknown axiom {axiom!r}; choose from {ALL_AXIOMS}")
-    return _CHECKS[axiom](_View(g))
+    return _CHECKS[axiom](_View(g) if _view is None else _view)
 
 
 @dataclass
@@ -578,21 +573,15 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
     f_i and f_{i+1}."""
     start = time.perf_counter()
     axioms = tuple(dict.fromkeys(axioms))
-    violations = {}
-    for axiom in axioms:
-        violations[axiom] = check(g, axiom)
     view = _View(g)
-    hist: Counter = Counter()
-    for w, i, x, y in view.pair_sites():
-        d = view.delta_at(w, i, x, y)
-        if d is not None:
-            hist[d] += 1
+    violations = {axiom: check(g, axiom, _view=view) for axiom in axioms}
+    sites = (at.values() for primed in (False, True) for at in view.pair_sites(primed).values())
+    crowded = sum(len(ends) for (*_, end), ends in g._side.items() if end == "out")
     return CheckReport(
         axioms=axioms,
         violations=violations,
-        delta_histogram=hist,
+        delta_histogram=Counter(d for found in sites for _, _, d in found if d is not None),
         runtime_seconds=time.perf_counter() - start,
         vertex_count=len(g),
-        edge_count=sum(1 for _ in g._edges()),
+        edge_count=sum(map(len, g.f_map.values())) + crowded,
     )
-

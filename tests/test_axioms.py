@@ -49,7 +49,7 @@ class TestCheckAll:
     def test_repeated_axioms_run_once_in_first_seen_order(self, graph_cache, monkeypatch):
         ran = []
         check = axioms_module.check
-        monkeypatch.setattr(axioms_module, "check", lambda g, axiom: ran.append(axiom) or check(g, axiom))
+        monkeypatch.setattr(axioms_module, "check", lambda g, axiom, **kw: ran.append(axiom) or check(g, axiom, **kw))
         g = graph_cache((3, 1), (), 3)
         report = check_all(CrystalGraph(g.n, g.vertices, g.edges[:3] + g.edges[4:]), ("B1", "K", "B1"))
         assert ran == ["B1", "K"] and report.axioms == ("B1", "K")
@@ -498,9 +498,9 @@ class TestReadsBindMaps:
         running = [None]
         check = axioms_module.check
 
-        def checking(graph, axiom):
+        def checking(graph, axiom, **kw):
             running[0] = axiom
-            return check(graph, axiom)
+            return check(graph, axiom, **kw)
 
         def counting(name):
             original = getattr(CrystalGraph, name)
@@ -516,3 +516,50 @@ class TestReadsBindMaps:
         monkeypatch.setattr(axioms_module, "check", checking)
         assert not check_all(mutant).passed
         assert calls == []
+
+    def test_views_premise_lists_and_edge_passes_are_shared(self, graph_cache, monkeypatch):
+        # one check_all builds a forward and a reversed view, computes Delta
+        # once per pair site of each, and the edge axioms and the edge count
+        # read the label maps, not the per-vertex edge lists
+        g = graph_cache((4, 3, 2, 1), (), 5)
+        edges = g.edges
+        k = len(edges) // 2
+        mutant = CrystalGraph(g.n, g.vertices, edges[:k] + edges[k + 1 :])
+        running = ["check_all"]
+        views, deltas, edge_reads = [], [], []
+        check, context = axioms_module.check, axioms_module._context
+        init, delta_at, read_edges = _View.__init__, _View.delta_at, CrystalGraph._edges
+
+        def within(name, fn, *args, **kwargs):
+            outer, running[0] = running[0], name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running[0] = outer
+
+        def counted_init(self, *args, **kwargs):
+            views.append(self)
+            init(self, *args, **kwargs)
+
+        def counted_delta(self, w, i, x, y):
+            deltas.append((self, running[0], w, i, x, y))
+            return delta_at(self, w, i, x, y)
+
+        def counted_edges(self, *args, **kwargs):
+            edge_reads.append(running[0])
+            return read_edges(self, *args, **kwargs)
+
+        monkeypatch.setattr(axioms_module, "check", lambda graph, axiom, **kw: within(axiom, check, graph, axiom, **kw))
+        monkeypatch.setattr(axioms_module, "_context", lambda graph, ids: within("context", context, graph, ids))
+        monkeypatch.setattr(_View, "__init__", counted_init)
+        monkeypatch.setattr(_View, "delta_at", counted_delta)
+        monkeypatch.setattr(CrystalGraph, "_edges", counted_edges)
+        report = check_all(mutant)
+        assert report.violations["B2"] and "context" in edge_reads
+        assert not {"B2", "B3", "K", "L_CAS", "L_CF1", "check_all"} & set(edge_reads)
+        assert len(views) == 2 and views[0].indices != views[1].indices
+        for view in views:
+            # A2 and A2D read Delta at the f_i' and f_{i+1}' targets, off the lists
+            sites = [(w, i, x, y) for v, axiom, w, i, x, y in deltas if v is view and axiom not in ("A2", "A2D")]
+            assert sites and len({site[:2] for site in sites}) == len(sites)
+            assert all((view.f[i].get(w), view.f[i + 1].get(w)) == (x, y) for w, i, x, y in sites)
