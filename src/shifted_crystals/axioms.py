@@ -59,8 +59,9 @@ class Violation:
 
 
 def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
-    """The ball of radius 3 about ids: its 60 smallest ids, so it is walked
-    whole, ring by ring off the label maps, then the edges inside it."""
+    """The ball of radius 3 about ids: a line per vertex, then per edge in
+    it, cut at 60 lines.  The vertex lines are its smallest ids, so the
+    whole ball is walked, ring by ring off the label maps."""
     seen = set(ids)
     frontier = set(ids)
     arrows = [*g.f_map.values(), *g.e_map.values()]
@@ -138,20 +139,22 @@ class _View:
         """Each vertex id to its place in the vertex list."""
         return {v.id: k for k, v in enumerate(self.g.vertices)}
 
-    def pair_sites(self, primed: bool) -> dict[int, dict[int, tuple]]:
-        """Per site index i, every w where x = f_i(w) and y = f_{i+1}(w) are
-        both defined and f_i'(w) is (primed) or is not (the hypothesis of
-        A5-A8 and SA), mapped to (x, y, Delta); built once per view."""
+    def pair_sites(self, primed: bool) -> dict[int, dict[int, tuple[int, int] | None]]:
+        """Per site index i, every w where f_i(w) and f_{i+1}(w) are both
+        defined and f_i'(w) is (primed) or is not (the hypothesis of A5-A8
+        and SA), mapped to its Delta; built once per view, each Delta value
+        held once."""
         found = self._sites.get(primed)
         if found is None:
-            found = self._sites[primed] = {}
+            found, shared = {}, {}
             for i in self.indices:
                 first, second, fp = self.f[i], self.f[i + 1], self.fp[i].keys()
                 keys = first.keys() & second.keys()
                 at = found[i] = {}
                 for w in keys & fp if primed else keys - fp:
-                    x, y = first[w], second[w]
-                    at[w] = x, y, self.delta_at(w, i, x, y)
+                    d = self.delta_at(w, i, first[w], second[w])
+                    at[w] = shared.setdefault(d, d)
+            self._sites[primed] = found
         return found
 
     def delta_at(self, w: int, i: int, x: int, y: int) -> tuple[int, int] | None:
@@ -420,8 +423,10 @@ def _check_L_CF1(view: _View) -> list[Violation]:
     g = view.g
     found = []  # (src, i, dst, k), violation
     for i, primed, edges in _edges_by_label(g):
-        stats = view.stats.get(i + 1) if primed else None
-        for src, dst, k in edges if stats is not None else ():
+        if not primed or i > view.n - 2:
+            continue
+        stats = view.stats[i + 1]
+        for src, dst, k in edges:
             sw, sz = stats.get(src), stats.get(dst)
             if sw is not None and sz is not None and sw.phi == sz.phi and sz.phi_hat != 0:
                 message = f"phi_{i + 1} copied along {i}' edge but phi_hat_{i + 1}(target) = {sz.phi_hat}"
@@ -434,16 +439,16 @@ def _check_L_TD(view: _View) -> list[Violation]:
     out = []
     solid = view.pair_sites(False)
     for i, at in view.pair_sites(True).items():
-        for z, (x, _, dz) in at.items():
+        for z, dz in at.items():
             t = view.fp[i][z]
-            if t == x:
+            if t == view.f[i][z]:
                 continue
-            site = at.get(t) or solid[i].get(t)
-            if site is None:
+            sites = at if t in at else solid[i]
+            if t not in sites:
                 message = "f_i or f_{i+1} undefined at the primed target"
                 out.append(Violation("L_TD", (z, t), i, message, _context(g, (z, t))))
-            elif dz is not None and site[2] is not None and dz != site[2]:
-                message = f"Delta changes along the primed edge: {dz} vs {site[2]}"
+            elif dz is not None and sites[t] is not None and dz != sites[t]:
+                message = f"Delta changes along the primed edge: {dz} vs {sites[t]}"
                 out.append(Violation("L_TD", (z, t), i, message, _context(g, (z, t))))
     return _in_site_order(view, out)
 
@@ -456,7 +461,7 @@ def _premise_sites(fn, primes: tuple[bool, bool]):
     def run(view: _View) -> list[Violation]:
         out: list[Violation] = []
         for i in view.indices:
-            first, second = (view.fp[k] if primed else view.f[k] for k, primed in zip((i, i + 1), primes))
+            first, second = (view.fp if primes[0] else view.f)[i], (view.fp if primes[1] else view.f)[i + 1]
             for w in first.keys() & second.keys():
                 fn(view, w, i, first[w], second[w], out)
         return _in_site_order(view, out)
@@ -471,8 +476,9 @@ def _solid_sites(fn):
     def run(view: _View) -> list[Violation]:
         out: list[Violation] = []
         for i, at in view.pair_sites(False).items():
-            for w, (x, y, d) in at.items():
-                fn(view, w, i, x, y, d, out)
+            first, second = view.f[i], view.f[i + 1]
+            for w, d in at.items():
+                fn(view, w, i, first[w], second[w], d, out)
         return _in_site_order(view, out)
 
     return run
@@ -580,7 +586,7 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
     return CheckReport(
         axioms=axioms,
         violations=violations,
-        delta_histogram=Counter(d for found in sites for _, _, d in found if d is not None),
+        delta_histogram=Counter(d for found in sites for d in found if d is not None),
         runtime_seconds=time.perf_counter() - start,
         vertex_count=len(g),
         edge_count=sum(map(len, g.f_map.values())) + crowded,
