@@ -14,15 +14,16 @@ edge axioms B2, B3, K, L_CAS and L_CF1 make one pass per label over its
 map's items (B2 one key intersection per pair of labels), plus the side
 record's edges at sites with several edges of one label.  A per-site axiom
 visits only the sites that meet its premise: A1-A4 a key intersection of
-two maps per index, A5-A8, SA and L_TD the pair sites (f_i and f_{i+1} both
-defined), which each view lists once with their Delta, split by whether
-f_i' is defined; the Delta histogram reads the same lists.  check_all
-shares one forward view, and its reversed view, across all its axioms.
-Violations are found in no particular order, so each checker sorts what it
-found, and only then, into the order of a walk over the vertex list (the
-edges of each vertex for B2, the site indices in ``indices`` order for the
-per-site axioms), or, for the other edge axioms, over the edges by (src,
-index, primed, dst), a duplicated edge counted by its occurrence.
+two maps per index, XL the vertices with statistics at i, A5-A8, SA and
+L_TD the pair sites (f_i and f_{i+1} both defined), which each view lists
+once with their Delta, split by whether f_i' is defined; the Delta
+histogram reads the same lists.  check_all shares one forward view, and
+its reversed view, across all its axioms.  Violations are found in no
+particular order, so each checker sorts what it found, and only then,
+into the order of a walk over the vertex list (the edges of each vertex
+for B2, the site indices in ``indices`` order for the per-site axioms),
+or, for the other edge axioms, over the edges by (src, index, primed,
+dst), a duplicated edge counted by its occurrence.
 
 The dual axioms A1D-A8D are not written out: each is its axiom A1-A8 read
 on the crystal with every arrow reversed.  That view is a different
