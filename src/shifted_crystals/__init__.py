@@ -40,7 +40,6 @@ from .graph import (
     CrystalGraph,
     GraphEdge,
     GraphVertex,
-    StringShape,
     StringStats,
     build_graph,
     component_isomorphic,

@@ -112,21 +112,19 @@ def _in_order(found: list) -> list[Violation]:
 class _View:
     """The graph's maps bound once per index 1 <= j <= n-1: f[j] and fp[j]
     send a vertex to its f_j and f_j' target, stats[j] a vertex on a legal
-    {j,j'}-string to its statistics, and strings[j] is the string table of
-    j.  The reversed view binds at j the e maps, the dual statistics and the
-    string table of index n-j, so a dual axiom at i is its axiom at n-1-i
-    on it.  ``indices`` lists the site indices i <= n-2 in the original
-    order: ascending here, and n-2 down to 1 on the reversed view."""
+    {j,j'}-string to its statistics.  The reversed view binds at j the e
+    maps and the dual statistics of index n-j, so a dual axiom at i is its
+    axiom at n-1-i on it.  ``indices`` lists the site indices i <= n-2 in
+    the original order: ascending here, n-2 down to 1 on the reversed view."""
 
     def __init__(self, g: CrystalGraph, reverse: bool = False):
         self.g, self.n = g, g.n
         arrows = g.e_map if reverse else g.f_map
-        self.f, self.fp, self.stats, self.strings = {}, {}, {}, {}
+        self.f, self.fp, self.stats = {}, {}, {}
         for j in range(1, g.n):
             k = g.n - j if reverse else j
-            self.strings[j], stats, dual = g.table(k)
             self.f[j], self.fp[j] = arrows[k, False], arrows[k, True]
-            self.stats[j] = dual if reverse else stats
+            self.stats[j] = g.table(k)[2 if reverse else 1]
         self.indices = range(g.n - 2, 0, -1) if reverse else range(1, g.n - 1)
         self._sites: dict[bool, dict] = {}
 
@@ -184,23 +182,18 @@ def _check_B1(view: _View) -> list[Violation]:
         for v, i, primed, side in g.label_degree_violations()
     ]
     for i in range(1, view.n):
-        table = view.strings[i]
-        seen: set[int] = set()
-        for vert in g.vertices:
-            if vert.id in seen:
-                continue
-            comp, shape = table[vert.id]
-            seen |= comp
-            if shape is None:
+        comps, stats, _ = g.table(i)
+        for comp in comps:
+            first = next(iter(comp))
+            if first not in stats:  # an illegal component: its members have no statistics
                 ids = tuple(sorted(comp))
                 out.append(Violation("B1", ids, i, "component matches neither string shape", _context(g, ids[:2])))
                 continue
-            collapsed = shape.kind == "collapsed"
-            top, bottom = shape.chains[0][0], shape.chains[0][-1]
+            collapsed = stats[first].collapsed
             for v in comp:
-                wt = g.weight(v)
-                for k, end, side in ((i, top, "top"), (i - 1, bottom, "bottom")):
-                    if (wt[k] == 0) != (collapsed and v == end):
+                wt, s = g.weight(v), stats[v]
+                for k, end, side in ((i, s.eps == 0, "top"), (i - 1, s.phi == 0, "bottom")):
+                    if (wt[k] == 0) != (collapsed and end):
                         message = f"wt_{k + 1}=0 iff {side} of collapsed string fails (wt={wt})"
                         out.append(Violation("B1", (v,), i, message, _context(g, (v,))))
     return out
@@ -400,13 +393,13 @@ def _check_L_CAS(view: _View) -> list[Violation]:
     g = view.g
     found = []  # (src, index, primed, dst, k, which neighbour index), violation
     for index, primed, edges in _edges_by_label(g):
-        near = [(k, j, view.stats[j], view.strings[j]) for k, j in enumerate((index + 1, index - 1)) if 0 < j < view.n]
+        near = [(k, j, view.stats[j]) for k, j in enumerate((index + 1, index - 1)) if 0 < j < view.n]
         for src, dst, k in edges:
-            for nearby, j, stats, strings in near:
+            for nearby, j, stats in near:
                 sw, sz = stats.get(src), stats.get(dst)
                 if sw is None or sz is None:
                     continue
-                cw, cz = strings[src][1].kind == "collapsed", strings[dst][1].kind == "collapsed"
+                cw, cz = sw.collapsed, sz.collapsed
                 if j > index and sz.phi == sw.phi + 1 and cw != cz:
                     message = "collapsedness not preserved along an edge incrementing phi"
                 elif j > index and sz.phi == sw.phi and cz:

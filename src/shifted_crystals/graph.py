@@ -5,11 +5,11 @@ carries its weight vector.  Only F-edges are stored: E operators follow
 the reversed edges, and build_graph checks that E, read through eta,
 agrees with the stored reversals, raising InternalInconsistency when it
 does not.  The edges live only in one map per label (i, primed) from a
-vertex to its f target and one to its e source.  {i,i'}-components are
-classified into the two legal string shapes once per index: the first
-use of index i walks each component once, classifies it, and reads all
-six length statistics of every member off its shape, into one table
-published whole with the vertex->statistics map and its dual.
+vertex to its f target and one to its e source.  The first use of index
+i builds its string table: the {i,i'}-components, each walked once, and
+the six length statistics of every member of a legal string, read off its
+place in the chain, with their duals.  A string's kind, top and bottom
+are read off these statistics, so nothing else about it is kept.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .ops import OpKind, _check_index, apply, eta_subword, subword, write_back
 from .tableaux import SkewShape, enumerate_tableaux
 from .words import _INT, Word, codes_to_str, parse_codes, weight_of_codes
 
-StringEntry = tuple[frozenset[int], "StringShape | None"]  # see table()
-StringTable = tuple[dict[int, StringEntry], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
+StringTable = tuple[tuple[frozenset[int], ...], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
 
 
 GraphVertex = namedtuple("GraphVertex", "id word weight")  # int, Word or None (a graph file may omit it), tuple of ints
@@ -68,26 +67,21 @@ class StringStats:
         and so do their primed and hat parts."""
         return StringStats(self.phi, self.eps, self.phi_prime, self.eps_prime, self.phi_hat, self.eps_hat)
 
+    @property
+    def collapsed(self) -> bool:
+        """Whether every edge of the string carries both labels: eps = eps_hat and phi = phi_hat."""
+        return self.eps == self.eps_hat and self.phi == self.phi_hat
 
-@dataclass(frozen=True)
-class StringShape:
-    """A legal {i,i'}-component: a collapsed chain, or two solid chains of
-    equal length joined by a primed rung at every position."""
 
-    kind: str  # "collapsed" or "separated"
-    chains: tuple[tuple[int, ...], ...]
-
-    def member_stats(self) -> list[tuple[int, StringStats]]:
-        """Every member with its statistics, read off the chain positions."""
-        if self.kind == "collapsed":
-            chain = self.chains[0]
-            m = len(chain) - 1
-            return [(v, StringStats(j, m - j, j, m - j, j, m - j)) for j, v in enumerate(chain)]
-        upper, lower = self.chains
-        m = len(upper) - 1
-        return [(v, StringStats(j, m - j + 1, 0, 1, j, m - j)) for j, v in enumerate(upper)] + [
-            (v, StringStats(j + 1, m - j, 1, 0, j, m - j)) for j, v in enumerate(lower)
-        ]
+def _member_stats(collapsed: bool, size: int) -> list[StringStats]:
+    """The statistics of the members of a legal string of this kind and
+    size, in chain order, the upper chain first on a separated string."""
+    if collapsed:
+        m = size - 1
+        return [StringStats(j, m - j, j, m - j, j, m - j) for j in range(size)]
+    m = size // 2 - 1
+    upper = [StringStats(j, m - j + 1, 0, 1, j, m - j) for j in range(m + 1)]
+    return upper + [StringStats(j + 1, m - j, 1, 0, j, m - j) for j in range(m + 1)]
 
 
 class CrystalGraph:
@@ -207,44 +201,56 @@ class CrystalGraph:
         return frozenset(seen)
 
     def table(self, i: int) -> StringTable:
-        """Three maps of index i: every vertex to the one (component, shape)
-        record of its {i,i'}-component, shape None when it matches neither
-        legal shape; every vertex on a legal {i,i'}-string to its statistics;
-        and those to their duals (StringStats.dual).  Built on the first use
-        of i, one ``reach`` per component in vertex order, and published
-        whole; strings of one kind and chain length share one list of
-        statistics and one of duals.  InvalidIndex unless i is an int in 1..n-1."""
+        """The string table of index i: its {i,i'}-components, in order of
+        their first vertex; every vertex on a legal {i,i'}-string to its
+        statistics, and those to their duals (StringStats.dual).  A component
+        that matches neither legal shape has no statistics.  Built on the
+        first use of i, one ``reach`` per component, and published whole;
+        strings of one kind and size share one list of statistics and one of
+        duals.  InvalidIndex unless i is an int in 1..n-1."""
         _check_index(i, self.n)
         table = self._tables.get(i)
         if table is None:
-            entries, stats, duals, shared = {}, {}, {}, {}  # shared: (kind, chain length) -> statistics, duals
-            for vert in self.vertices:
-                if vert.id in entries:
-                    continue
-                comp = self.reach(vert.id, i)
+            comps, stats, duals, shared = [], {}, {}, {}  # shared: (collapsed, size) -> statistics, duals
+            for comp in _walk(self, i):
+                comps.append(comp)
                 shape = _classify(self, comp, i)
-                entries.update(dict.fromkeys(comp, (comp, shape)))
                 if shape is None:
                     continue
-                key = shape.kind, len(shape.chains[0])
+                collapsed, members = shape
+                key = collapsed, len(members)
                 if key not in shared:
-                    found = [s for _, s in shape.member_stats()]
+                    found = _member_stats(*key)
                     shared[key] = found, [s.dual for s in found]
                 found, dual = shared[key]
-                members = sum(shape.chains, ())
                 stats.update(zip(members, found))
                 duals.update(zip(members, dual))
-            table = self._tables[i] = (entries, stats, duals)
+            table = self._tables[i] = (tuple(comps), stats, duals)
         return table
 
     def stats(self, vid: int, i: int) -> StringStats | None:
         """Statistics of vid on its {i,i'}-string, or None when that string
-        matches neither legal shape."""
-        entries, stats, _ = self.table(i)
-        return None if entries[vid][1] is None else stats[vid]
+        matches neither legal shape; KeyError when vid is not a vertex."""
+        found = self.table(i)[1].get(vid)
+        if found is None and vid not in self.by_id:
+            raise KeyError(vid)
+        return found
 
 
-def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | None:
+def _walk(g: CrystalGraph, i: int | None = None) -> Iterator[frozenset[int]]:
+    """The weakly connected components of g or, given i, its
+    {i,i'}-components, in order of their first vertex: one ``reach`` each."""
+    seen: set[int] = set()
+    for v in g.vertices:
+        if v.id not in seen:
+            comp = g.reach(v.id, i)
+            seen |= comp
+            yield comp
+
+
+def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> tuple[bool, tuple[int, ...]] | None:
+    """Whether comp is a collapsed {i,i'}-string, and its members in chain
+    order, the upper chain first; None when it is not a legal string."""
     if not g._crowded_at[i].isdisjoint(comp):
         return None
     solid_out, primed_out = g.f_map[i, False], g.f_map[i, True]
@@ -269,7 +275,7 @@ def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | No
         chain = chain_from(tops[0], comp)
         if chain is None or len(chain) != len(comp):
             return None
-        return StringShape("collapsed", (chain,))
+        return True, chain
 
     uppers = {v for v in comp if v in primed_out}
     lowers = {primed_out[v] for v in uppers}
@@ -288,7 +294,7 @@ def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> StringShape | No
     for uj, lj in zip(upper, lower):
         if primed_out.get(uj) != lj or primed_in.get(lj) != uj:
             return None
-    return StringShape("separated", (upper, lower))
+    return False, upper + lower
 
 
 def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
@@ -379,10 +385,9 @@ def component_labels(g: CrystalGraph) -> tuple[dict[int, int], int]:
     component, numbered in order of smallest vertex id, and the count."""
     comp_of: dict[int, int] = {}
     count = 0
-    for v in g.vertices:
-        if v.id not in comp_of:
-            comp_of.update(dict.fromkeys(g.reach(v.id), count))
-            count += 1
+    for comp in _walk(g):
+        comp_of.update(dict.fromkeys(comp, count))
+        count += 1
     return comp_of, count
 
 

@@ -485,7 +485,8 @@ class TestSeveralEdgesOfOneLabel:
             ((4,), "several in edges labeled 1'"),
             ((0, 1, 2, 3, 4), "component matches neither string shape"),
         ]
-        assert all(g.stats(v, 1) is None and g.table(1)[0][v][1] is None for v in range(5))
+        assert g.table(1) == ((frozenset(range(5)),), {}, {})
+        assert all(g.stats(v, 1) is None for v in range(5))
 
 
 class TestReadsBindMaps:

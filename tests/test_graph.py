@@ -48,10 +48,18 @@ def abstract_graph(n, weights, edges):
     return CrystalGraph(n, vertices, tuple(GraphEdge(*e) for e in edges))
 
 
-def string_shape(g, vid, i):
-    """The shape of vid's {i,i'}-string as table(i) records it; None when
-    the string matches neither legal shape."""
-    return g.table(i)[0][vid][1]
+def string_of(g, vid, i):
+    """vid's {i,i'}-component, read off the component list of table(i)."""
+    return next(comp for comp in g.table(i)[0] if vid in comp)
+
+
+def collapsed_by_edges(edges, comps, i):
+    """For each of comps, whether every edge of index i in it, read from the
+    (src, dst, index, primed) tuples edges, has a twin with the same ends
+    and the other primedness."""
+    ends = {(src, dst, primed) for src, dst, index, primed in edges if index == i}
+    lone = {src for src, dst, primed in ends if (src, dst, not primed) not in ends}
+    return [comp.isdisjoint(lone) for comp in comps]
 
 
 class TestBuildGraph:
@@ -67,9 +75,9 @@ class TestBuildGraph:
     def test_one_row_collapses(self, graph_cache):
         for a in (2, 3, 4):
             g = graph_cache((a,), (), 2)
-            shape = string_shape(g, 0, 1)
-            assert shape.kind == "collapsed"
-            assert len(shape.chains[0]) == a + 1
+            comp = string_of(g, 0, 1)
+            assert all(g.stats(v, 1).collapsed for v in comp)
+            assert len(comp) == a + 1
 
 
 class TestComponents:
@@ -324,7 +332,8 @@ class TestStringStats:
 
     def test_collapsed_counts(self, graph_cache):
         g = graph_cache((3,), (), 2)
-        chain = string_shape(g, 0, 1).chains[0]
+        chain = sorted(string_of(g, 0, 1), key=lambda v: g.stats(v, 1).eps)
+        assert [g.f(v, 1) for v in chain] == [g.f(v, 1, True) for v in chain] == [*chain[1:], None]
         for j, vid in enumerate(chain):
             s = string_stats(g, vid, 1)
             assert s == StringStats(j, 3 - j, j, 3 - j, j, 3 - j)
@@ -337,18 +346,56 @@ class TestStringStats:
                 assert s.phi - s.eps == v.weight[i - 1] - v.weight[i]
 
     def test_separated_splits_hold(self, graph_cache):
-        g = graph_cache((4, 2, 1), (), 3)
-        for v in g.vertices:
+        # the kind of each string is read off its edges, not its statistics;
+        # every string of ShST((4,2,1), 3) is separated, so ShST((3,1), 3)
+        # brings collapsed ones
+        kinds = set()
+        for g in (graph_cache((4, 2, 1), (), 3), graph_cache((3, 1), (), 3)):
             for i in (1, 2):
-                shape = string_shape(g, v.id, i)
-                s = dict(shape.member_stats())[v.id]
-                if shape.kind == "separated":
-                    assert s.eps == s.eps_prime + s.eps_hat
-                    assert s.phi == s.phi_prime + s.phi_hat
-                    assert s.eps_prime in (0, 1) and s.phi_prime in (0, 1)
-                else:
-                    assert s.eps == s.eps_prime == s.eps_hat
-                    assert s.phi == s.phi_prime == s.phi_hat
+                comps = g.table(i)[0]
+                for comp, collapsed in zip(comps, collapsed_by_edges(g.edges, comps, i)):
+                    kinds.add(collapsed)
+                    for v in comp:
+                        s = g.stats(v, i)
+                        if not collapsed:
+                            assert s.eps == s.eps_prime + s.eps_hat
+                            assert s.phi == s.phi_prime + s.phi_hat
+                            assert s.eps_prime in (0, 1) and s.phi_prime in (0, 1)
+                        else:
+                            assert s.eps == s.eps_prime == s.eps_hat
+                            assert s.phi == s.phi_prime == s.phi_hat
+        assert kinds == {False, True}
+
+    def test_an_id_that_is_not_a_vertex_raises_key_error(self, graph_cache):
+        # on a graph of legal strings, and on one whose only string is not legal
+        legal = graph_cache((2, 1), (), 2)
+        illegal = abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, 1, False)])
+        for g in (legal, illegal):
+            for vid in (2, -1):
+                with pytest.raises(KeyError):
+                    g.stats(vid, 1)
+                with pytest.raises(KeyError):
+                    string_stats(g, vid, 1)
+        assert illegal.stats(0, 1) is None
+
+    def test_collapsed_exactly_when_every_edge_has_its_twin(self):
+        # on the criterion-1 graphs and on mutants, where strings of every
+        # kind and illegal components occur
+        from test_axioms import mutant_edges
+
+        shapes = [(lam, n) for size in range(1, 9) for lam in strict_partitions(size) for n in (1, 2, 3, 4)]
+        graphs = [(g, g.edges) for g in (build_graph(make_skew_shape(lam), n) for lam, n in shapes)]
+        bases = (build_graph(make_skew_shape((3, 1)), 3), build_graph(make_skew_shape((2, 1)), 4))
+        graphs += [(CrystalGraph(g.n, g.vertices, edges), edges) for g in bases for edges in mutant_edges(g)]
+        seen = set()
+        for g, edges in graphs:
+            for i in range(1, g.n):
+                comps, stats, duals = g.table(i)
+                for comp, collapsed in zip(comps, collapsed_by_edges(edges, comps, i)):
+                    for v in comp & stats.keys():
+                        assert stats[v].collapsed == duals[v].collapsed == collapsed
+                        seen.add(collapsed)
+        assert seen == {False, True}
 
 
 def index_component_count(g, i):
@@ -396,14 +443,15 @@ class TestStringTable:
         graphs = [(CrystalGraph(g.n, g.vertices, edges), edges) for g in bases for edges in mutant_edges(g)]
         assert any(g.label_degree_violations() for g, _ in graphs)
         for g, edges in graphs:
+            position = {v.id: k for k, v in enumerate(g.vertices)}
             for i in range(1, g.n):
-                entries, order = g.table(i)[0], {}
-                for v in g.vertices:
-                    comp = entries[v.id][0]
-                    assert comp == edge_list_component(edges, v.id, i)
-                    if comp not in order:
-                        order[comp] = list(edge_list_component(edges, v.id, i))
-                    assert list(comp) == order[comp]
+                comps = g.table(i)[0]
+                assert sum(map(len, comps)) == len(g) and frozenset().union(*comps) == g.by_id.keys()
+                firsts = [min(comp, key=position.get) for comp in comps]
+                assert firsts == sorted(firsts, key=position.get)
+                for first, comp in zip(firsts, comps):
+                    assert comp == edge_list_component(edges, first, i)
+                    assert list(comp) == list(edge_list_component(edges, first, i))
 
     def test_crowded_vertex_joins_the_strings_it_leads_into(self):
         # vertex 0 has two out-edges labeled 1, into the strings 1 -1'-> 3
@@ -411,8 +459,9 @@ class TestStringTable:
         edges = [(0, 1, 1, False), (0, 2, 1, False), (1, 3, 1, True), (2, 4, 1, True)]
         g = abstract_graph(2, [(1, 1)] * 5, edges)
         assert g.f(0, 1) is None and g.e(1, 1) == 0 and g.e(2, 1) == 0
+        assert g.table(1)[0] == (frozenset(range(5)),)
         for v in range(5):
-            assert g.table(1)[0][v][0] == edge_list_component(edges, v, 1) == frozenset(range(5))
+            assert edge_list_component(edges, v, 1) == frozenset(range(5))
 
     def test_in_edges_are_met_by_source(self):
         # 0, 8 and 16 share a hash slot of a small set, so the order they are
@@ -420,7 +469,9 @@ class TestStringTable:
         # iteration order
         edges = [(16, 0, 1, False), (8, 0, 1, True)]
         g = abstract_graph(2, [(1, 1)] * 17, edges)
-        assert list(g.table(1)[0][0][0]) == list(edge_list_component(edges, 0, 1)) == [0, 8, 16]
+        comps = g.table(1)[0]
+        assert len(comps) == 15
+        assert list(comps[0]) == list(edge_list_component(edges, 0, 1)) == [0, 8, 16]
 
     def test_each_string_walked_and_classified_once(self, graph_cache, monkeypatch):
         g = graph_cache((4, 3, 2, 1), (), 5)
@@ -446,7 +497,7 @@ class TestStringTable:
 
     def test_interrupted_build_is_rebuilt_whole(self, graph_cache, monkeypatch):
         g = graph_cache((4, 2, 1), (), 3)
-        want = [(string_shape(g, v.id, 1), g.stats(v.id, 1)) for v in g.vertices]
+        want = g.table(1)[0], [g.stats(v.id, 1) for v in g.vertices]
         fresh = CrystalGraph(g.n, g.vertices, g.edges)
         classify = graph_module._classify
         calls = []
@@ -461,7 +512,7 @@ class TestStringTable:
         with pytest.raises(RuntimeError):
             fresh.stats(g.vertices[0].id, 1)
         assert index_component_count(g, 1) > 3
-        assert [(string_shape(fresh, v.id, 1), fresh.stats(v.id, 1)) for v in g.vertices] == want
+        assert (fresh.table(1)[0], [fresh.stats(v.id, 1) for v in g.vertices]) == want
         assert len(calls) == 3 + index_component_count(g, 1)
 
     def test_concurrent_readers_never_see_a_partial_table(self, graph_cache):
@@ -525,20 +576,22 @@ class TestClassifyString:
     def test_singleton_is_collapsed(self, graph_cache):
         g = graph_cache((1,), (), 3)
         one = next(v.id for v in g.vertices if str(v.word) == "1")
-        shape = string_shape(g, one, 2)
-        assert shape.kind == "collapsed"
-        assert shape.chains == ((one,),)
+        assert string_of(g, one, 2) == frozenset({one})
+        assert g.stats(one, 2) == StringStats(0, 0, 0, 0, 0, 0)
+        assert g.stats(one, 2).collapsed
 
     def test_four_vertex_separated(self, graph_cache):
         g = graph_cache((3, 1), (), 2)
-        shape = string_shape(g, 0, 1)
-        assert shape.kind == "separated"
-        upper, lower = shape.chains
-        assert len(upper) == len(lower) == 2
+        stats = {v: g.stats(v, 1) for v in string_of(g, 0, 1)}
+        assert not any(s.collapsed for s in stats.values())
+        upper = sorted((v for v in stats if stats[v].phi_prime), key=lambda v: stats[v].eps)
+        lower = sorted((v for v in stats if stats[v].eps_prime), key=lambda v: stats[v].eps)
+        assert len(upper) == len(lower) == 2 and {*upper, *lower} == stats.keys()
+        assert [g.f(v, 1, True) for v in upper] == lower
 
     def test_bare_solid_chain_rejected(self):
         g = abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, 1, False)])
-        assert string_shape(g, 0, 1) is None
+        assert g.table(1) == ((frozenset({0, 1}),), {}, {})
         with pytest.raises(NotAString, match="^\\{1,1'\\}-component of vertex 0 is not a legal string$"):
             string_stats(g, 0, 1)
 
@@ -548,7 +601,7 @@ class TestClassifyString:
             [(2, 0), (1, 1), (0, 2)],
             [(0, 1, 1, True), (1, 2, 1, False), (1, 2, 1, True)],
         )
-        assert string_shape(g, 0, 1) is None
+        assert g.table(1) == ((frozenset({0, 1, 2}),), {}, {})
         with pytest.raises(NotAString, match="^\\{1,1'\\}-component of vertex 0 is not a legal string$"):
             string_stats(g, 0, 1)
 
@@ -625,8 +678,8 @@ class TestIsomorphism:
         # joined by a primed edge alone form a separated one
         collapsed = graph_cache((1,), (), 2)
         separated = abstract_graph(2, [(1, 0), (0, 1)], [(0, 1, 1, True)])
-        assert string_shape(collapsed, 0, 1) == graph_module.StringShape("collapsed", ((0, 1),))
-        assert string_shape(separated, 0, 1) == graph_module.StringShape("separated", ((0,), (1,)))
+        assert collapsed.table(1)[:2] == ((frozenset({0, 1}),), {0: StringStats(0, 1, 0, 1, 0, 1), 1: StringStats(1, 0, 1, 0, 1, 0)})
+        assert separated.table(1)[:2] == ((frozenset({0, 1}),), {0: StringStats(0, 1, 0, 1, 0, 0), 1: StringStats(1, 0, 1, 0, 0, 0)})
         assert component_isomorphic(collapsed, separated) is None
 
     def test_out_labels_differ_below_the_top(self, graph_cache):
