@@ -28,8 +28,8 @@ from .errors import (
     NotUnique,
 )
 from .ops import OpKind, _check_index, apply, eta_subword, subword, write_back
-from .tableaux import SkewShape, enumerate_tableaux
-from .words import _INT, Word, codes_to_str, parse_codes, weight_of_codes
+from .tableaux import SkewShape, enumerate_tableaux, reading_word
+from .words import _INT, Word, _check_bound, codes_to_str, parse_codes, weight_of_codes
 
 StringTable = tuple[tuple[frozenset[int], ...], dict[int, "StringStats"], dict[int, "StringStats"]]  # see table()
 
@@ -309,11 +309,14 @@ def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
 def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     """Crystal over enumerate_tableaux(shape, n) with all F_i / F_i' edges.
 
-    Each site (vertex, i) is scanned once for its relabeled {i,i+1}-subword.
-    A memo local to the build maps each such subword k, and eta(k) as
-    ``eta_subword`` reads it, to (F(k), F'(k)): ``apply`` of F_1 and F_1' to
-    ``Word(k, 2)``, which validates the results.  E is F read through eta,
-    so the build applies no E.
+    The vertex words are the tableaux's reading words, which
+    ``ShiftedTableau`` validated once.  Each site (vertex, i) is scanned
+    once for its relabeled {i,i+1}-subword.  A memo local to the build maps
+    each such subword k, and eta(k) as ``eta_subword`` reads it, to
+    (F(k), F'(k)): ``apply`` of F_1 and F_1', which validates the results,
+    to ``Word(k, 2)``, or to the vertex's own word when k is its codes (at
+    i = 1, whenever every letter is 1', 1, 2' or 2, so at every site of an
+    n = 2 build).  E is F read through eta, so the build applies no E.
     A result written back into the vertex's codes must be a vertex, or
     BrokenSemistandard is raised.  E agrees with the reversed edges when
     every site subword k with F(k) = t has E(t) = k and E is defined at as
@@ -321,15 +324,12 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     first site where they disagree raises InternalInconsistency.
     """
     tableaux = enumerate_tableaux(shape, n)
-    vertices = tuple(
-        GraphVertex(k, Word(t.codes, n), t.weight()) for k, t in enumerate(tableaux)
-    )
+    vertices = tuple(GraphVertex(k, reading_word(t), t.weight()) for k, t in enumerate(tableaux))
     ids = {v.word.codes: v.id for v in vertices}
     memo: dict[tuple[int, ...], list] = {}  # subword k -> [F(k), F'(k), number of sites with subword k]
     lowering = (OpKind("F", 1), OpKind("F'", 1))
 
-    def evaluate(k: tuple[int, ...]) -> list:
-        word = Word(k, 2)
+    def evaluate(word: Word) -> list:
         outs = [apply(kind, word) for kind in lowering]
         return [None if out is None else out.codes for out in outs] + [0]
 
@@ -338,7 +338,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
             codes = v.word.codes
             for i in range(1, n):
                 sub, pos = subword(codes, i)
-                outs = memo.get(sub) or memo.setdefault(sub, evaluate(sub))
+                outs = memo.get(sub) or memo.setdefault(sub, evaluate(v.word if sub is codes else Word(sub, 2)))
                 outs[2] += 1
                 for primed in (False, True):
                     if outs[primed] is not None:
@@ -352,7 +352,7 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     flip = {k: eta_subword(k) for k in memo}  # E(t) = k exactly where F(eta(t)) = eta(k)
     for flipped in flip.values():
         if flipped not in memo:
-            memo[flipped] = evaluate(flipped)
+            memo[flipped] = evaluate(Word(flipped, 2))
     edges = sum(memo[k][2] * (2 - memo[k][:2].count(None)) for k in flip)
     raised_sites = sum(memo[k][2] * (2 - memo[f][:2].count(None)) for k, f in flip.items())
     agree = raised_sites == edges and all(
@@ -552,8 +552,7 @@ def import_json(text: str) -> CrystalGraph:
             n = len(weights[0]) if weights else 0
         if type(n) is not int:
             _exact(n, int, "n")
-        if n < 0:
-            raise ValueError("alphabet bound must be nonnegative")
+        _check_bound(n)
         vertices = []
         for v, wt in zip(raw_vertices, weights):
             word = v.get("word")

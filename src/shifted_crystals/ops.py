@@ -31,12 +31,16 @@ family alone, not of i or of the letters outside the subword.  ``subword``
 (the scan), ``write_back`` and ``eta_subword`` are public so that a caller
 applying many operators can reuse one result: build_graph, for every n,
 keeps its own memo from the relabeled subword to the results of F and F',
-reads E and E' through eta and runs only F and F'.  There is no
-process-wide cache: every ``apply`` call computes.
+reads E and E' through eta and runs only F and F'.  At i = 1 a word of
+the letters 1', 1, 2', 2 is its own subword: ``subword`` returns its codes
+and ``write_back`` a result covering them, with no filter and no copy, so
+every call at n = 2 skips both.  There is no process-wide cache: every
+``apply`` call computes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, InvalidIndex
@@ -102,8 +106,13 @@ class CriticalMatch:
         return self.positions[0]
 
 
-def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], list[int]]:
-    """Relabeled {i,i+1}-subword and the full-word positions of its letters."""
+def subword(codes: Codes, i: int) -> tuple[tuple[int, ...], Sequence[int]]:
+    """Relabeled {i,i+1}-subword of a word's codes and the full-word
+    positions of its letters.  At i = 1 a word whose every letter is 1', 1,
+    2' or 2 is its own subword: the codes themselves come back, with
+    positions ``range(len(codes))``, and no filter runs."""
+    if i == 1 and (not codes or max(codes) <= _2):
+        return codes, range(len(codes))
     lo, hi = 2 * i - 1, 2 * (i + 1)
     pos = [p for p, c in enumerate(codes) if lo <= c <= hi]
     shift = 2 * (i - 1)
@@ -314,8 +323,12 @@ def eta_subword(sub) -> tuple[int, ...]:
     return _canonical_sub([5 - c for c in sub])
 
 
-def write_back(codes: Codes, pos: list[int], sub, i: int) -> Codes:
-    """The codes with the relabeled subword ``sub`` put back at ``pos``."""
+def write_back(codes: Codes, pos: Sequence[int], sub, i: int) -> Codes:
+    """The codes with the relabeled subword ``sub`` put back at ``pos``.  At
+    i = 1 a subword that covers every position is the result itself, and a
+    tuple comes back uncopied."""
+    if i == 1 and len(pos) == len(codes):
+        return tuple(sub)
     shift = 2 * (i - 1)
     out = list(codes)
     for p, c in zip(pos, sub):
@@ -386,7 +399,8 @@ def apply(kind: OpKind, w: Word) -> Word | None:
 
     Length is always preserved; the weight moves by -alpha_i for the F side
     and +alpha_i for the E side.  Every call scans the word, runs the
-    kernel, and writes the result back into a validated ``Word``.
+    kernel, and writes the result back into a validated ``Word``; the scan
+    and the write-back are free when the word is its own subword.
     """
     i = kind.index
     if not isinstance(w, Word):  # Word raises for a RawWord that is not canonical

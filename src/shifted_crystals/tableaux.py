@@ -22,6 +22,8 @@ from .words import (
     Codes,
     WeightVector,
     Word,
+    _accepted,
+    _check_bound,
     is_canonical,
     is_primed,
     letter_token,
@@ -147,6 +149,7 @@ class ShiftedTableau:
 
 
 def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
+    _check_bound(n)
     if type(codes) is not tuple or not _INT.issuperset(map(type, codes)):
         raise BrokenSemistandard(f"codes must be a tuple of ints: {codes!r}")
     if len(codes) != shape.size:
@@ -174,8 +177,10 @@ def _validate(shape: SkewShape, codes: Codes, n: int) -> None:
 
 
 def reading_word(t: ShiftedTableau) -> Word:
-    """The stored reading word (rows bottom to top) as a ``Word``."""
-    return Word(t.codes, t.n)
+    """The stored reading word (rows bottom to top) as a ``Word``, built
+    without a second validation: ``ShiftedTableau`` has already checked
+    every clause ``Word`` checks."""
+    return _accepted(t.codes, t.n)
 
 
 def _fillings(shape: SkewShape, n: int) -> list[Codes]:
@@ -222,7 +227,9 @@ def _fillings(shape: SkewShape, n: int) -> list[Codes]:
 
 def enumerate_tableaux(shape: SkewShape, n: int) -> list[ShiftedTableau]:
     """All canonical-form semistandard fillings, sorted by reading word
-    (``_fillings`` already yields them in that order), each validated."""
+    (``_fillings`` already yields them in that order), each validated.
+    ValueError unless n is an exact int >= 0."""
+    _check_bound(n)
     return [ShiftedTableau(shape, codes, n) for codes in _fillings(shape, n)]
 
 

@@ -97,8 +97,7 @@ class RawWord:
         codes = self.codes
         if type(codes) is not tuple or not _INT.issuperset(map(type, codes)):
             raise ValueError(f"codes must be a tuple of ints: {codes!r}")
-        if self.n < 0:
-            raise ValueError("alphabet bound must be nonnegative")
+        _check_bound(self.n)
         if codes and (min(codes) < 1 or max(codes) > 2 * self.n):
             c = next(c for c in codes if not 1 <= c <= 2 * self.n)
             raise ValueError(f"letter {letter_token(c)} outside alphabet bound {self.n}")
@@ -124,12 +123,34 @@ class Word(RawWord):
             raise ValueError(f"word {codes_to_str(self.codes)} is not in canonical form")
 
 
+def _accepted(codes: Codes, n: int) -> Word:
+    """The Word of codes that a caller has already validated as a canonical
+    word within the exact int bound n (``ShiftedTableau`` does), built
+    without checking them again."""
+    word = object.__new__(Word)
+    word.__dict__.update(codes=codes, n=n)
+    return word
+
+
+def _check_bound(n: int) -> None:
+    """Raise ValueError unless n is an exact int >= 0: a bool, a float or
+    an int subclass is no alphabet bound."""
+    if type(n) is not int:
+        raise ValueError(f"alphabet bound must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError("alphabet bound must be nonnegative")
+
+
 def is_canonical(codes: Codes) -> bool:
-    """Whether the first letter of each value is unprimed."""
-    for c in set(codes):
-        # a primed letter c needs its unprimed twin c + 1 earlier in the word
-        if c % 2 and (c + 1 not in codes or codes.index(c + 1) > codes.index(c)):
-            return False
+    """Whether the first letter of each value is unprimed, in one left to
+    right pass: a primed letter c needs its unprimed twin c + 1 earlier."""
+    unprimed: set[int] = set()
+    for c in codes:
+        if c % 2:
+            if c + 1 not in unprimed:
+                return False
+        else:
+            unprimed.add(c)
     return True
 
 

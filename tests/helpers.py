@@ -4,9 +4,21 @@ from __future__ import annotations
 
 from itertools import product
 
+import pytest
+
 from shifted_crystals import ALL_AXIOMS, CrystalGraph, RawWord, ShiftedTableau, Violation, Word, check, parse_tableau
 from shifted_crystals.tableaux import StrictPartition
 from shifted_crystals.words import Codes, WeightVector, canonical_codes, value_of, weight_of_codes
+
+
+# Alphabet bounds that are no exact int >= 0, each with the ValueError
+# message that Word, ShiftedTableau, enumerate_tableaux and build_graph raise.
+BAD_BOUNDS = [
+    pytest.param(-1, "alphabet bound must be nonnegative", id="negative"),
+    pytest.param(True, "alphabet bound must be an int, got True", id="bool"),
+    pytest.param(1.0, "alphabet bound must be an int, got 1.0", id="float"),
+    pytest.param(1.5, "alphabet bound must be an int, got 1.5", id="fraction"),
+]
 
 
 def rows_from_strings(rows: list[str], n: int) -> ShiftedTableau:

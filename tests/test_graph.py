@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ from shifted_crystals import (
 from shifted_crystals import graph as graph_module
 from shifted_crystals import ops
 from shifted_crystals.graph import GraphEdge, GraphVertex, StringStats
-from helpers import strict_partitions
+from helpers import BAD_BOUNDS, strict_partitions
 
 EXPORT_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "export_json.sha256"
 
@@ -78,6 +79,14 @@ class TestBuildGraph:
             comp = string_of(g, 0, 1)
             assert all(g.stats(v, 1).collapsed for v in comp)
             assert len(comp) == a + 1
+
+    @pytest.mark.parametrize("outer", [(), (1,), (2, 1)])
+    @pytest.mark.parametrize("n,message", BAD_BOUNDS)
+    def test_bound_must_be_an_exact_nonnegative_int(self, outer, n, message):
+        # n is checked before any filling is tried, so a shape with one
+        # filling, with none at n = -1, or with several raises alike
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_graph(make_skew_shape(outer), n)
 
 
 class TestComponents:
@@ -284,6 +293,29 @@ class TestOperatorMemo:
         assert sorted(lowered_keys) == sorted((k, primed) for k in keys for primed in (False, True))
         assert len(applies) == len(lowered_keys) == 2 * len(keys) == 608
         assert {kind.index for kind in applies} == {1}
+
+    @pytest.mark.parametrize(
+        "outer, inner, evaluations",
+        [((5, 2), (), 24), ((13, 11, 9, 7, 5, 3, 1), (12, 10, 8, 6, 4, 2), 8320)],
+        ids=["straight", "skew-wide"],
+    )
+    def test_two_letter_alphabet_applies_to_the_vertex_words(self, monkeypatch, outer, inner, evaluations):
+        # at n = 2 each vertex's codes are its subword, so F and F' read the
+        # vertex's own Word, once each; only a key eta(k) that is no vertex
+        # (none on skew-wide's eta-closed vertex set) gets a Word of its own
+        applies, lowered_keys = _count_kernel_keys(monkeypatch)
+        inputs, apply = [], graph_module.apply
+
+        def recorded(kind, word):
+            inputs.append(word)
+            return apply(kind, word)
+
+        monkeypatch.setattr(graph_module, "apply", recorded)
+        g = build_graph(make_skew_shape(outer, inner), 2)
+        own = {v.word.codes: v.word for v in g.vertices}
+        assert len(applies) == len(lowered_keys) == len(inputs) == evaluations
+        assert Counter(id(word) for word in inputs if word.codes in own) == {id(word): 2 for word in own.values()}
+        assert all(own.get(word.codes, word) is word for word in inputs)
 
     @pytest.mark.parametrize(
         "outer, inner, eta_closed", [((5, 2), (), False), ((5, 3, 1), (4, 2), True)], ids=["straight", "eta-closed"]

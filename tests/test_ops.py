@@ -341,6 +341,43 @@ class TestSubwordKernel:
         assert digest.hexdigest() == "84ee14b8b14d88a81368a6fe5928fc461f316127593272f162c75c6aa3fe3d7c"
 
 
+def _filtered_subword(codes, i):
+    """The {i,i+1}-subword by the general rule: filter the positions of the
+    letters i', i, (i+1)', i+1 and relabel them 1', 1, 2', 2."""
+    pos = [p for p, c in enumerate(codes) if 2 * i - 1 <= c <= 2 * i + 2]
+    return tuple(codes[p] - 2 * (i - 1) for p in pos), pos
+
+
+def _copied_write_back(codes, pos, sub, i):
+    """A copy of codes with the relabeled subword sub put back at pos."""
+    out = list(codes)
+    for p, c in zip(pos, sub):
+        out[p] = c + 2 * (i - 1)
+    return tuple(out)
+
+
+class TestWholeWordSubword:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_the_general_filter_and_copy(self, n):
+        # every canonical word of length <= 6 over n letters, at every
+        # index: at i = 1 a word of letters 1', 1, 2', 2 is its own
+        # subword, and a subword covering it is written back uncopied
+        for length in range(7):
+            for codes in product(range(1, 2 * n + 1), repeat=length):
+                if canonical_codes(codes) != codes:
+                    continue
+                for i in range(1, n):
+                    sub, pos = ops.subword(codes, i)
+                    expected, expected_pos = _filtered_subword(codes, i)
+                    assert (sub, list(pos)) == (expected, expected_pos), (codes, i)
+                    whole = i == 1 and len(pos) == len(codes)
+                    assert (sub is codes) == whole or not codes, (codes, i)  # () is one object
+                    for new in {sub, ops.eta_subword(sub)}:
+                        out = ops.write_back(codes, pos, new, i)
+                        assert out == ops.write_back(codes, pos, list(new), i) == _copied_write_back(codes, expected_pos, new, i)
+                        assert (out is new) == whole or not codes, (codes, i, new)
+
+
 class TestOperatorMemo:
     def test_build_agrees_with_direct_apply(self):
         # every edge and every missing edge of a build, whose F and E

@@ -21,8 +21,9 @@ from shifted_crystals import (
 )
 from shifted_crystals.words import canonical_codes, is_primed, letter_token, value_of
 
-from helpers import rows_from_strings, strict_partitions
+from helpers import BAD_BOUNDS, rows_from_strings, strict_partitions
 from oracles import is_special
+from test_acceptance import strict_subpartitions
 
 
 class TestSkewShape:
@@ -172,6 +173,32 @@ class TestBruteForceAgreement:
         enumerated = {t.rows for t in enumerate_tableaux(shape, n)}
         assert enumerated == set(_filtered(shape, n))
 
+    def test_enumerator_misses_no_tableau_on_the_criterion_2_sweep(self):
+        # every criterion-2 shape (|lam| <= 7, n <= 3) with at most 10^5
+        # candidate fillings (2n)^|lam/mu|: 349 of its 354 (shape, n) pairs,
+        # 682,492 fillings, in about 2.4 s on CPython 3.11.  The
+        # enumerator's codes are exactly the fillings over codes 1..2n that
+        # ShiftedTableau accepts, in the same order, so it misses no tableau
+        # and repeats none
+        pairs = 0
+        for size in range(1, 8):
+            for lam in strict_partitions(size):
+                for mu in strict_subpartitions(lam):
+                    shape = make_skew_shape(lam, mu)
+                    for n in (1, 2, 3):
+                        if shape.size == 0 or (2 * n) ** shape.size > 10**5:
+                            continue
+                        pairs += 1
+                        accepted = []
+                        for codes in product(range(1, 2 * n + 1), repeat=shape.size):  # in ascending order
+                            try:
+                                ShiftedTableau(shape, codes, n)
+                            except BrokenSemistandard:
+                                continue
+                            accepted.append(codes)
+                        assert [t.codes for t in enumerate_tableaux(shape, n)] == accepted, (str(shape), n)
+        assert pairs == 349
+
 
 SCHUR_CASES = [(outer, n) for outer, inner, n in BRUTE_FORCE_CASES if not inner]
 SCHUR_CASES += [((1,), 3), ((2,), 3), ((2, 1), 3), ((3, 1), 3), ((3, 2), 3), ((4, 1), 3)]
@@ -276,6 +303,15 @@ class TestValidation:
     def test_letter_below_one_is_spelled_out(self, code, letter):
         with pytest.raises(BrokenSemistandard, match=f"^letter {letter} exceeds bound 1$"):
             ShiftedTableau(make_skew_shape((1,)), (code,), 1)
+
+    @pytest.mark.parametrize("outer,codes", [((), ()), ((1,), (2,))], ids=["empty", "one-cell"])
+    @pytest.mark.parametrize("n,message", BAD_BOUNDS)
+    def test_bound_must_be_an_exact_nonnegative_int(self, outer, codes, n, message):
+        # the one-cell filling 1 lies inside 1..2n for n = True and n = 1.5
+        shape = make_skew_shape(outer)
+        for make in (lambda: ShiftedTableau(shape, codes, n), lambda: enumerate_tableaux(shape, n)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make()
 
 
 class TestTableauText:

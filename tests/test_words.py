@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from shifted_crystals.words import (
     parse_codes,
     value_of,
 )
-from helpers import canonicalize, representatives, weight
+from helpers import BAD_BOUNDS, canonicalize, representatives, weight
 
 
 def w(text: str, n: int = 3) -> Word:
@@ -207,6 +209,14 @@ class TestWordValidation:
     def test_negative_bound(self):
         with pytest.raises(ValueError, match="alphabet bound must be nonnegative"):
             Word((), -1)
+
+    @pytest.mark.parametrize("cls", [RawWord, Word])
+    @pytest.mark.parametrize("codes", [(), (2, 1)], ids=["empty", "word"])
+    @pytest.mark.parametrize("n,message", BAD_BOUNDS)
+    def test_bound_must_be_an_exact_nonnegative_int(self, cls, codes, n, message):
+        # (2, 1) lies inside 1..2n for n = True and n = 1.5 alike
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(codes, n)
 
     @pytest.mark.parametrize("cls", [RawWord, Word])
     @pytest.mark.parametrize("code,letter", [(0, "0"), (-1, "0'")])
