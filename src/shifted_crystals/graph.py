@@ -161,27 +161,33 @@ class CrystalGraph:
         return self.by_id[vid].weight
 
     def f(self, vid: int, i: int, primed: bool = False) -> int | None:
-        """f_i (primed: f_i') of vid, or None when undefined; raises
-        InvalidIndex unless i is an int with 1 <= i <= n-1."""
+        """f_i (primed: f_i') of vid, or None when undefined; InvalidIndex
+        unless i is an int in 1..n-1, then KeyError unless vid is a vertex."""
         _check_index(i, self.n)
-        return self.f_map[i, primed].get(vid)
+        if (found := self.f_map[i, primed].get(vid)) is None and vid not in self.by_id:
+            raise KeyError(vid)
+        return found
 
     def e(self, vid: int, i: int, primed: bool = False) -> int | None:
-        """e_i (primed: e_i') of vid, or None when undefined; raises
-        InvalidIndex unless i is an int with 1 <= i <= n-1."""
+        """e_i (primed: e_i') of vid, or None when undefined; InvalidIndex
+        unless i is an int in 1..n-1, then KeyError unless vid is a vertex."""
         _check_index(i, self.n)
-        return self.e_map[i, primed].get(vid)
+        if (found := self.e_map[i, primed].get(vid)) is None and vid not in self.by_id:
+            raise KeyError(vid)
+        return found
 
     def label_degree_violations(self) -> list[tuple[int, int, bool, str]]:
         return sorted(self._side)
 
     def reach(self, vid: int, i: int | None = None) -> frozenset[int]:
-        """Vertices weakly connected to vid, along every edge or, given i
-        (InvalidIndex unless an int with 1 <= i <= n-1), along the edges of
-        index i only.  A vertex's neighbours are met in the order of its
-        out-edges, then of its in-edges."""
+        """Vertices weakly connected to vid (KeyError unless a vertex), along
+        every edge or, given i (InvalidIndex unless an int in 1..n-1), along
+        the edges of index i only.  A vertex's neighbours are met in the
+        order of its out-edges, then of its in-edges."""
         if i is not None:
             _check_index(i, self.n)
+        if vid not in self.by_id:
+            raise KeyError(vid)
         indices, labels = (range(1, self.n), self.f_map) if i is None else ((i,), ((i, False), (i, True)))
         downs, ups = [self.f_map[label] for label in labels], [self.e_map[label] for label in labels]
         crowded = self._crowded if i is None else self._crowded_at[i]
@@ -250,51 +256,31 @@ def _walk(g: CrystalGraph, i: int | None = None) -> Iterator[frozenset[int]]:
 
 def _classify(g: CrystalGraph, comp: frozenset[int], i: int) -> tuple[bool, tuple[int, ...]] | None:
     """Whether comp is a collapsed {i,i'}-string, and its members in chain
-    order, the upper chain first; None when it is not a legal string."""
+    order, the upper chain first; None when it is not a legal string.  Its
+    solid chains run down from its tops, the members no solid edge enters;
+    off a crowded site they meet no member twice, so a walk that stops early
+    leaves a member out.  Collapsed: one top, each primed edge beside a
+    solid one.  Separated: two tops, the upper primed onto the lower and so
+    on down in lockstep, no lower member primed out."""
     if not g._crowded_at[i].isdisjoint(comp):
         return None
-    solid_out, primed_out = g.f_map[i, False], g.f_map[i, True]
-    solid_in, primed_in = g.e_map[i, False], g.e_map[i, True]
-
-    def chain_from(start: int, allowed: frozenset[int] | set[int]) -> tuple[int, ...] | None:
-        chain = [start]
-        seen = {start}
-        while True:
-            nxt = solid_out.get(chain[-1])
-            if nxt is None:
-                return tuple(chain)
-            if nxt in seen or nxt not in allowed:
-                return None
-            chain.append(nxt)
-            seen.add(nxt)
-
-    if all(solid_out.get(v) == primed_out.get(v) for v in comp):
-        tops = [v for v in comp if v not in solid_in]
-        if len(tops) != 1:
-            return None
-        chain = chain_from(tops[0], comp)
-        if chain is None or len(chain) != len(comp):
-            return None
-        return True, chain
-
-    uppers = {v for v in comp if v in primed_out}
-    lowers = {primed_out[v] for v in uppers}
-    if uppers & lowers or uppers | lowers != comp:
+    solid, primed = g.f_map[i, False], g.f_map[i, True]
+    tops = [v for v in comp if v not in g.e_map[i, False]]
+    if len(tops) == 1:
+        chain, v = [], tops[0]
+        while v is not None and primed.get(v) == solid.get(v):
+            chain.append(v)
+            v = solid.get(v)
+        return (True, tuple(chain)) if len(chain) == len(comp) else None
+    if len(tops) != 2:
         return None
-    upper_top = [v for v in uppers if v not in solid_in]
-    lower_top = [v for v in lowers if v not in solid_in]
-    if len(upper_top) != 1 or len(lower_top) != 1:
-        return None
-    upper = chain_from(upper_top[0], uppers)
-    lower = chain_from(lower_top[0], lowers)
-    if upper is None or lower is None or len(upper) != len(lower):
-        return None
-    if len(upper) + len(lower) != len(comp):
-        return None
-    for uj, lj in zip(upper, lower):
-        if primed_out.get(uj) != lj or primed_in.get(lj) != uj:
-            return None
-    return False, upper + lower
+    upper, lower = tops if primed.get(tops[0]) == tops[1] else tops[::-1]
+    uppers, lowers = [], []
+    while upper is not None and lower is not None and primed.get(upper) == lower and lower not in primed:
+        uppers.append(upper)
+        lowers.append(lower)
+        upper, lower = solid.get(upper), solid.get(lower)
+    return (False, tuple(uppers + lowers)) if 2 * len(uppers) == len(comp) else None
 
 
 def string_stats(g: CrystalGraph, vid: int, i: int) -> StringStats:
@@ -543,7 +529,8 @@ def import_json(text: str) -> CrystalGraph:
     try:
         weights = []
         for v in raw_vertices:
-            wt = tuple(v.get("weight", ()))
+            _exact(wt := v.get("weight", []), list, "weight")
+            wt = tuple(wt)
             if not _INT.issuperset(map(type, wt)):
                 for x in wt:
                     _exact(x, int, "weight entry")

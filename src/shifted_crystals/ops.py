@@ -13,12 +13,12 @@ primed or not.
 There is one rule set, the lowering one, on the letters 1', 1, 2', 2:
 F_i takes the final critical substring over them (highest start, longest
 on a tie) and transforms it per the type table, and F_i' re-primes the
-last i when it sits right of the last (i+1)'.  E_i is eta F_i eta: eta
-flips each letter code c of a representative to 5 - c, which swaps 1
-with 2' and 1' with 2 and the axes of the walk, the lowering rules run on
-the flipped representatives, so E_i meets type kE where they meet kF, and
-each result comes back through eta.  Each result re-canonicalises only
-the two moved value families, every qualifying representative must agree
+last i when it sits right of the last (i+1)'.  E_i is eta F_i eta, read
+at the subword boundary: eta (``eta_subword``) turns each code c into
+5 - c, which swaps 1 with 2' and 1' with 2 and the axes of the walk, and
+unprimes the first letter of each family, so E_i meets type kE where F_i
+meets kF on eta of the subword.  Each result re-canonicalises only the
+two moved value families, every qualifying representative must agree
 (InternalInconsistency otherwise), and the word is rewritten once.
 
 The representatives differ only at the <= 2 first occurrences, so the
@@ -219,24 +219,20 @@ def _check_index(i: int, n: int) -> None:
         raise InvalidIndex(f"index {i} outside 1..{n - 1}")
 
 
-def _variants(sub: tuple[int, ...], firsts: list[int], lower: bool) -> list[list[int]]:
-    """The representative subwords, as the lowering rules read them: each
-    first-occurrence letter, unprimed in the canonical word, either kept or
-    primed, the first of ``firsts`` changing slowest.  Re-priming any other
-    value never touches the subword, so these cover every representative.
-    For a raising operator each representative is flipped letter by letter
-    through eta (c -> 5 - c): a first occurrence flips to a primed code,
-    and priming it in the word adds 1 to that code."""
-    kept, step = (list(sub), -1) if lower else ([5 - c for c in sub], 1)
+def _variants(sub: tuple[int, ...], firsts: list[int]) -> list[list[int]]:
+    """The representative subwords, the first of ``firsts`` changing
+    slowest: each first occurrence, unprimed in the canonical word, kept
+    or primed.  The first letters of other values lie outside the subword."""
+    kept = list(sub)
     if not firsts:
         return [kept]
     first = kept.copy()
-    first[firsts[0]] += step
+    first[firsts[0]] -= 1
     if len(firsts) == 1:
         return [kept, first]
     second, both = kept.copy(), first.copy()
-    second[firsts[1]] += step
-    both[firsts[1]] += step
+    second[firsts[1]] -= 1
+    both[firsts[1]] -= 1
     return [kept, second, first, both]
 
 
@@ -299,21 +295,20 @@ def _reprimes(variants: list[list[int]]) -> list[list[int]]:
 
 
 def _canonical_sub(sub: list[int]) -> tuple[int, ...]:
-    """Unprime the first i-family and first (i+1)-family letter: the only
-    first occurrences an operator can move."""
-    out = list(sub)
+    """Unprime the first i-family and first (i+1)-family letter, the only
+    first occurrences an operator can move, in the list sub itself."""
     seen_1 = seen_2 = False
-    for k, c in enumerate(out):
+    for k, c in enumerate(sub):
         if c <= _1:
             if not seen_1:
                 seen_1 = True
-                out[k] = _1
+                sub[k] = _1
         elif not seen_2:
             seen_2 = True
-            out[k] = _2
+            sub[k] = _2
         if seen_1 and seen_2:
             break
-    return tuple(out)
+    return tuple(sub)
 
 
 def eta_subword(sub) -> tuple[int, ...]:
@@ -339,15 +334,17 @@ def write_back(codes: Codes, pos: Sequence[int], sub, i: int) -> Codes:
 def _on_subword(sub: tuple[int, ...], lower: bool, primed: bool) -> tuple[int, ...] | None:
     """One operator in subword space: the canonical result subword, or None
     when undefined.  Every qualifying representative must give the same
-    canonical subword.  A raising operator runs the lowering rules on the
-    flipped representatives and reads each result back through eta."""
+    canonical subword.  A raising operator is eta of the lowering one on
+    eta of the subword."""
+    if not lower:
+        out = _on_subword(eta_subword(sub), True, primed)
+        return None if out is None else eta_subword(out)
     if not sub:
         return None
     firsts = _firsts(sub)
-    variants = _variants(sub, firsts, lower)
-    canonical = _canonical_sub if lower else eta_subword
+    variants = _variants(sub, firsts)
     if primed:
-        results = set(map(canonical, _reprimes(variants)))
+        results = set(map(_canonical_sub, _reprimes(variants)))
         if not results:
             return None
     else:
@@ -361,7 +358,7 @@ def _on_subword(sub: tuple[int, ...], lower: bool, primed: bool) -> tuple[int, .
                 continue
             out = variant.copy()
             out[j : j + length] = _transform(kind, variant[j : j + length])
-            results.add(canonical(out))
+            results.add(_canonical_sub(out))
     if len(results) != 1:
         raise InternalInconsistency(
             f"representatives disagree on relabeled subword {codes_to_str(sub)}"
@@ -374,17 +371,19 @@ def final_critical_substring(w: Word, i: int, lower: bool = True) -> CriticalMat
     """The final F_i- (or E_i-) critical substring over all representatives:
     highest start index, longest on a tie.  Type 5 matches are returned as
     values; ``None`` means no representative has any critical substring.
-    An E_i match is found by the F_i rules on the flipped representatives
-    and reported in the word's own letters and walk."""
+    An E_i match is found by the F_i rules on eta of the subword, whose
+    representatives come in the reverse order, and is reported in the
+    word's own letters and walk."""
     if not isinstance(w, Word):  # Word raises for a RawWord that is not canonical
         w = Word(w.codes, w.n)
     _check_index(i, w.n)
     sub, pos = subword(w.codes, i)
+    sub = sub if lower else eta_subword(sub)
     firsts = _firsts(sub)
-    best = _final_matches(_variants(sub, firsts, lower), firsts)
+    best = _final_matches(_variants(sub, firsts), firsts)
     if not best:
         return None
-    variant, points, j, length, kind = best[0]
+    variant, points, j, length, kind = best[0 if lower else -1]
     x, y = points[j]
     return CriticalMatch(
         kind=f"{kind}{'F' if lower else 'E'}",

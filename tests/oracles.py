@@ -1,7 +1,9 @@
-"""Brute-force oracles that check the operators from outside their kernel.
+"""Brute-force oracles that check the operators from outside their kernel,
+and the string shapes from outside the graph's label maps.
 
 Each oracle is written from a definition the kernel does not use, so this
-module imports nothing from ``shifted_crystals.ops``.
+module imports nothing from ``shifted_crystals.ops``; the string oracle
+reads only edge tuples.
 """
 
 from __future__ import annotations
@@ -102,3 +104,60 @@ def is_special(t: ShiftedTableau) -> bool:
         return False
     three_prime = 2 * 3 - 1
     return three_prime not in rows[0]
+
+
+def _path(pairs: list[tuple[int, int]], members: set[int]) -> list[int] | None:
+    """members in the order of the path whose edges are exactly the (src,
+    dst) pairs, a pair listed twice counting twice; None when they form no
+    such path."""
+    after = dict(pairs)
+    order = [v for v in members if v not in after.values()][:1]
+    while order and order[-1] in after and len(order) <= len(members):
+        order.append(after[order[-1]])
+    if sorted(order) != sorted(members) or sorted(zip(order, order[1:])) != sorted(pairs):
+        return None
+    return order
+
+
+def string_by_definition(edges, comp: frozenset[int], i: int) -> tuple[bool, list[int]] | None:
+    """Whether comp is a collapsed {i,i'}-string, and its members in chain
+    order, the upper chain first, read off the (src, dst, index, primed)
+    tuples edges alone; None when it is neither shape.
+
+    Collapsed: the primed edges are the solid ones, and those form one path
+    over comp.  Separated: the primed edges match the upper members one to
+    one onto the lower members, disjoint sets that cover comp; every solid
+    edge stays on one side, each side's solid edges form one path, and the
+    k-th upper member is primed onto the k-th lower one."""
+    solid = sorted((src, dst) for src, dst, index, primed in edges if index == i and src in comp and not primed)
+    primed = sorted((src, dst) for src, dst, index, p in edges if index == i and src in comp and p)
+    if primed == solid:
+        chain = _path(solid, set(comp))
+        return None if chain is None else (True, chain)
+    uppers, lowers = {src for src, _ in primed}, {dst for _, dst in primed}
+    if len(uppers) != len(primed) or len(lowers) != len(primed) or uppers & lowers or uppers | lowers != comp:
+        return None
+    if any((src in uppers) != (dst in uppers) for src, dst in solid):
+        return None
+    upper = _path([e for e in solid if e[0] in uppers], uppers)
+    lower = _path([e for e in solid if e[0] in lowers], lowers)
+    if upper is None or lower is None or sorted(zip(upper, lower)) != primed:
+        return None
+    return False, upper + lower
+
+
+def stats_by_definition(collapsed: bool, members: list[int]) -> dict[int, tuple[int, ...]]:
+    """Each member of a legal string to (eps, phi, eps', phi', eps_hat,
+    phi_hat): its distances to the top and the bottom, counted over all
+    edges, primed ones and solid ones, on the way that takes the fewest
+    edges; on a collapsed string every edge carries both labels."""
+    if collapsed:
+        m = len(members) - 1
+        return {v: (k, m - k, k, m - k, k, m - k) for k, v in enumerate(members)}
+    size = len(members) // 2
+    out = {}
+    for k, (u, l) in enumerate(zip(members[:size], members[size:])):
+        below = size - 1 - k  # solid edges from the k-th member of a chain to its last
+        out[u] = (k, below + 1, 0, 1, k, below)
+        out[l] = (k + 1, below, 1, 0, k, below)
+    return out

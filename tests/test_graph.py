@@ -4,12 +4,15 @@ import gc
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import textwrap
 import threading
 from collections import Counter
+from dataclasses import astuple
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -26,6 +29,7 @@ from shifted_crystals import (
     NotUnique,
     Word,
     build_graph,
+    check,
     check_all,
     component_isomorphic,
     components,
@@ -40,6 +44,7 @@ from shifted_crystals import graph as graph_module
 from shifted_crystals import ops
 from shifted_crystals.graph import GraphEdge, GraphVertex, StringStats
 from helpers import BAD_BOUNDS, strict_partitions
+from oracles import stats_by_definition, string_by_definition
 
 EXPORT_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "export_json.sha256"
 
@@ -603,6 +608,26 @@ class TestIndexRange:
         with pytest.raises(InvalidIndex, match=f"^index must be an int, got {index!r}$"):
             reads[read]()
 
+    @pytest.mark.parametrize("read", ["f", "e", "reach", "reach_i", "stats", "weight"])
+    def test_id_that_is_no_vertex_raises_key_error(self, graph_cache, read):
+        # a valid index is checked first; then an id that names no vertex
+        # is a KeyError, not an undefined arrow or a one-vertex component
+        g = graph_cache((3, 1), (), 3)
+        reads = {
+            "f": lambda vid: g.f(vid, 1),
+            "e": lambda vid: g.e(vid, 2, True),
+            "reach": lambda vid: g.reach(vid),
+            "reach_i": lambda vid: g.reach(vid, 1),
+            "stats": lambda vid: g.stats(vid, 1),
+            "weight": g.weight,
+        }
+        with pytest.raises(KeyError) as caught:
+            reads[read](99)
+        assert caught.value.args == (99,)
+        with pytest.raises(InvalidIndex):
+            g.f(99, 0)
+        reads[read](len(g) - 1)
+
 
 class TestClassifyString:
     def test_singleton_is_collapsed(self, graph_cache):
@@ -636,6 +661,133 @@ class TestClassifyString:
         assert g.table(1) == ((frozenset({0, 1, 2}),), {}, {})
         with pytest.raises(NotAString, match="^\\{1,1'\\}-component of vertex 0 is not a legal string$"):
             string_stats(g, 0, 1)
+
+
+def _index_1_graphs(size):
+    """Every graph on the vertices 0..size-1 whose edges, all of index 1,
+    join two distinct vertices, each ordered pair by no edge, a solid one,
+    a primed one or both."""
+    pairs = [(a, b) for a in range(size) for b in range(size) if a != b]
+    for labels in product(((), (False,), (True,), (False, True)), repeat=len(pairs)):
+        yield size, [(a, b, 1, p) for (a, b), ps in zip(pairs, labels) for p in ps]
+
+
+def _edge_multisets(size, most):
+    """Every multiset of at most ``most`` index-1 edges on the vertices
+    0..size-1, loops included: repeated edges and crowded sites occur."""
+    kinds = [(a, b, 1, p) for a in range(size) for b in range(size) for p in (False, True)]
+    for count in range(most + 1):
+        for edges in combinations_with_replacement(kinds, count):
+            yield size, list(edges)
+
+
+def _perturbed_strings(seed, count):
+    """Legal collapsed and separated strings of 1..9 vertices, numbered in
+    a random order, each with up to two random edits: an edge deleted,
+    reprimed or retargeted, or a random edge added."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(1, 9)
+        separated = size > 1 and rng.random() < 0.5
+        size -= separated and size % 2
+        ids = rng.sample(range(size), size)
+        if separated:
+            upper, lower = ids[: size // 2], ids[size // 2 :]
+            edges = [(a, b, 1, False) for side in (upper, lower) for a, b in zip(side, side[1:])]
+            edges += [(a, b, 1, True) for a, b in zip(upper, lower)]
+        else:
+            edges = [(a, b, 1, p) for a, b in zip(ids, ids[1:]) for p in (False, True)]
+        for _ in range(rng.randint(0, 2)):
+            edit, k = rng.randrange(4), rng.randrange(len(edges) or 1)
+            if edit == 3 or not edges:
+                edges.append((rng.randrange(size), rng.randrange(size), 1, rng.random() < 0.5))
+            elif edit == 0:
+                del edges[k]
+            else:
+                src, dst, _, primed = edges[k]
+                edges[k] = (src, dst, 1, not primed) if edit == 1 else (src, rng.randrange(size), 1, primed)
+        yield size, edges
+
+
+def _strings_match_the_definition(g, edges):
+    """Compare every string table of g with the edge-list oracle; return
+    the kinds of the legal strings of two or more members met."""
+    kinds = set()
+    for i in range(1, g.n):
+        comps, stats, _ = g.table(i)
+        place = {v: k for k, comp in enumerate(comps) for v in comp}
+        edges_of = [[] for _ in comps]
+        for edge in edges:
+            if edge[2] == i:
+                edges_of[place[edge[0]]].append(edge)
+        for comp, near in zip(comps, edges_of):
+            found = string_by_definition(near, comp, i)
+            want = {} if found is None else stats_by_definition(*found)
+            assert {v: astuple(stats[v]) for v in comp if v in stats} == want, (edges, i, comp)
+            if found is not None and len(comp) > 1:
+                kinds.add(found[0])
+    return kinds
+
+
+class TestStringShapesByDefinition:
+    # the string tables against an oracle that reads only the edge tuples
+    # and decides each shape, and the member order, from the definition
+
+    def test_small_graphs_and_edge_multisets(self):
+        # every index-1 graph on at most 3 vertices (4,113), and every
+        # multiset of at most 3 index-1 edges on 3 vertices (1,330)
+        cases = [c for size in (1, 2, 3) for c in _index_1_graphs(size)] + list(_edge_multisets(3, 3))
+        assert len(cases) == 4113 + 1330
+        kinds = set()
+        for size, edges in cases:
+            kinds |= _strings_match_the_definition(abstract_graph(2, [(0, 0)] * size, edges), edges)
+        assert kinds == {False, True}
+
+    def test_perturbed_legal_strings(self):
+        kinds = set()
+        for size, edges in _perturbed_strings(seed=25, count=3000):
+            kinds |= _strings_match_the_definition(abstract_graph(2, [(0, 0)] * size, edges), edges)
+        assert kinds == {False, True}
+
+    def test_single_edge_mutants(self, graph_cache):
+        # criterion-1 crystals and their deletions, reprimings, retargets
+        # and reversed duplicates
+        from test_axioms import mutant_edges
+
+        kinds = set()
+        for lam, n in (((3, 1), 3), ((4, 2, 1), 3), ((2, 1), 4)):
+            g = graph_cache(lam, (), n)
+            kinds |= _strings_match_the_definition(g, g.edges)
+            for edges in mutant_edges(g):
+                _strings_match_the_definition(CrystalGraph(g.n, g.vertices, edges), edges)
+        assert kinds == {False, True}
+
+    @pytest.mark.parametrize(
+        "solid, primed",
+        [
+            # u0..u3 = 0..3 over a..d = 4..7: the chains from the tops u0
+            # and a stop after two members, above the cycles u2-u3 and c-d
+            ([(0, 1), (2, 3), (3, 2), (4, 5), (6, 7), (7, 6)], [(0, 4), (1, 6), (2, 5), (3, 7)]),
+            # two chains of two, primed across: 0 -> 3 and 1 -> 2
+            ([(0, 1), (2, 3)], [(0, 3), (1, 2)]),
+            # a chain of three over a chain of one; the cycle 4-5 makes
+            # the count of members twice the longer chain's
+            ([(0, 1), (1, 2), (4, 5), (5, 4)], [(0, 3), (4, 1)]),
+        ],
+        ids=["cycle-backed", "crossed-pairing", "uneven-chains"],
+    )
+    def test_separated_rejections(self, solid, primed):
+        edges = [(a, b, 1, False) for a, b in solid] + [(a, b, 1, True) for a, b in primed]
+        size = 1 + max(max(a, b) for a, b, _, _ in edges)
+        g = abstract_graph(2, [(0, 0)] * size, edges)
+        comp = frozenset(range(size))
+        assert g.table(1) == ((comp,), {}, {})
+        assert graph_module._classify(g, comp, 1) is None
+        assert string_by_definition(edges, comp, 1) is None
+        violations = check(g, "B1")
+        assert [(v.vertices, v.message) for v in violations] == [
+            (tuple(range(size)), "component matches neither string shape")
+        ]
 
 
 class TestHighestWeight:
@@ -905,7 +1057,10 @@ MALFORMED = {
     ),
     "weight-entry-str": (_edited(((*_V0, "weight", 1), "0")), "bad graph JSON: weight entry must be int, got '0'"),
     "weight-entry-bool": (_edited(((*_V1, "weight", 0), False)), "bad graph JSON: weight entry must be int, got False"),
-    "weight-not-iterable": (_edited(((*_V0, "weight"), 5)), "bad graph JSON: 'int' object is not iterable"),
+    "weight-not-iterable": (_edited(((*_V0, "weight"), 5)), "bad graph JSON: weight must be list, got 5"),
+    "weight-null": (_edited(((*_V1, "weight"), None)), "bad graph JSON: weight must be list, got None"),
+    "weight-str": (_edited(((*_V0, "weight"), "12")), "bad graph JSON: weight must be list, got '12'"),
+    "weight-missing": (_edited(((*_V1, "weight"), _DROP)), "weight vectors must all have length n"),
     "weight-length": (_edited(((*_V1, "weight"), [0, 1, 0])), "weight vectors must all have length n"),
     "n-from-first-weight": (
         _edited((("n",), _DROP), ((*_V0, "weight"), [1, 0, 0])),
