@@ -59,10 +59,12 @@ class Violation:
         return f"[{self.axiom}] i={self.index} at vertices {ids}: {self.message}"
 
 
-def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
+def _context(view: _View, ids: tuple[int, ...]) -> str:
     """The ball of radius 3 about ids: a line per vertex, then per edge in
     it, cut at 60 lines.  The vertex lines are its smallest ids, so the
-    whole ball is walked, ring by ring off the label maps."""
+    whole ball is walked, ring by ring off the label maps.  Each vertex's
+    line is rendered once per view and its dual (``_View.lines``)."""
+    g, rendered = view.g, view.lines
     seen = set(ids)
     frontier = set(ids)
     arrows = [*g.f_map.values(), *g.e_map.values()]
@@ -78,9 +80,12 @@ def _context(g: CrystalGraph, ids: tuple[int, ...]) -> str:
     ordered = sorted(seen)
     lines = []
     for v in ordered[:61]:  # past 60 lines the text is cut
-        vert = g.by_id[v]
-        word = "" if vert.word is None else f" {vert.word}"
-        lines.append(f"  {v}{word} wt={vert.weight}")
+        line = rendered.get(v)
+        if line is None:
+            vert = g.by_id[v]
+            word = "" if vert.word is None else f" {vert.word}"
+            line = rendered[v] = f"  {v}{word} wt={vert.weight}"
+        lines.append(line)
     for src, i, primed, dst in g._edges(ordered):
         if len(lines) > 60:  # cut below, so no more edges need reading
             break
@@ -127,11 +132,14 @@ class _View:
             self.stats[j] = g.table(k)[2 if reverse else 1]
         self.indices = range(g.n - 2, 0, -1) if reverse else range(1, g.n - 1)
         self._sites: dict[bool, dict] = {}
+        self.lines: dict[int, str] = {}  # vertex id -> its line in a violation's context
 
     @cached_property
     def dual(self) -> _View:
-        """The reversed view of this forward view."""
-        return _View(self.g, reverse=True)
+        """The reversed view of this forward view; the two share ``lines``."""
+        dual = _View(self.g, reverse=True)
+        dual.lines = self.lines
+        return dual
 
     @cached_property
     def position(self) -> dict[int, int]:
@@ -178,7 +186,7 @@ def _in_site_order(view: _View, out: list[Violation]) -> list[Violation]:
 def _check_B1(view: _View) -> list[Violation]:
     g = view.g
     out = [
-        Violation("B1", (v,), i, f"several {side} edges labeled {edge_label(i, primed)}", _context(g, (v,)))
+        Violation("B1", (v,), i, f"several {side} edges labeled {edge_label(i, primed)}", _context(view, (v,)))
         for v, i, primed, side in g.label_degree_violations()
     ]
     for i in range(1, view.n):
@@ -187,7 +195,7 @@ def _check_B1(view: _View) -> list[Violation]:
             first = next(iter(comp))
             if first not in stats:  # an illegal component: its members have no statistics
                 ids = tuple(sorted(comp))
-                out.append(Violation("B1", ids, i, "component matches neither string shape", _context(g, ids[:2])))
+                out.append(Violation("B1", ids, i, "component matches neither string shape", _context(view, ids[:2])))
                 continue
             collapsed = stats[first].collapsed
             for v in comp:
@@ -195,7 +203,7 @@ def _check_B1(view: _View) -> list[Violation]:
                 for k, end, side in ((i, s.eps == 0, "top"), (i - 1, s.phi == 0, "bottom")):
                     if (wt[k] == 0) != (collapsed and end):
                         message = f"wt_{k + 1}=0 iff {side} of collapsed string fails (wt={wt})"
-                        out.append(Violation("B1", (v,), i, message, _context(g, (v,))))
+                        out.append(Violation("B1", (v,), i, message, _context(view, (v,))))
     return out
 
 
@@ -205,7 +213,7 @@ def _check_B2(view: _View) -> list[Violation]:
 
     def fail(side, w, i, p, x, j, q, y, places):
         message = f"{side} {edge_label(i, p)} and {edge_label(j, q)} edges do not close a square"
-        found.append(((view.position[w], side, *places), Violation("B2", (w, x, y), i, message, _context(g, (w,)))))
+        found.append(((view.position[w], side, *places), Violation("B2", (w, x, y), i, message, _context(view, (w,)))))
 
     for side, arrows in (("downward", g.f_map), ("upward", g.e_map)) if g.n > 3 else ():  # no indices 2 apart below
         for (i, p), first in arrows.items():
@@ -241,7 +249,7 @@ def _check_B3(view: _View) -> list[Violation]:
                 change = (sw.eps - sz.eps, sw.phi - sz.phi)
                 if change not in ((0, 1), (-1, 0)):
                     message = f"(eps_{i}, phi_{i}) changed by {change} along a {edge_label(index, primed)} edge"
-                    violation = Violation("B3", (src, dst), i, message, _context(g, (src, dst)))
+                    violation = Violation("B3", (src, dst), i, message, _context(view, (src, dst)))
                     found.append(((src, index, primed, dst, k, nearby), violation))
     return _in_order(found)
 
@@ -253,7 +261,7 @@ def _check_K(view: _View) -> list[Violation]:
     distinct = set(weight.values())
 
     def fail(key, i, message, ids):
-        found.append((key, Violation("K", ids, i, message, _context(g, ids))))
+        found.append((key, Violation("K", ids, i, message, _context(view, ids))))
 
     for i, primed, edges in _edges_by_label(g):
         alpha = (0,) * (i - 1) + (1, -1) + (0,) * (view.n - 1 - i)
@@ -284,13 +292,13 @@ def _iff(axiom: str, view: _View, w: int, i: int, structural: bool, numeric, out
     """
     if numeric is not None and structural != numeric:
         side = "structural holds, numeric fails" if structural else "numeric holds, structural fails"
-        out.append(Violation(axiom, (w,), i, side, _context(view.g, (w,))))
+        out.append(Violation(axiom, (w,), i, side, _context(view, (w,))))
 
 
 def _check_A1(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
     lhs = view.fp[i].get(y)
     if lhs is None or lhs != view.fp[i + 1].get(x):
-        out.append(Violation("A1", (w, x, y), i, "primed square does not close", _context(view.g, (w,))))
+        out.append(Violation("A1", (w, x, y), i, "primed square does not close", _context(view, (w,))))
 
 
 def _check_A2(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
@@ -309,7 +317,7 @@ def _check_A3(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
         return
     lhs = view.fp[i].get(y)
     if lhs is None or lhs != view.f[i + 1].get(x):
-        out.append(Violation("A3", (w, x, y), i, "{f_i', f_{i+1}} square does not close", _context(view.g, (w,))))
+        out.append(Violation("A3", (w, x, y), i, "{f_i', f_{i+1}} square does not close", _context(view, (w,))))
 
 
 def _check_A4(view: _View, w: int, i: int, x: int, y: int, out: list) -> None:
@@ -372,7 +380,7 @@ def _check_XL(view: _View) -> list[Violation]:
             incident = [e for e in (*g._edges((w,)), *g._edges((w,), True)) if e[1] in (i, i + 1)]
             if incident:
                 message = f"excluded lengths hold yet {len(incident)} {i}/{i + 1}-edges touch the vertex"
-                out.append(Violation("XL", (w,), i, message, _context(g, (w,))))
+                out.append(Violation("XL", (w,), i, message, _context(view, (w,))))
     return _in_site_order(view, out)
 
 
@@ -386,7 +394,7 @@ def _check_SA(view: _View, w: int, i: int, x: int, y: int, d, out: list) -> None
     a8 = sy.phi_hat >= 2
     if not (a7 or a8):
         message = "neither octagon side-condition applies at Delta=(0,0)"
-        out.append(Violation("SA", (w,), i, message, _context(view.g, (w,))))
+        out.append(Violation("SA", (w,), i, message, _context(view, (w,))))
 
 
 def _check_L_CAS(view: _View) -> list[Violation]:
@@ -408,7 +416,7 @@ def _check_L_CAS(view: _View) -> list[Violation]:
                     message = "collapsedness/phi not copied along an adjacent-string edge"
                 else:
                     continue
-                violation = Violation("L_CAS", (src, dst), j, message, _context(g, (src, dst)))
+                violation = Violation("L_CAS", (src, dst), j, message, _context(view, (src, dst)))
                 found.append(((src, index, primed, dst, k, nearby), violation))
     return _in_order(found)
 
@@ -424,12 +432,11 @@ def _check_L_CF1(view: _View) -> list[Violation]:
             sw, sz = stats.get(src), stats.get(dst)
             if sw is not None and sz is not None and sw.phi == sz.phi and sz.phi_hat != 0:
                 message = f"phi_{i + 1} copied along {i}' edge but phi_hat_{i + 1}(target) = {sz.phi_hat}"
-                found.append(((src, i, dst, k), Violation("L_CF1", (src, dst), i, message, _context(g, (src, dst)))))
+                found.append(((src, i, dst, k), Violation("L_CF1", (src, dst), i, message, _context(view, (src, dst)))))
     return _in_order(found)
 
 
 def _check_L_TD(view: _View) -> list[Violation]:
-    g = view.g
     out = []
     solid = view.pair_sites(False)
     for i, at in view.pair_sites(True).items():
@@ -440,10 +447,10 @@ def _check_L_TD(view: _View) -> list[Violation]:
             sites = at if t in at else solid[i]
             if t not in sites:
                 message = "f_i or f_{i+1} undefined at the primed target"
-                out.append(Violation("L_TD", (z, t), i, message, _context(g, (z, t))))
+                out.append(Violation("L_TD", (z, t), i, message, _context(view, (z, t))))
             elif dz is not None and sites[t] is not None and dz != sites[t]:
                 message = f"Delta changes along the primed edge: {dz} vs {sites[t]}"
-                out.append(Violation("L_TD", (z, t), i, message, _context(g, (z, t))))
+                out.append(Violation("L_TD", (z, t), i, message, _context(view, (z, t))))
     return _in_site_order(view, out)
 
 
@@ -576,12 +583,11 @@ def check_all(g: CrystalGraph, axioms: tuple[str, ...] = ALL_AXIOMS) -> CheckRep
     view = _View(g)
     violations = {axiom: check(g, axiom, _view=view) for axiom in axioms}
     sites = (at.values() for primed in (False, True) for at in view.pair_sites(primed).values())
-    crowded = sum(len(ends) for (*_, end), ends in g._side.items() if end == "out")
     return CheckReport(
         axioms=axioms,
         violations=violations,
         delta_histogram=Counter(d for found in sites for d in found if d is not None),
         runtime_seconds=time.perf_counter() - start,
         vertex_count=len(g),
-        edge_count=sum(map(len, g.f_map.values())) + crowded,
+        edge_count=g.edge_count(),
     )

@@ -14,11 +14,12 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Iterable, Iterator
 
 from .axioms import ALL_AXIOMS, check_all
 from .errors import MalformedGraph
 from .expansion import verify_expansion
-from .graph import build_graph, component_labels, edge_label, export_dot, export_json, import_json
+from .graph import CrystalGraph, _dot_chunks, _json_chunks, build_graph, component_labels, edge_label, import_json
 from .ops import FAMILIES, OpKind, apply, apply_to_tableau, final_critical_substring, lattice_walk
 from .tableaux import enumerate_tableaux, make_skew_shape, parse_tableau, reading_word
 from .words import Word, eta, letter_token, standardize
@@ -78,12 +79,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write text, or each of its chunks as it is made, to out_path or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_enumerate(args) -> int:
@@ -148,20 +151,22 @@ def _cmd_eta(args) -> int:
     return 0
 
 
+def _text_chunks(g: CrystalGraph) -> Iterator[str]:
+    """graph's text format, one line per chunk: a summary, the vertices, the edges."""
+    yield f"vertices {len(g)} edges {g.edge_count()} components {component_labels(g)[1]}\n"
+    for v in g.vertices:
+        wt = ",".join(map(str, v.weight))
+        yield f"{v.id} {v.word} ({wt})\n"
+    for src, i, primed, dst in g._edges():
+        yield f"{src} -{edge_label(i, primed)}-> {dst}\n"
+
+
+_GRAPH_FORMATS = {"json": _json_chunks, "dot": _dot_chunks, "text": _text_chunks}
+
+
 def _cmd_graph(args) -> int:
     g = build_graph(make_skew_shape(args.outer, args.inner), args.n)
-    if args.format == "json":
-        _emit(export_json(g), args.out)
-    elif args.format == "dot":
-        _emit(export_dot(g), args.out)
-    else:
-        edges = [f"{src} -{edge_label(i, primed)}-> {dst}" for src, i, primed, dst in g._edges()]
-        lines = [f"vertices {len(g)} edges {len(edges)} components {component_labels(g)[1]}"]
-        for v in g.vertices:
-            wt = ",".join(map(str, v.weight))
-            lines.append(f"{v.id} {v.word} ({wt})")
-        lines += edges
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit(_GRAPH_FORMATS[args.format](g), args.out)
     return 0
 
 

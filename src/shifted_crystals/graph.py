@@ -157,6 +157,11 @@ class CrystalGraph:
                     if v in arrow:
                         yield v, i, p, arrow[v]
 
+    def edge_count(self) -> int:
+        """The number of edges, duplicates counted: the label maps' and the side record's."""
+        crowded = sum(len(ends) for (*_, end), ends in self._side.items() if end == "out")
+        return sum(map(len, self.f_map.values())) + crowded
+
     def weight(self, vid: int) -> tuple[int, ...]:
         return self.by_id[vid].weight
 
@@ -310,7 +315,11 @@ def build_graph(shape: SkewShape, n: int) -> CrystalGraph:
     first site where they disagree raises InternalInconsistency.
     """
     tableaux = enumerate_tableaux(shape, n)
-    vertices = tuple(GraphVertex(k, reading_word(t), t.weight()) for k, t in enumerate(tableaux))
+    weights: dict[tuple[int, ...], tuple[int, ...]] = {}  # one tuple per distinct weight
+    vertices = tuple(
+        GraphVertex(k, reading_word(t), weights.setdefault(wt := t.weight(), wt)) for k, t in enumerate(tableaux)
+    )
+    del tableaux, weights  # the vertices hold their words; the tableaux go before the edges are found
     ids = {v.word.codes: v.id for v in vertices}
     memo: dict[tuple[int, ...], list] = {}  # subword k -> [F(k), F'(k), number of sites with subword k]
     lowering = (OpKind("F", 1), OpKind("F'", 1))
@@ -473,32 +482,43 @@ def component_isomorphic(c1: CrystalGraph, c2: CrystalGraph) -> dict[int, int] |
     return mapping
 
 
-_DOCUMENT = '{\n  "n": %d,\n  "vertices": %s,\n  "edges": %s\n}\n'
 _VERTEX = '{\n      "id": %d,\n      "word": %s,\n      "weight": %s\n    }'
 _EDGE = '{\n      "src": %d,\n      "dst": %d,\n      "index": %d,\n      "primed": %s\n    }'
 _EDGE_KEYS = ("src", "dst", "index", "primed")
 _EDGE_TYPES = (int, int, int, bool)
 
 
-def _array(items: list[str], indent: str) -> str:
-    """A JSON array of these item texts as ``json.dumps(indent=2)`` writes it
-    where its closing bracket is indented by indent."""
-    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
+def _json_chunks(g: CrystalGraph) -> Iterator[str]:
+    """export_json's text in pieces, one per vertex and per edge, so that a
+    writer never holds the whole document.  Each vertex and each edge fills
+    one template; only the word strings go through ``json.dumps``."""
+    vertices = (
+        _VERTEX % (v.id, "null" if v.word is None else json.dumps(str(v.word)), _weight_json(v.weight))
+        for v in g.vertices
+    )
+    edges = (_EDGE % (src, dst, i, "true" if primed else "false") for src, i, primed, dst in g._edges())
+    yield '{\n  "n": %d' % g.n
+    for key, items in (("vertices", vertices), ("edges", edges)):
+        head = f',\n  "{key}": ['
+        sep = head + "\n    "
+        for item in items:
+            yield sep + item
+            sep = ",\n    "
+        yield "\n  ]" if sep == ",\n    " else head + "]"
+    yield "\n}\n"
+
+
+def _weight_json(weight: tuple[int, ...]) -> str:
+    """A weight vector as ``json.dumps(indent=2)`` writes it inside a vertex."""
+    return "[\n        " + ",\n        ".join(map(str, weight)) + "\n      ]" if weight else "[]"
 
 
 def export_json(g: CrystalGraph) -> str:
     """The graph as ``json.dumps(data, indent=2) + "\\n"`` writes it, byte for
     byte, where data is ``{"n", "vertices": [{"id", "word", "weight"}, ...],
     "edges": [{"src", "dst", "index", "primed"}, ...]}`` with the ints and
-    bools GraphVertex and GraphEdge declare, and null for a missing word.
-    Each vertex and each edge fills one template; only the word strings go
-    through ``json.dumps``."""
-    vertices = []
-    for v in g.vertices:
-        word = "null" if v.word is None else json.dumps(str(v.word))
-        vertices.append(_VERTEX % (v.id, word, _array(list(map(str, v.weight)), "      ")))
-    edges = [_EDGE % (src, dst, i, "true" if primed else "false") for src, i, primed, dst in g._edges()]
-    return _DOCUMENT % (g.n, _array(vertices, "  "), _array(edges, "  "))
+    bools GraphVertex and GraphEdge declare, and null for a missing word."""
+    return "".join(_json_chunks(g))
 
 
 def _exact(value, kind: type, what: str) -> None:
@@ -508,33 +528,45 @@ def _exact(value, kind: type, what: str) -> None:
         raise MalformedGraph(f"{what} must be {kind.__name__}, got {value!r}")
 
 
+def _required(item: dict, key: str, kind: type, what: str) -> None:
+    """Raise unless item has key and its value is exactly of type kind."""
+    if key not in item:
+        raise MalformedGraph(f"{what} is missing")
+    _exact(item[key], kind, what)
+
+
 def import_json(text: str) -> CrystalGraph:
     """The graph of an export_json document.  The first defect met raises
     MalformedGraph: the top level, every weight entry, ``n`` (the length of
     the first weight when absent) and its sign, each vertex's word and id,
     each edge's fields in key order, the weight lengths, CrystalGraph's
     checks, then, vertex by vertex, that no weight entry is negative and
-    that a vertex with a word has that word's weight."""
+    that a vertex with a word has that word's weight.  Each input is let go
+    once read: the text after parsing, the vertex objects before the edges
+    are read, the edge objects before the graph is built, and equal weights
+    share one tuple."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedGraph(f"invalid JSON: {exc}") from exc
+    del text
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise MalformedGraph("graph JSON needs 'vertices' and 'edges'")
-    raw_vertices, raw_edges = data["vertices"], data["edges"]
+    raw_vertices, raw_edges, n = data["vertices"], data["edges"], data.get("n")
+    del data
     for key, items in (("vertices", raw_vertices), ("edges", raw_edges)):
         if not isinstance(items, list) or not {dict}.issuperset(map(type, items)):  # json.loads makes no dict subclass
             raise MalformedGraph(f"'{key}' must be a list of objects")
-    n = data.get("n")
+    del items  # the loop's last binding would keep the edge objects
     try:
-        weights = []
+        weights, shared = [], {}  # shared: each distinct weight to its one tuple
         for v in raw_vertices:
             _exact(wt := v.get("weight", []), list, "weight")
             wt = tuple(wt)
             if not _INT.issuperset(map(type, wt)):
                 for x in wt:
                     _exact(x, int, "weight entry")
-            weights.append(wt)
+            weights.append(shared.setdefault(wt, wt))
         if n is None:
             n = len(weights[0]) if weights else 0
         if type(n) is not int:
@@ -547,21 +579,24 @@ def import_json(text: str) -> CrystalGraph:
                 if type(word) is not str:
                     _exact(word, str, "word")
                 word = Word(parse_codes(word), n)
-            vid = v["id"]
+            vid = v.get("id")
             if type(vid) is not int:
-                _exact(vid, int, "vertex id")
+                _required(v, "id", int, "vertex id")
             vertices.append(GraphVertex(vid, word, wt))
+        del raw_vertices
         edges = []
         for e in raw_edges:
             fields = tuple(map(e.get, _EDGE_KEYS))
             if tuple(map(type, fields)) != _EDGE_TYPES:
                 for key, kind in zip(_EDGE_KEYS, _EDGE_TYPES):
-                    _exact(e[key], kind, f"edge {key}")
+                    _required(e, key, kind, f"edge {key}")
             edges.append(fields)
-    except (KeyError, TypeError, ValueError) as exc:
+        del raw_edges
+    except (TypeError, ValueError) as exc:
         raise MalformedGraph(f"bad graph JSON: {exc}") from exc
     if not {n}.issuperset(map(len, weights)):
         raise MalformedGraph("weight vectors must all have length n")
+    del weights
     g = CrystalGraph(n, tuple(vertices), edges)
     for v in g.vertices:
         if v.weight and min(v.weight) < 0:
@@ -571,16 +606,20 @@ def import_json(text: str) -> CrystalGraph:
     return g
 
 
-def export_dot(g: CrystalGraph) -> str:
-    """DOT text: solid edges unprimed, dashed primed, labels i or i'."""
-    lines = ["digraph crystal {"]
+def _dot_chunks(g: CrystalGraph) -> Iterator[str]:
+    """export_dot's text, one line per chunk."""
+    yield "digraph crystal {\n"
     for v in g.vertices:
         word = "" if v.word is None else str(v.word)
         wt = ",".join(map(str, v.weight))
         label = f"{word}\\n({wt})" if word else f"({wt})"
-        lines.append(f'  v{v.id} [label="{label}"];')
+        yield f'  v{v.id} [label="{label}"];\n'
     for src, i, primed, dst in g._edges():
         style = "dashed" if primed else "solid"
-        lines.append(f'  v{src} -> v{dst} [label="{edge_label(i, primed)}", style={style}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  v{src} -> v{dst} [label="{edge_label(i, primed)}", style={style}];\n'
+    yield "}\n"
+
+
+def export_dot(g: CrystalGraph) -> str:
+    """DOT text: solid edges unprimed, dashed primed, labels i or i'."""
+    return "".join(_dot_chunks(g))

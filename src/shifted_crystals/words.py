@@ -86,7 +86,7 @@ def codes_to_str(codes: Codes) -> str:
     return " ".join(tokens) + (" " if len(tokens) == 1 else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawWord:
     """A concrete representative: any priming of the letters, bounded by n."""
 
@@ -113,22 +113,28 @@ class RawWord:
         return codes_to_str(self.codes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word(RawWord):
     """A word in canonical form: the first occurrence of each value is unprimed."""
 
     def __post_init__(self) -> None:
-        super().__post_init__()
+        RawWord.__post_init__(self)  # slots=True rebuilds the class, so zero-argument super() fails
         if not is_canonical(self.codes):
             raise ValueError(f"word {codes_to_str(self.codes)} is not in canonical form")
+
+
+# The slot descriptors of a word's two fields: setting through them skips
+# the frozen dataclass's __setattr__.
+_SET_CODES, _SET_N = RawWord.codes.__set__, RawWord.n.__set__
 
 
 def _accepted(codes: Codes, n: int) -> Word:
     """The Word of codes that a caller has already validated as a canonical
     word within the exact int bound n (``ShiftedTableau`` does), built
-    without checking them again."""
+    without checking them again: its two slots are set directly."""
     word = object.__new__(Word)
-    word.__dict__.update(codes=codes, n=n)
+    _SET_CODES(word, codes)
+    _SET_N(word, n)
     return word
 
 

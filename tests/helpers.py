@@ -6,7 +6,18 @@ from itertools import product
 
 import pytest
 
-from shifted_crystals import ALL_AXIOMS, CrystalGraph, RawWord, ShiftedTableau, Violation, Word, check, parse_tableau
+from shifted_crystals import (
+    ALL_AXIOMS,
+    CrystalGraph,
+    RawWord,
+    ShiftedTableau,
+    SkewShape,
+    Violation,
+    Word,
+    check,
+    make_skew_shape,
+    parse_tableau,
+)
 from shifted_crystals.tableaux import StrictPartition
 from shifted_crystals.words import Codes, WeightVector, canonical_codes, value_of, weight_of_codes
 
@@ -49,6 +60,36 @@ def strict_partitions(total: int) -> list[StrictPartition]:
                 yield (first,) + rest
 
     return list(gen(total, total))
+
+
+def strict_subpartitions(lam: StrictPartition) -> list[StrictPartition]:
+    """Every strict partition mu with mu_r <= lam_r in each row, () included."""
+
+    def gen(row, bound):
+        if row == len(lam):
+            yield ()
+            return
+        for part in range(0, min(lam[row], bound - 1) + 1):
+            if part == 0:
+                yield ()
+            else:
+                for rest in gen(row + 1, part):
+                    yield (part,) + rest
+
+    return sorted(set(gen(0, 10**9)))
+
+
+def skew_sweep_shapes() -> list[tuple[SkewShape, int]]:
+    """The skew sweep of acceptance criteria 2 and 3: every nonempty shape
+    lam/mu with |lam| <= 7, each with n = 1, 2 and 3."""
+    out = []
+    for size in range(1, 8):
+        for lam in strict_partitions(size):
+            for mu in strict_subpartitions(lam):
+                shape = make_skew_shape(lam, mu)
+                if shape.size:
+                    out.extend((shape, n) for n in (1, 2, 3))
+    return out
 
 
 def canonicalize(w: RawWord) -> Word:

@@ -33,27 +33,12 @@ from shifted_crystals import (
 )
 from shifted_crystals.graph import GraphEdge
 
-from helpers import first_violation, rows_from_strings, strict_partitions
+from helpers import first_violation, rows_from_strings, skew_sweep_shapes, strict_partitions
 from oracles import alternate_E2prime, primed_by_standardization
 
 
 def _report(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS - {message}")
-
-
-def strict_subpartitions(lam):
-    def gen(row, bound):
-        if row == len(lam):
-            yield ()
-            return
-        for part in range(0, min(lam[row], bound - 1) + 1):
-            if part == 0:
-                yield ()
-            else:
-                for rest in gen(row + 1, part):
-                    yield (part,) + rest
-
-    return sorted(set(gen(0, 10**9)))
 
 
 @pytest.fixture(scope="module")
@@ -96,16 +81,7 @@ def test_criterion_1_axiom_certification(straight_graphs):
 @pytest.fixture(scope="module")
 def skew_sweep():
     """All skew shapes |lam| <= 7 with n <= 3, graphs built once."""
-    out = []
-    for size in range(1, 8):
-        for lam in strict_partitions(size):
-            for mu in strict_subpartitions(lam):
-                shape = make_skew_shape(lam, mu)
-                if shape.size == 0:
-                    continue
-                for n in (1, 2, 3):
-                    out.append((shape, n, build_graph(shape, n)))
-    return out
+    return [(shape, n, build_graph(shape, n)) for shape, n in skew_sweep_shapes()]
 
 
 def test_criterion_2_unique_max_and_isomorphism(skew_sweep, straight_graphs):

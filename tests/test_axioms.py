@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from shifted_crystals import (
     reading_word,
 )
 from shifted_crystals import axioms as axioms_module
+from shifted_crystals import words as words_module
 from shifted_crystals.axioms import _View
 from shifted_crystals.graph import GraphEdge, GraphVertex
 
@@ -467,6 +469,26 @@ class TestGoldenDigest:
             5820,
             "b1a3b14899dd93bdc4b5e0f3518a8aac69630fb3a9a5bfb59e5ed618992ba4e6",
         )
+
+
+class TestContextLines:
+    def test_each_vertex_line_is_rendered_once_per_report(self, graph_cache, monkeypatch):
+        # the contexts of one edge's violations, and of their duals, share
+        # most of their vertices: rendered per context, a word was spelled
+        # 166 times here, one vertex's 5 times
+        g = graph_cache((3, 1), (), 5)
+        edges = g.edges
+        k = len(edges) // 2
+        mutant = CrystalGraph(g.n, g.vertices, edges[:k] + edges[k + 1 :])
+        spelled = Counter()
+        spell = words_module.codes_to_str
+        monkeypatch.setattr(words_module, "codes_to_str", lambda codes: spelled.update([codes]) or spell(codes))
+        report = check_all(mutant)
+        assert report.total_violations == 5 and len(spelled) == 47
+        assert set(spelled.values()) == {1}
+        spelled.clear()
+        check_all(mutant)  # a new report renders its own lines
+        assert len(spelled) == 47
 
 
 class TestSeveralEdgesOfOneLabel:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shifted_crystals import MalformedGraph, cli, import_json
+from shifted_crystals import MalformedGraph, build_graph, cli, export_dot, export_json, import_json, make_skew_shape
 from shifted_crystals.cli import run
+
+from helpers import skew_sweep_shapes
 
 
 @pytest.fixture()
@@ -196,6 +200,55 @@ class TestGraphVerb:
         assert status == 0 and out == ""
         data = json.loads(path.read_text())
         assert len(data["vertices"]) == 2 and len(data["edges"]) == 1
+
+    def test_text_golden(self, invoke):
+        status, out, _ = invoke("graph", "--outer", "3,1", "--n", "2")
+        lines = ["vertices 4 edges 4 components 1", "0 2111 (3,1)", "1 2112' (2,2)", "2 2112 (2,2)", "3 212'2 (1,3)"]
+        lines += ["0 -1-> 2", "0 -1'-> 1", "1 -1-> 3", "2 -1'-> 3"]
+        assert (status, out) == (0, "\n".join(lines) + "\n")
+
+    def test_dot_is_the_export(self, invoke, graph_cache):
+        assert invoke("graph", "--outer", "3,1", "--inner", "1", "--n", "3", "--format", "dot") == (
+            0,
+            export_dot(graph_cache((3, 1), (1,), 3)),
+            "",
+        )
+
+    def test_streamed_json_is_the_export_on_the_skew_sweep(self, invoke, tmp_path):
+        # written as it is made, to --out and to stdout, byte for byte
+        path = tmp_path / "g.json"
+        for shape, n in skew_sweep_shapes():
+            argv = ["graph", "--format", "json", "--n", str(n)]
+            argv += ["--outer", ",".join(map(str, shape.outer)), "--inner", ",".join(map(str, shape.inner))]
+            document = export_json(build_graph(shape, n))
+            assert invoke(*argv) == (0, document, ""), (str(shape), n)
+            assert invoke(*argv, "--out", str(path)) == (0, "", "")
+            assert path.read_bytes() == document.encode("utf-8"), (str(shape), n)
+
+
+def _traced_peak(fn) -> int:
+    """The most memory tracemalloc saw allocated while fn ran, in bytes.
+    A full collection first empties the free lists, whose reused blocks
+    tracemalloc does not see, so that two calls start alike."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGraphVerbMemory:
+    def test_json_export_holds_no_copy_of_the_document(self, tmp_path):
+        # at ShST((6,4,2), 4) the document is about 0.95 MB; held whole, and
+        # copied while it was assembled, it added about three times that
+        shape, path = make_skew_shape((6, 4, 2)), tmp_path / "g.json"
+        build_graph(shape, 4)  # the operator caches fill before either measurement
+        built = _traced_peak(lambda: build_graph(shape, 4))
+        argv = ["graph", "--outer", "6,4,2", "--n", "4", "--format", "json", "--out", str(path)]
+        streamed = _traced_peak(lambda: run(argv))
+        assert streamed - built < 0.1 * len(path.read_text(encoding="utf-8"))
 
 
 class TestCheckVerb:

@@ -1073,12 +1073,12 @@ MALFORMED = {
     "word-alphabet": (_edited(((*_V0, "word"), "3")), "bad graph JSON: letter 3 outside alphabet bound 2"),
     "word-canonical": (_edited(((*_V0, "word"), "1'")), "bad graph JSON: word 1' is not in canonical form"),
     "id-str": (_edited(((*_V0, "id"), "0")), "bad graph JSON: vertex id must be int, got '0'"),
-    "id-missing": (_edited(((*_V1, "id"), _DROP)), "bad graph JSON: 'id'"),
+    "id-missing": (_edited(((*_V1, "id"), _DROP)), "bad graph JSON: vertex id is missing"),
     "src-str": (_edited(((*_E0, "src"), "0")), "bad graph JSON: edge src must be int, got '0'"),
     "dst-float": (_edited(((*_E0, "dst"), 1.0)), "bad graph JSON: edge dst must be int, got 1.0"),
     "index-bool": (_edited(((*_E0, "index"), True)), "bad graph JSON: edge index must be int, got True"),
     "primed-int": (_edited(((*_E0, "primed"), 0)), "bad graph JSON: edge primed must be bool, got 0"),
-    "primed-missing": (_edited(((*_E0, "primed"), _DROP)), "bad graph JSON: 'primed'"),
+    "primed-missing": (_edited(((*_E0, "primed"), _DROP)), "bad graph JSON: edge primed is missing"),
     "src-before-missing-dst": (_edited(((*_E0,), {"src": "x"})), "bad graph JSON: edge src must be int, got 'x'"),
     "missing-vertex": (
         _edited(((*_E0, "src"), 5)),

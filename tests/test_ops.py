@@ -26,9 +26,8 @@ from shifted_crystals import (
 from shifted_crystals import ops
 from shifted_crystals.ops import FAMILIES
 from shifted_crystals.words import canonical_codes, code_of
-from helpers import rows_from_strings, strict_partitions, weight
+from helpers import rows_from_strings, strict_partitions, strict_subpartitions, weight
 from oracles import alternate_E2prime, primed_by_standardization
-from test_acceptance import strict_subpartitions
 
 F1, F2 = OpKind("F", 1), OpKind("F", 2)
 E1, E2 = OpKind("E", 1), OpKind("E", 2)

@@ -21,9 +21,8 @@ from shifted_crystals import (
 )
 from shifted_crystals.words import canonical_codes, is_primed, letter_token, value_of
 
-from helpers import BAD_BOUNDS, rows_from_strings, strict_partitions
+from helpers import BAD_BOUNDS, rows_from_strings, strict_partitions, strict_subpartitions
 from oracles import is_special
-from test_acceptance import strict_subpartitions
 
 
 class TestSkewShape:

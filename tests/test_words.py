@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from shifted_crystals import (
     standardize,
 )
 from shifted_crystals.words import (
+    _accepted,
     canonical_codes,
     code_of,
     codes_to_str,
@@ -229,3 +231,48 @@ class TestWordValidation:
     def test_codes_must_be_a_tuple_of_ints(self, cls, codes):
         with pytest.raises(ValueError, match="^codes must be a tuple of ints: "):
             cls(codes, 1)
+
+
+# One case per message RawWord and Word raise; Word adds the canonical form.
+WORD_ERRORS = [
+    pytest.param(RawWord, [2], 1, "codes must be a tuple of ints: [2]", id="raw-codes"),
+    pytest.param(RawWord, (2,), -1, "alphabet bound must be nonnegative", id="raw-negative-bound"),
+    pytest.param(RawWord, (2,), 1.0, "alphabet bound must be an int, got 1.0", id="raw-float-bound"),
+    pytest.param(RawWord, (5,), 2, "letter 3' outside alphabet bound 2", id="raw-alphabet"),
+    pytest.param(Word, (True,), 1, "codes must be a tuple of ints: (True,)", id="codes"),
+    pytest.param(Word, (2,), True, "alphabet bound must be an int, got True", id="bool-bound"),
+    pytest.param(Word, (0,), 1, "letter 0 outside alphabet bound 1", id="alphabet"),
+    pytest.param(Word, (1, 2), 1, "word 1'1 is not in canonical form", id="canonical"),
+]
+
+
+class TestSlottedWords:
+    @pytest.mark.parametrize(
+        "word", [RawWord((1, 2), 2), Word((2, 1), 2), _accepted((2, 1), 2)], ids=["raw", "word", "accepted"]
+    )
+    def test_no_dict_and_no_assignment(self, word):
+        assert not hasattr(word, "__dict__")
+        for name in ("codes", "n"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(word, name, ())
+        with pytest.raises(FrozenInstanceError):
+            del word.codes
+        # a name that is no field has no slot; which error says so varies
+        # with the Python version
+        with pytest.raises((AttributeError, TypeError)):
+            word.extra = ()
+        assert (word.codes, word.n) in (((1, 2), 2), ((2, 1), 2))
+
+    def test_equal_and_hashed_by_value(self):
+        built, accepted = Word((2, 4, 3), 2), _accepted((2, 4, 3), 2)
+        assert built == accepted and hash(built) == hash(accepted) and len({built, accepted}) == 1
+        assert built != Word((2, 4, 4), 2) and built != Word((2, 4, 3), 3)
+        assert RawWord((2, 4, 3), 2) == RawWord((2, 4, 3), 2)
+        assert built != RawWord((2, 4, 3), 2)  # the class is part of the value
+        assert str(accepted) == "122'" and len(accepted) == 3
+
+    @pytest.mark.parametrize("cls, codes, n, message", WORD_ERRORS)
+    def test_every_error_message_is_kept(self, cls, codes, n, message):
+        with pytest.raises(ValueError) as caught:
+            cls(codes, n)
+        assert str(caught.value) == message
