@@ -542,9 +542,11 @@ def import_json(text: str) -> CrystalGraph:
     each edge's fields in key order, the weight lengths, CrystalGraph's
     checks, then, vertex by vertex, that no weight entry is negative and
     that a vertex with a word has that word's weight.  Each input is let go
-    once read: the text after parsing, the vertex objects before the edges
-    are read, the edge objects before the graph is built, and equal weights
-    share one tuple."""
+    once read: the text after parsing, the vertex list before the edges are
+    read, the edge list before the graph is built, and equal weights share
+    one tuple.  The text is freed only if the caller holds no other
+    reference to it; on Python 3.10 the caller's stack keeps an argument
+    such as ``import_json(handle.read())`` until the call returns."""
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

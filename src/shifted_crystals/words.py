@@ -113,19 +113,18 @@ class RawWord:
         return codes_to_str(self.codes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Word(RawWord):
     """A word in canonical form: the first occurrence of each value is unprimed."""
 
+    # RawWord's two slots serve; slots=True would add two more of the same
+    # names on Python 3.10, which does not skip the slots a base already has
+    __slots__ = ()
+
     def __post_init__(self) -> None:
-        RawWord.__post_init__(self)  # slots=True rebuilds the class, so zero-argument super() fails
+        super().__post_init__()
         if not is_canonical(self.codes):
             raise ValueError(f"word {codes_to_str(self.codes)} is not in canonical form")
-
-
-# The slot descriptors of a word's two fields: setting through them skips
-# the frozen dataclass's __setattr__.
-_SET_CODES, _SET_N = RawWord.codes.__set__, RawWord.n.__set__
 
 
 def _accepted(codes: Codes, n: int) -> Word:
@@ -133,8 +132,8 @@ def _accepted(codes: Codes, n: int) -> Word:
     word within the exact int bound n (``ShiftedTableau`` does), built
     without checking them again: its two slots are set directly."""
     word = object.__new__(Word)
-    _SET_CODES(word, codes)
-    _SET_N(word, n)
+    object.__setattr__(word, "codes", codes)
+    object.__setattr__(word, "n", n)
     return word
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -270,6 +271,14 @@ class TestSlottedWords:
         assert RawWord((2, 4, 3), 2) == RawWord((2, 4, 3), 2)
         assert built != RawWord((2, 4, 3), 2)  # the class is part of the value
         assert str(accepted) == "122'" and len(accepted) == 3
+
+    def test_word_adds_no_slot_of_its_own(self):
+        # Word reads and writes RawWord's two slots, so an accepted word's
+        # fields are the ones its methods see, and it is no larger
+        assert Word.__slots__ == () and not {"codes", "n"} & set(vars(Word))
+        accepted = _accepted((2, 1), 2)
+        assert sys.getsizeof(accepted) == sys.getsizeof(RawWord((2, 1), 2))
+        assert accepted.codes == (2, 1) and accepted.n == 2 and str(accepted) == "11'"
 
     @pytest.mark.parametrize("cls, codes, n, message", WORD_ERRORS)
     def test_every_error_message_is_kept(self, cls, codes, n, message):
